@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import catalog
 from .derive import check_trace, derive_bounded
@@ -108,12 +109,11 @@ def parse_monoid_expr(text: str) -> FiniteMonoid:
     text = text.strip()
     if text in ("A1", "E1", "A01", "S1", "dualA1"):
         return catalog.named_monoid(text)
-    if text.startswith("M[") :
-        close = text.index("]")
-        tau = text[2:close]
-        if not (text[close + 1] == "(" and text.endswith(")")):
+    if text.startswith("M["):
+        tau, close, words = text[2:].partition("]")
+        if not (close and words.startswith("(") and words.endswith(")")):
             raise ValueError(f"malformed monoid expression {text!r}")
-        return catalog.mtau(tau, text[close + 2:-1])
+        return catalog.mtau(tau, words[1:-1])
     if text.startswith("dual(") and text.endswith(")"):
         return dual(parse_monoid_expr(text[5:-1]))
     if text.startswith("prod(") and text.endswith(")"):
@@ -178,10 +178,10 @@ def _options(parts, start):
     return opts
 
 
-def run_claim(claim: Claim, budget: int | None = None, jobs: int = 1) -> ClaimResult:
+def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
     t0 = time.perf_counter()
     try:
-        actual = _execute(claim, budget, jobs)
+        actual = _execute(claim, budget)
         verdict = "pass" if _matches(claim, actual) else "fail"
     except BudgetExceededError as e:
         actual = f"budget: {e}"
@@ -193,7 +193,7 @@ def run_claim(claim: Claim, budget: int | None = None, jobs: int = 1) -> ClaimRe
     return ClaimResult(claim, verdict, actual, ms)
 
 
-def _execute(claim: Claim, budget, jobs) -> str:
+def _execute(claim: Claim, budget) -> str:
     kind = claim.kind
     parts = _fields(claim.inputs)
     if kind == "monoid-size":
@@ -204,7 +204,7 @@ def _execute(claim: Claim, budget, jobs) -> str:
     if kind in ("satisfies", "violates"):
         m = parse_monoid_expr(parts[0])
         ident = parse_identity(parts[1])
-        res = satisfies(m, ident, budget=budget, jobs=jobs)
+        res = satisfies(m, ident, budget=budget)
         if res.holds:
             return "holds"
         wit = ",".join(f"{b}={m.labels[e]}" for b, e in sorted(res.witness.items()))
@@ -294,44 +294,25 @@ def _matches(claim: Claim, actual: str) -> bool:
     return actual == expected
 
 
-def _run_claim_job(args):
-    claim, budget = args
-    return run_claim(claim, budget=budget)
-
-
 def verify_corpus(text: str, id_filter: str | None = None,
                   include_slow: bool = False, budget: int | None = None,
                   jobs: int = 1) -> ClaimReport:
     """Run every claim of a corpus text; failures are recorded, not raised.
 
-    With ``jobs > 1`` independent fast claims run in worker processes, while
-    slow claims (whose cost is one huge substitution scan) instead get the
-    workers for partitioning that scan.  Results are merged back in corpus
-    order, so the report stays deterministic.
+    With ``jobs > 1`` the executed claims run in worker processes.  Results
+    come back in corpus order, so the report stays deterministic.
     """
-    claims = parse_corpus(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    fast, slow = [], []
-    by_index: dict = {}
-    for i, claim in enumerate(claims):
-        if id_filter is not None and not claim.id.startswith(id_filter):
-            continue
-        if claim.slow and not include_slow:
-            by_index[i] = ClaimResult(claim, "skipped",
-                                      "slow (enable with --slow)", 0)
-        elif claim.slow:
-            slow.append((i, claim))
-        else:
-            fast.append((i, claim))
-    if jobs > 1 and len(fast) > 1:
+    selected = [c for c in parse_corpus(text)
+                if id_filter is None or c.id.startswith(id_filter)]
+    todo = [c for c in selected if include_slow or not c.slow]
+    if jobs > 1 and len(todo) > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            outcomes = ex.map(_run_claim_job, [(c, budget) for _, c in fast])
-            for (i, _), res in zip(fast, outcomes):
-                by_index[i] = res
+            done = list(ex.map(partial(run_claim, budget=budget), todo))
     else:
-        for i, claim in fast:
-            by_index[i] = run_claim(claim, budget=budget)
-    for i, claim in slow:
-        by_index[i] = run_claim(claim, budget=budget, jobs=jobs)
-    return ClaimReport([by_index[i] for i in sorted(by_index)], digest)
+        done = [run_claim(c, budget=budget) for c in todo]
+    ran = dict(zip(todo, done))
+    results = [ran[c] if c in ran else
+               ClaimResult(c, "skipped", "slow (enable with --slow)", 0)
+               for c in selected]
+    return ClaimReport(results, hashlib.sha256(text.encode()).hexdigest())

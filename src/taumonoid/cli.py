@@ -83,7 +83,6 @@ def main(argv=None) -> int:
     p.add_argument("monoid")
     p.add_argument("identity")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("isoterm", help="is the word an isoterm for the monoid")
     p.add_argument("monoid")
@@ -123,7 +122,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-paper", help="run the claim corpus")
     p.add_argument("--filter", default=None, help="run claims with this id prefix")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="run the claims in this many worker processes")
     p.add_argument("--slow", action="store_true", help="include slow claims")
     p.add_argument("--disputed", action="store_true",
                    help="also run the disputed source-text claims")
@@ -182,8 +182,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "check":
         m = _monoid_arg(args.monoid)
-        res = satisfies(m, parse_identity(args.identity),
-                        budget=args.budget, jobs=args.jobs)
+        res = satisfies(m, parse_identity(args.identity), budget=args.budget)
         if res.holds:
             print("holds")
             return 0

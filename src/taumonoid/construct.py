@@ -40,8 +40,8 @@ def _node_graph(bases: tuple, max_len: int, tau: str):
         x = queue.popleft()
         rs, ls = [], []
         for l in letters:
-            y = compose_words(x, l, tau) if tau != "trivial" else x + l
-            z = compose_words(l, x, tau) if tau != "trivial" else l + x
+            y = compose_words(x, l, tau)
+            z = compose_words(l, x, tau)
             if len(y) <= max_len:
                 rs.append(y)
                 if y not in nodes:
@@ -100,11 +100,11 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
     bases = tuple(sorted(content(u.word)))
     nodes, _, _ = _node_graph(bases, len(u.word), u.tau)
     for p in nodes:
-        pv = compose_words(p, v.word, u.tau) if u.tau != "trivial" else p + v.word
+        pv = compose_words(p, v.word, u.tau)
         if len(pv) > len(u.word):
             continue
         for s in nodes:
-            pvs = compose_words(pv, s, u.tau) if u.tau != "trivial" else pv + s
+            pvs = compose_words(pv, s, u.tau)
             if pvs == u.word:
                 return True
     return False
@@ -145,8 +145,7 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
             if i == zero or j == zero:
                 row.append(zero)
             else:
-                w = compose_words(low[i], low[j], ws.tau) \
-                    if ws.tau != "trivial" else low[i] + low[j]
+                w = compose_words(low[i], low[j], ws.tau)
                 row.append(index[w] if w in members else zero)
         rows.append(tuple(row))
     labels = tuple(print_word(w) for w in low) + ("0",)

@@ -301,16 +301,11 @@ def _fresh_base(bases) -> str:
 def _tracker_next(state, base: str, tau: str, limit: int):
     if state is _SINK:
         return _SINK
-    if tau == "trivial":
-        nxt = state + ((base, False),)
-    else:
-        nxt = compose_words(state, ((base, False),), tau)
+    nxt = compose_words(state, ((base, False),), tau)
     return nxt if len(nxt) <= limit else _SINK
 
 
 def _in_class(w: Word, u: TauWord) -> bool:
-    if u.tau == "trivial":
-        return w == u.word
     return canonical(w, u.tau) == u.word
 
 
@@ -343,20 +338,17 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
             "require an everywhere-zero member (checked directly)"
             if fresh is None else f"fresh letter {fresh} adjoined")
 
-    if mode in ("auto", "exact"):
-        try:
-            aut = rel_free_automaton(m, letters, max_states=max_states,
-                                     max_cells=max_cells)
-            return _tau_term_exact(aut, u, fresh, note)
-        except BudgetExceededError:
-            if mode == "exact":
-                raise
-            note += "; exact budget exceeded, downgraded to bounded"
     try:
         aut = rel_free_automaton(m, letters, max_states=max_states,
                                  max_cells=max_cells)
     except BudgetExceededError:
+        if mode == "exact":
+            raise
+        if mode == "auto":
+            note += "; exact budget exceeded, downgraded to bounded"
         return _tau_term_bounded_pairwise(m, u, letters, fresh, bound, note)
+    if mode in ("auto", "exact"):
+        return _tau_term_exact(aut, u, fresh, note)
     return _tau_term_bounded(aut, u, fresh, bound, note)
 
 

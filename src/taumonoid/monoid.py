@@ -561,19 +561,27 @@ def format_monoid(m: FiniteMonoid) -> str:
 
 
 def parse_monoid(text: str) -> FiniteMonoid:
-    lines = [l for l in text.splitlines() if l.strip()]
-    head = lines[0].split()
-    if head[0] != "MONOID":
-        raise ValueError("not a monoid file")
+    """Read ``format_monoid`` text; malformed input raises ValueError."""
+    lines = [l.split() for l in text.splitlines() if l.strip()]
+    head = lines[0] if lines else []
+    fields = dict(kv.partition("=")[::2] for kv in head[2:])
+    if not (len(head) == 4 and head[0] == "MONOID" and head[1].isdigit()
+            and set(fields) == {"identity", "zero"}):
+        raise ValueError("a monoid file starts 'MONOID <size> identity=<i> "
+                         "zero=<z|none>'")
     size = int(head[1])
-    fields = dict(kv.split("=") for kv in head[2:])
-    identity = int(fields["identity"])
-    zero = None if fields["zero"] == "none" else int(fields["zero"])
-    labels = tuple(lines[1].split())
-    if len(labels) != size:
-        raise ValueError("label count does not match size")
-    rows = tuple(tuple(int(x) for x in lines[2 + i].split()) for i in range(size))
-    return FiniteMonoid(table=rows, labels=labels, identity=identity, zero=zero)
+    if len(lines) != size + 2:
+        raise ValueError(f"a {size}-element monoid file needs {size + 2} lines")
+
+    def element(text: str) -> int:
+        if not (text.isdigit() and int(text) < size):
+            raise ValueError(f"{text!r} is not an element index below {size}")
+        return int(text)
+
+    zero = None if fields["zero"] == "none" else element(fields["zero"])
+    rows = tuple(tuple(map(element, row)) for row in lines[2:])
+    return FiniteMonoid(table=rows, labels=tuple(lines[1]),
+                        identity=element(fields["identity"]), zero=zero)
 
 
 def save_monoid(m: FiniteMonoid, path) -> None:

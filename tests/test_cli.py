@@ -46,6 +46,8 @@ class TestMonoidCommands:
         assert code == 0 and out.strip() == "holds"
         code, out, _ = run(capsys, "check", str(path), "xtysxy=xtysyx")
         assert code == 1 and "violated" in out
+        code, out, _ = run(capsys, "check", "M[lambda](bta+b+)", "xytxsy=yxtxsy")
+        assert code == 0 and out.strip() == "holds"
 
     def test_present(self, capsys):
         code, out, _ = run(capsys, "present", "S")
@@ -90,11 +92,6 @@ class TestMonoidCommands:
                              "xtysxy=xtysyx", "--budget", "100")
         assert code == 2 and "refused" in err
 
-    def test_check_with_jobs(self, capsys):
-        code, out, _ = run(capsys, "check", "M[lambda](bta+b+)",
-                           "xytxsy=yxtxsy", "--jobs", "2")
-        assert code == 0 and out.strip() == "holds"
-
     def test_derive(self, capsys, tmp_path):
         axioms = tmp_path / "axioms.txt"
         axioms.write_text("xtx=xtxx\nxyytx=xyyxtx\n")
@@ -106,6 +103,28 @@ class TestMonoidCommands:
         assert code == 0
         assert out.startswith("digraph")
         assert "19 elements" in out
+
+
+class TestMalformedInput:
+    def assert_one_line_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_monoid_expression_without_words(self, capsys):
+        self.assert_one_line_error(capsys, "jtrivial", "M[lambda]")
+
+    def test_table_entry_out_of_range(self, capsys, tmp_path):
+        path = tmp_path / "bad.mon"
+        path.write_text("MONOID 3 identity=0 zero=2\n1 x 0\n"
+                        "0 1 2\n1 7 2\n2 2 2\n")
+        self.assert_one_line_error(capsys, "jtrivial", str(path))
+
+    def test_header_without_zero(self, capsys, tmp_path):
+        path = tmp_path / "nozero.mon"
+        path.write_text("MONOID 3 identity=0\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n")
+        self.assert_one_line_error(capsys, "jtrivial", str(path))
 
 
 class TestVerifyPaper:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taumonoid import freeobj
 from taumonoid.catalog import mtau, monoid_with_identity
 from taumonoid.freeobj import (RelFreeAutomaton, is_isoterm, is_tau_term,
                                rel_free_automaton, _tracker_next, _SINK)
@@ -215,13 +216,22 @@ class TestTauTerm:
             else:
                 assert bounded.status in ("holds", "holds-up-to-bound"), (tau, text)
 
-    def test_bounded_fallback_is_flagged(self):
+    def test_bounded_fallback_is_flagged(self, monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return rel_free_automaton(*args, **kwargs)
+
+        monkeypatch.setattr(freeobj, "rel_free_automaton", counting)
         f = mtau("lambda", "a+ta+")
         verdict = is_tau_term(f, tw("a+ta+", "lambda"), mode="auto",
                               bound=6, max_states=2)
         assert verdict.status == "holds-up-to-bound"
         assert verdict.bound == 6
         assert "downgraded" in verdict.note
+        assert verdict.method == "bounded-pairwise"
+        assert len(builds) == 1
 
     def test_zero_free_monoid_uses_fresh_letter(self):
         # the semilattice has no identity introducing a fresh letter, so a+

@@ -108,20 +108,28 @@ class TestSatisfies:
                                     parse_identity("xy=yx")])
         assert [r.holds for r in results] == [True, False]
 
-    def test_parallel_agrees(self):
+    def test_jobs_keyword_keeps_lex_first_witness(self):
+        # jobs is accepted for compatibility and ignored: the scan is the
+        # same single-process one, so the witness is the naive lex-first one
         k = mtau("lambda", "bta+b+")
         ident = parse_identity("xytxsy=yxtxsy")
-        seq = satisfies(k, ident)
-        par = satisfies(k, ident, jobs=2, chunk=4096)
-        assert seq.holds == par.holds is True
+        assert satisfies(k, ident, jobs=2, chunk=4096).holds
         bad = parse_identity("xtysxy=xtysyx")
-        par = satisfies(k, bad, jobs=2, chunk=4096)
-        assert not par.holds
-        assert not par.lexicographic
-        # any reported witness must be sound
-        lv = k.evaluate(bad.lhs, par.witness)
-        rv = k.evaluate(bad.rhs, par.witness)
+        res = satisfies(k, bad, jobs=2, chunk=4096)
+        assert not res.holds
+        # the reported witness must be sound
+        lv = k.evaluate(bad.lhs, res.witness)
+        rv = k.evaluate(bad.rhs, res.witness)
         assert lv != rv
+        assert res.witness == naive_satisfies(k, bad).witness
+
+    def test_long_identity_at_six_by_block_elimination(self):
+        # y1^2...y5^2 is shared by both sides and its letters occur nowhere
+        # else, so most of the 19^7 substitutions are never evaluated
+        k = mtau("lambda", "bta+b+")
+        res = satisfies(k, long_identity(6))
+        assert res.holds
+        assert res.checked < 19 ** 7
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SMALL_POOL), st.sampled_from(IDENTITY_POOL))
@@ -132,6 +140,31 @@ class TestSatisfies:
         assert fast.witness == slow.witness
         if not fast.holds:
             assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
+
+
+def _word_over(letters):
+    return st.lists(st.sampled_from(letters), max_size=3).map(
+        lambda cs: tuple((c, False) for c in cs))
+
+
+@st.composite
+def _private_factor_identities(draw):
+    """u1 B u2 = v1 B v2 with B's letters occurring nowhere else."""
+    block = draw(_word_over("ab").filter(len))
+    u1, u2, v1, v2 = (draw(_word_over("xyz")) for _ in range(4))
+    return Identity(u1 + block + u2, v1 + block + v2)
+
+
+class TestBlockElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SMALL_POOL + [mtau("lambda", "a+ta+")]),
+           _private_factor_identities(), st.sampled_from([1, 3, 7, 50, 1 << 18]))
+    def test_agrees_with_naive(self, m, ident, chunk):
+        fast = satisfies(m, ident, chunk=chunk)
+        slow = naive_satisfies(m, ident)
+        assert fast.holds == slow.holds
+        assert fast.witness == slow.witness
+        assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
 
 
 class TestWitnessReporting:
