@@ -46,8 +46,6 @@ class TestMonoidCommands:
         assert code == 0 and out.strip() == "holds"
         code, out, _ = run(capsys, "check", str(path), "xtysxy=xtysyx")
         assert code == 1 and "violated" in out
-        code, out, _ = run(capsys, "check", "M[lambda](bta+b+)", "xytxsy=yxtxsy")
-        assert code == 0 and out.strip() == "holds"
 
     def test_present(self, capsys):
         code, out, _ = run(capsys, "present", "S")
@@ -91,6 +89,16 @@ class TestMonoidCommands:
         code, out, err = run(capsys, "check", "M[lambda](bta+b+)",
                              "xtysxy=xtysyx", "--budget", "100")
         assert code == 2 and "refused" in err
+
+    def test_check_with_jobs(self, capsys):
+        # check runs one exact single-process scan, so --jobs is gone.
+        code, out, _ = run(capsys, "check", "M[lambda](bta+b+)",
+                           "xytxsy=yxtxsy")
+        assert code == 0 and out.strip() == "holds"
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "M[lambda](bta+b+)", "xytxsy=yxtxsy",
+                  "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_derive(self, capsys, tmp_path):
         axioms = tmp_path / "axioms.txt"
