@@ -1,11 +1,13 @@
 """Factor order on tau-words, lower sets, and the quotient monoids.
 
 ``v <= u`` holds when ``u = p * v * s`` for some tau-words ``p, s`` (``*``
-being canonicalized concatenation).  Because multiplying a canonical word by
-a letter never shortens it, the search can be confined to canonical words
-over the content of ``u`` of length at most ``len(u)``: those words with the
-left/right letter-multiplication maps form a finite graph, and the order
-reduces to two reachability questions on it.
+being canonicalized concatenation).  Because ``canonical`` is a congruence,
+this holds exactly when some representative of ``v`` is a factor of some
+plain member of the class of ``u``: the factor order on which Perkins
+builds the quotients ``M(W)`` (J. Algebra 11, 1969).  The lower set of
+``u`` is therefore the set of canonical forms of the windows (contiguous
+factors) of the members of its class, and finitely many members suffice
+(``_lower_words``).
 
 ``build_monoid`` materializes the Rees quotient: the elements are the lower
 set of a finite word set plus a fresh absorbing zero, and a product falls to
@@ -14,74 +16,50 @@ zero exactly when the composed word escapes the lower set.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
+from itertools import product
 
 from .monoid import FiniteMonoid
-from .rewrite import TauWord, TauWordSet, compose_words
-from .words import EMPTY, content, print_word
+from .rewrite import TauWord, TauWordSet, canonical, compose_words
+from .words import EMPTY, Word, content, print_word
 
 
-@lru_cache(maxsize=256)
-def _node_graph(bases: tuple, max_len: int, tau: str):
-    """All canonical words over ``bases`` of length <= max_len, with edges.
+def _members(u: Word, tau: str) -> list:
+    """The plain members of the class of ``u`` with every run at most 2 long.
 
-    Returns ``(nodes, right, left)`` where ``right[x]`` lists ``x * letter``
-    and ``left[x]`` lists ``letter * x`` for each letter, restricted to the
-    node set.  Every canonical word is a product of plain letters, so a
-    breadth-first closure from the empty word visits all of them.
+    A plain letter of ``u`` stands for one letter, a plussed ``a+`` for a
+    run of one or two ``a``; the combinations that canonicalize back to
+    ``u`` are kept (a single ``a`` stays ``a+`` only where it is marked).
     """
-    letters = [((b, False),) for b in bases]
-    nodes = {EMPTY}
-    right: dict = {}
-    left: dict = {}
-    queue = deque([EMPTY])
-    while queue:
-        x = queue.popleft()
-        rs, ls = [], []
-        for l in letters:
-            y = compose_words(x, l, tau)
-            z = compose_words(l, x, tau)
-            if len(y) <= max_len:
-                rs.append(y)
-                if y not in nodes:
-                    nodes.add(y)
-                    queue.append(y)
-            if len(z) <= max_len:
-                ls.append(z)
-                if z not in nodes:
-                    nodes.add(z)
-                    queue.append(z)
-        right[x] = rs
-        left[x] = ls
-    return nodes, right, left
-
-
-def _backward_closure(starts, edges) -> set:
-    rev: dict = {}
-    for x, ys in edges.items():
-        for y in ys:
-            rev.setdefault(y, []).append(x)
-    out: set = set()
-    stack = list(starts)
-    while stack:
-        x = stack.pop()
-        if x in out:
-            continue
-        out.add(x)
-        stack.extend(rev.get(x, ()))
-    return out
+    if tau == "trivial":
+        return [u]
+    members = (tuple((b, False) for (b, _), r in zip(u, runs) for _ in range(r))
+               for runs in product(*[(1, 2) if p else (1,) for _, p in u]))
+    return [m for m in members if canonical(m, tau) == u]
 
 
 @lru_cache(maxsize=1024)
 def _lower_words(u: tuple, tau: str) -> frozenset:
-    """Canonical words below ``u`` in the factor order."""
-    bases = tuple(sorted(content(u)))
-    nodes, right, left = _node_graph(bases, len(u), tau)
-    # L: words that reach u by right-multiplication with letters
-    reach_u = _backward_closure([u], right)
-    # answer: words from which some element of L is left-reachable
-    return frozenset(_backward_closure(reach_u, left))
+    """Canonical words below ``u`` in the factor order.
+
+    The canonical forms of the windows of the members from ``_members``.
+    This is exact.  Every member of the class of ``u`` is ``u`` with each
+    letter replaced by a maximal run of its base (the merge rules turn a
+    run of two or more into one plussed letter), and the canonical form of
+    a plain word depends on a run only through whether its length is 1 or
+    at least 2: merging needs adjacency, and marking an occurrence of ``a``
+    needs ``a`` to occur twice (gamma), to its left (lambda) or to its
+    right (rho), which a run of 2 decides as any longer run does.  So if
+    ``w`` is a window of a member ``m``, cutting every run of ``m`` down to
+    at most 2 gives a member ``m'`` still in the class, and cutting the runs
+    of ``w`` the same way (a run that ``w`` cuts off at one of its ends
+    keeps that end) gives a window ``w'`` of ``m'`` with the canonical form
+    of ``w``.  Under ``trivial`` runs are literal, and the only member is
+    ``u``.
+    """
+    windows = {m[i:j] for m in _members(u, tau)
+               for i in range(len(m)) for j in range(i + 1, len(m) + 1)}
+    return frozenset({EMPTY} | {canonical(w, tau) for w in windows})
 
 
 def leq_tau(v: TauWord, u: TauWord) -> bool:
@@ -94,18 +72,26 @@ def leq_tau(v: TauWord, u: TauWord) -> bool:
 
 
 def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
-    """Brute-force oracle: try every canonical pair (p, s) directly."""
+    """Brute-force oracle: try every canonical pair (p, s) directly.
+
+    A product is never shorter than either factor, so p and s range over the
+    canonical words over the content of ``u`` no longer than ``u``; each is
+    a product of plain letters, reached by appending one letter at a time.
+    """
     if v.tau != u.tau:
         raise ValueError("mismatched congruences")
-    bases = tuple(sorted(content(u.word)))
-    nodes, _, _ = _node_graph(bases, len(u.word), u.tau)
+    letters = [((b, False),) for b in content(u.word)]
+    nodes, frontier = {EMPTY}, [EMPTY]
+    while frontier:
+        grown = {compose_words(x, l, u.tau) for x in frontier for l in letters}
+        frontier = [y for y in grown if len(y) <= len(u.word) and y not in nodes]
+        nodes.update(frontier)
     for p in nodes:
         pv = compose_words(p, v.word, u.tau)
         if len(pv) > len(u.word):
             continue
         for s in nodes:
-            pvs = compose_words(pv, s, u.tau)
-            if pvs == u.word:
+            if compose_words(pv, s, u.tau) == u.word:
                 return True
     return False
 
@@ -136,18 +122,9 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
         return FiniteMonoid(table=table, labels=("0",), identity=0, zero=0)
     index = {w: i for i, w in enumerate(low)}
     zero = len(low)
-    n = zero + 1
-    members = set(index)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == zero or j == zero:
-                row.append(zero)
-            else:
-                w = compose_words(low[i], low[j], ws.tau)
-                row.append(index[w] if w in members else zero)
-        rows.append(tuple(row))
+    rows = [tuple(index.get(compose_words(x, y, ws.tau), zero) for y in low)
+            + (zero,) for x in low]
+    rows.append((zero,) * (zero + 1))
     labels = tuple(print_word(w) for w in low) + ("0",)
     return FiniteMonoid(table=tuple(rows), labels=labels,
                         identity=index[EMPTY], zero=zero)

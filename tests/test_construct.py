@@ -1,3 +1,5 @@
+from collections import deque
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -5,8 +7,9 @@ import pytest
 from taumonoid.construct import (build_monoid, leq_tau,
                                  leq_tau_by_factor_search, lower_set, mtau)
 from taumonoid.monoid import dual, find_isomorphism, is_aperiodic, is_j_trivial
-from taumonoid.rewrite import TauWord, TauWordSet, canonical
-from taumonoid.words import parse_word
+from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
+                               compose_words)
+from taumonoid.words import EMPTY, content, parse_word
 
 # the lambda lower set of bta+b+, frozen after the factor-search oracle run
 K_LOWER = sorted(
@@ -66,48 +69,81 @@ class TestLeq:
                         assert leq_tau(x, z)
 
 
-def lower_set_by_windows(u: TauWord) -> set:
-    """Independent oracle: classes of contiguous windows of class members.
+@lru_cache(maxsize=None)
+def _reverse_graph(bases: tuple, max_len: int, tau: str):
+    """All canonical words over ``bases`` of length <= max_len, as edges.
 
-    v <= u holds exactly when some representative of v is a factor of some
-    member of the class of u.  Member run lengths only matter up to two for
-    the canonical form of a window, so enumerating members whose runs are
-    capped at two (three for the trivial congruence, where runs are literal)
-    and taking every window of each is exhaustive.
+    Returns ``(into_right, into_left)``: ``into_right[y]`` lists the ``x``
+    with ``x * letter == y`` and ``into_left[y]`` those with
+    ``letter * x == y``, for words of length <= max_len.  Every canonical
+    word is a product of plain letters, so a breadth-first closure from the
+    empty word visits all of them.
     """
-    tau = u.tau
-    if tau == "trivial":
-        members = [u.word]
-    else:
-        slots = []
-        if tau == "rho":
-            last = {}
-            for i, (b, _) in enumerate(u.word):
-                last[b] = i
-            doubled = [p and last[b] == i for i, (b, p) in enumerate(u.word)]
-        else:
-            seen = set()
-            doubled = []
-            for b, p in u.word:
-                doubled.append(p and b not in seen)
-                seen.add(b)
-        for (b, p), must_double in zip(u.word, doubled):
-            runs = [2] if must_double else ([1, 2] if p else [1])
-            slots.append([(b, r) for r in runs])
-        members = []
-        for combo in product(*slots):
-            member = tuple((b, False) for b, r in combo for _ in range(r))
-            if canonical(member, tau) == u.word:
-                members.append(member)
-    out = set()
-    for member in members:
-        n = len(member)
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                window = member[i:j]
-                w = canonical(window, tau) if tau != "trivial" else window
-                out.add(TauWord(w, tau))
+    letters = [((b, False),) for b in bases]
+    nodes = {EMPTY}
+    into_right: dict = {}
+    into_left: dict = {}
+    queue = deque([EMPTY])
+    while queue:
+        x = queue.popleft()
+        for l in letters:
+            for y, into in ((compose_words(x, l, tau), into_right),
+                            (compose_words(l, x, tau), into_left)):
+                if len(y) <= max_len:
+                    into.setdefault(y, []).append(x)
+                    if y not in nodes:
+                        nodes.add(y)
+                        queue.append(y)
+    return into_right, into_left
+
+
+def _backward_closure(starts, into: dict) -> set:
+    out: set = set()
+    stack = list(starts)
+    while stack:
+        x = stack.pop()
+        if x not in out:
+            out.add(x)
+            stack.extend(into.get(x, ()))
     return out
+
+
+def lower_set_by_reachability(u: TauWord) -> set:
+    """Independent oracle: the lower set as two reachability questions.
+
+    Multiplying a canonical word by a letter never shortens it, so the
+    search for ``u = p * v * s`` stays among the canonical words over the
+    content of ``u`` no longer than ``u``.  On that finite graph with its
+    letter edges, the words that reach ``u`` by right multiplication are
+    the ``v * s``; the words that reach one of those by left multiplication
+    are the ``v``.
+    """
+    into_right, into_left = _reverse_graph(
+        tuple(sorted(content(u.word))), len(u.word), u.tau)
+    reach_u = _backward_closure([u.word], into_right)
+    return {TauWord(w, u.tau) for w in _backward_closure(reach_u, into_left)}
+
+
+def canonical_words(tau: str, max_len: int, bases: str = "abc"):
+    """Every canonical word over ``bases`` of length 1..max_len."""
+    out = set()
+    for n in range(1, max_len + 1):
+        for combo in product(bases, repeat=n):
+            for marks in product((False, True), repeat=n):
+                if tau == "trivial" and any(marks):
+                    continue
+                w = tuple(zip(combo, marks))
+                if canonical(w, tau) == w:
+                    out.add(w)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def assert_agrees_with_reachability(max_len: int):
+    for tau in CONGRUENCES:
+        for w in canonical_words(tau, max_len):
+            u = TauWord(w, tau)
+            assert lower_set(TauWordSet(tau, [w])) == \
+                lower_set_by_reachability(u), (tau, str(u))
 
 
 class TestLowerSet:
@@ -115,16 +151,33 @@ class TestLowerSet:
         low = lower_set(TauWordSet("lambda", [parse_word("bta+b+")]))
         assert sorted(str(t) for t in low) == K_LOWER
 
-    def test_agrees_with_window_oracle(self):
+    def test_agrees_with_reachability_oracle(self):
         cases = [("lambda", "bta+b+"), ("lambda", "ata+"),
                  ("lambda", "a+btb+"), ("lambda", "ata+b+"),
                  ("gamma", "a+ta+"), ("gamma", "ta+"), ("tau1", "a+b+"),
                  ("rho", "a+t"), ("rho", "a+tb+asb"), ("trivial", "atbasb")]
         for tau, text in cases:
             u = TauWord.make(parse_word(text), tau)
-            reach = lower_set(TauWordSet(tau, [u.word]))
-            windows = lower_set_by_windows(u)
-            assert reach == windows, (tau, text)
+            low = lower_set(TauWordSet(tau, [u.word]))
+            assert low == lower_set_by_reachability(u), (tau, text)
+
+    def test_gamma_single_letter_already_marked(self):
+        # under gamma a single a is marked once a occurs twice, so members
+        # may carry a run of one for a+; a doubled first run misses bas
+        u = TauWord.make(parse_word("ba+s+a+t+s+"), "gamma")
+        low = lower_set(TauWordSet("gamma", [u.word]))
+        assert low == lower_set_by_reachability(u)
+        assert len(low) == 58
+        got = {str(t) for t in low}
+        assert {"bas", "bas+", "a+sa+"} <= got
+
+    def test_agrees_with_reachability_up_to_length_4(self):
+        assert_agrees_with_reachability(4)
+
+    @pytest.mark.slow
+    def test_agrees_with_reachability_up_to_length_6(self):
+        # re-proves the run-length cap of _lower_words on every small word
+        assert_agrees_with_reachability(6)
 
     def test_empty_set(self):
         assert lower_set(TauWordSet("lambda", [])) == set()

@@ -1,11 +1,15 @@
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taumonoid.catalog import monoid_with_identity, mtau
-from taumonoid.identities import (BudgetExceededError, Identity, estimate_cost,
-                                  long_identity, naive_satisfies,
-                                  parse_identity, parse_identity_file,
-                                  satisfies, satisfies_all)
+from taumonoid.identities import (BudgetExceededError, Identity, _image,
+                                  estimate_cost, long_identity,
+                                  naive_satisfies, parse_identity,
+                                  parse_identity_file, satisfies,
+                                  satisfies_all)
 from taumonoid.monoid import FiniteMonoid
 from taumonoid.words import parse_word, print_word
 
@@ -165,6 +169,22 @@ class TestBlockElimination:
         assert fast.holds == slow.holds
         assert fast.witness == slow.witness
         assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SMALL_POOL + [mtau("lambda", "bta+b+")]),
+           st.lists(st.sampled_from("abc"), min_size=1, max_size=5),
+           st.sampled_from([1, 7, 1 << 18]))
+    def test_image_agrees_with_brute_force(self, m, letters, chunk):
+        # letter-disjoint parts of B are multiplied as sets; the product
+        # must be exactly the set of values of B
+        block = tuple((c, False) for c in letters)
+        bases = sorted(set(letters))
+        brute = {m.evaluate(block, dict(zip(bases, values)))
+                 for values in product(range(m.size), repeat=len(bases))}
+        table = np.asarray(m.table, dtype=np.int32)
+        got = _image(table, m.identity, block, chunk)
+        assert got.tolist() == sorted(brute)
 
 
 class TestWitnessReporting:

@@ -192,6 +192,13 @@ class TestTableChecks:
             FiniteMonoid(table=((0, 1, 2), (1, 0, 2), (2, 2, 1)),
                          labels=("1", "a", "b"), identity=0)
 
+    def test_non_associative_reports_lex_first_triple(self):
+        # this table fails at (1,2,2) and (2,2,1); the first in lex order
+        # is the one reported
+        with pytest.raises(ValueError, match=r"at \(1,2,2\)$"):
+            FiniteMonoid(table=((0, 1, 2), (1, 0, 2), (2, 2, 1)),
+                         labels=("1", "a", "b"), identity=0)
+
     def test_bad_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             FiniteMonoid(table=((0, 0), (0, 0)), labels=("1", "x"), identity=0)
