@@ -16,6 +16,7 @@ congruence class.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -43,7 +44,6 @@ class RelFreeAutomaton:
     letters: tuple
     vectors: list
     transitions: list
-    witnesses: list          # a shortest word (as letter-index tuple) per state
     zero_state: int | None = None
     initial: int = 0
 
@@ -59,9 +59,6 @@ class RelFreeAutomaton:
                 raise ValueError("state_of_word expects a plain word")
             s = self.transitions[s][pos[b]]
         return s
-
-    def witness_word(self, state: int) -> Word:
-        return tuple((self.letters[i], False) for i in self.witnesses[state])
 
 
 def _generator_columns(n: int, k: int) -> list:
@@ -87,14 +84,12 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_states: int = 60000,
     veclen = n ** k
     if veclen > max_cells:
         raise BudgetExceededError(veclen, max_cells, "vector cells")
-    table = np.asarray(m.table, dtype=np.int32)
     gen = _generator_columns(n, k)
     init = np.full(veclen, m.identity, dtype=np.int32)
     zero_key = (np.full(veclen, m.zero, dtype=np.int32).tobytes()
                 if m.zero is not None else None)
     vectors = [init]
     index = {init.tobytes(): 0}
-    witnesses = [()]
     transitions: list = []
     zero_state = 0 if init.tobytes() == zero_key else None
     queue = deque([0])
@@ -102,7 +97,7 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_states: int = 60000,
         s = queue.popleft()
         row = []
         for i in range(k):
-            v = table[vectors[s], gen[i]]
+            v = m.table[vectors[s], gen[i]]
             key = v.tobytes()
             t = index.get(key)
             if t is None:
@@ -112,15 +107,13 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_states: int = 60000,
                 t = len(vectors)
                 index[key] = t
                 vectors.append(v)
-                witnesses.append(witnesses[s] + (i,))
                 if key == zero_key:
                     zero_state = t
                 queue.append(t)
             row.append(t)
         transitions.append(row)
     return RelFreeAutomaton(monoid=m, letters=letters, vectors=vectors,
-                            transitions=transitions, witnesses=witnesses,
-                            zero_state=zero_state)
+                            transitions=transitions, zero_state=zero_state)
 
 
 @dataclass(frozen=True)
@@ -245,21 +238,20 @@ def _insertion_counterexample(aut: RelFreeAutomaton, m: FiniteMonoid, w: Word):
     k = len(aut.letters)
     pos = {b: i for i, b in enumerate(aut.letters)}
     n = m.size
-    table = np.asarray(m.table, dtype=np.int32)
     gen = _generator_columns(n, k)
     veclen = n ** k
     prefix = [np.full(veclen, m.identity, dtype=np.int32)]
     for b, _ in w:
-        prefix.append(table[prefix[-1], gen[pos[b]]])
+        prefix.append(m.table[prefix[-1], gen[pos[b]]])
     full = prefix[-1]
     for cut in range(len(w) + 1):
         ok_all = True
         for e in range(n):
             if e == m.identity:
                 continue
-            val = table[prefix[cut], e]
+            val = m.table[prefix[cut], e]
             for b, _ in w[cut:]:
-                val = table[val, gen[pos[b]]]
+                val = m.table[val, gen[pos[b]]]
             if not np.array_equal(val, full):
                 ok_all = False
                 break
@@ -346,10 +338,10 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
             raise
         if mode == "auto":
             note += "; exact budget exceeded, downgraded to bounded"
-        return _tau_term_bounded_pairwise(m, u, letters, fresh, bound, note)
+        return _tau_term_bounded(m, u, letters, fresh, bound, note)
     if mode in ("auto", "exact"):
         return _tau_term_exact(aut, u, fresh, note)
-    return _tau_term_bounded(aut, u, fresh, bound, note)
+    return _tau_term_bounded(m, u, letters, fresh, bound, note, aut)
 
 
 def _zero_member_verdict(member: Word, u: TauWord, method: str, note: str,
@@ -408,76 +400,67 @@ def _bounded_words(letters, bound: int):
         yield from product(range(len(letters)), repeat=ln)
 
 
-def _tau_term_bounded(aut: RelFreeAutomaton, u: TauWord, fresh, bound, note):
-    member_state: dict = {}
-    for combo in _bounded_words(aut.letters, bound):
-        w = tuple((aut.letters[i], False) for i in combo)
-        if (fresh is None or all(b != fresh for b, _ in w)) and _in_class(w, u):
+def _tau_term_bounded(m: FiniteMonoid, u: TauWord, letters, fresh, bound,
+                      note, aut: RelFreeAutomaton | None = None):
+    """Enumerate words up to ``bound`` letters, keyed by their values.
+
+    A word's key is its state in ``aut`` or, when no automaton fits the
+    budget (``aut`` None, method "bounded-pairwise"), a digest of its
+    evaluation vector; equal keys mean equal values under every
+    substitution.  Only member keys are kept, so without the automaton
+    memory stays flat.  A member keyed like the everywhere-zero vector is
+    reported first, on either key.
+    """
+    if aut is not None:
+        method = "bounded"
+
+        def key(combo):
             s = aut.initial
             for i in combo:
                 s = aut.transitions[s][i]
-            member_state.setdefault(s, w)
-    if aut.zero_state is not None and aut.zero_state in member_state:
-        return _zero_member_verdict(member_state[aut.zero_state], u,
-                                    "bounded", note, bound=bound)
-    if member_state:
-        for combo in _bounded_words(aut.letters, bound):
-            w = tuple((aut.letters[i], False) for i in combo)
-            s = aut.initial
+            return s
+
+        zero_key = aut.zero_state
+    else:
+        method = "bounded-pairwise"
+        cells = m.size ** len(letters)
+        if cells > 2_000_000:
+            raise BudgetExceededError(cells, 2_000_000, "vector cells")
+        gen = _generator_columns(m.size, len(letters))
+
+        def digest(vec):
+            return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
+
+        def key(combo):
+            vec = np.full(cells, m.identity, dtype=np.int32)
             for i in combo:
-                s = aut.transitions[s][i]
-            if s in member_state and not (
-                    (fresh is None or all(b != fresh for b, _ in w))
-                    and _in_class(w, u)):
-                return TauTermVerdict("fails", u, (member_state[s], w),
-                                      bound=bound, method="bounded",
+                vec = m.table[vec, gen[i]]
+            return digest(vec)
+
+        zero_key = (None if m.zero is None
+                    else digest(np.full(cells, m.zero, dtype=np.int32)))
+
+    def member(w: Word) -> bool:
+        return (fresh is None or all(b != fresh for b, _ in w)) and _in_class(w, u)
+
+    member_word: dict = {}
+    for combo in _bounded_words(letters, bound):
+        w = tuple((letters[i], False) for i in combo)
+        if member(w):
+            member_word.setdefault(key(combo), w)
+    if zero_key is not None and zero_key in member_word:
+        return _zero_member_verdict(member_word[zero_key], u, method, note,
+                                    bound=bound)
+    if not member_word:
+        note += "; no class member within bound"
+    else:
+        for combo in _bounded_words(letters, bound):
+            w = tuple((letters[i], False) for i in combo)
+            k = key(combo)
+            if k in member_word and not member(w):
+                return TauTermVerdict("fails", u, (member_word[k], w),
+                                      bound=bound, method=method,
                                       fresh_letter_used=fresh is not None,
                                       note=note)
-    else:
-        note += "; no class member within bound"
-    return TauTermVerdict("holds-up-to-bound", u, bound=bound, method="bounded",
-                          fresh_letter_used=fresh is not None, note=note)
-
-
-def _tau_term_bounded_pairwise(m, u: TauWord, letters, fresh, bound, note):
-    """Bounded check without the automaton, for oversized free objects.
-
-    Evaluates each word's full vector and groups by a vector digest; memory
-    stays flat because only digests of member vectors are retained.
-    """
-    import hashlib
-    n = m.size
-    k = len(letters)
-    if n ** k > 2_000_000:
-        raise BudgetExceededError(n ** k, 2_000_000, "vector cells")
-    table = np.asarray(m.table, dtype=np.int32)
-    gen = _generator_columns(n, k)
-
-    def digest_of(combo):
-        vec = np.full(n ** k, m.identity, dtype=np.int32)
-        for i in combo:
-            vec = table[vec, gen[i]]
-        return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
-
-    member_digest: dict = {}
-    for combo in _bounded_words(letters, bound):
-        w = tuple((letters[i], False) for i in combo)
-        if (fresh is None or all(b != fresh for b, _ in w)) and _in_class(w, u):
-            member_digest.setdefault(digest_of(combo), w)
-    if not member_digest:
-        return TauTermVerdict("holds-up-to-bound", u, bound=bound,
-                              method="bounded-pairwise",
-                              fresh_letter_used=fresh is not None,
-                              note=note + "; no class member within bound")
-    for combo in _bounded_words(letters, bound):
-        w = tuple((letters[i], False) for i in combo)
-        if (fresh is None or all(b != fresh for b, _ in w)) and _in_class(w, u):
-            continue
-        d = digest_of(combo)
-        if d in member_digest:
-            return TauTermVerdict("fails", u, (member_digest[d], w),
-                                  bound=bound, method="bounded-pairwise",
-                                  fresh_letter_used=fresh is not None, note=note)
-    return TauTermVerdict("holds-up-to-bound", u, bound=bound,
-                          method="bounded-pairwise",
+    return TauTermVerdict("holds-up-to-bound", u, bound=bound, method=method,
                           fresh_letter_used=fresh is not None, note=note)

@@ -58,9 +58,6 @@ class Identity:
     def swapped(self) -> "Identity":
         return Identity(self.rhs, self.lhs)
 
-    def is_trivial(self) -> bool:
-        return self.lhs == self.rhs
-
     def __str__(self) -> str:
         return f"{print_word(self.lhs)}={print_word(self.rhs)}"
 
@@ -247,20 +244,19 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     if k == 0:
         return SatisfactionResult(ident, True, checked=1)
 
-    table = np.asarray(m.table, dtype=np.int32)
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    found, checked = _first_violation(table, m.identity, lhs_idx, rhs_idx,
+    found, checked = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
                                       _blocks(domains, chunk, 0, 1))
     if found is None and checked < total:
-        reduced = _reduced(table, m.identity, ident, letters, chunk)
+        reduced = _reduced(m.table, m.identity, ident, letters, chunk)
         if reduced is not None:
-            r_found, r_checked = _first_violation(table, m.identity, *reduced)
+            r_found, r_checked = _first_violation(m.table, m.identity, *reduced)
             checked += r_checked
             if r_found is None:
                 return SatisfactionResult(ident, True, checked=checked)
-        found, rest = _first_violation(table, m.identity, lhs_idx, rhs_idx,
+        found, rest = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
                                        _blocks(domains, chunk, 1))
         checked += rest
     if found is None:

@@ -1,9 +1,12 @@
 """Finite monoids as multiplication tables.
 
-Tables are tuples of tuples of element indices (row = left factor).  The
-``FiniteMonoid`` wrapper carries the identity index, an optional two-sided
-zero, and printable labels; construction verifies the identity and zero laws
-and associativity (exhaustively up to 64 elements, sampled above).
+A table is one read-only ``np.int32`` array of element indices (row = left
+factor); the constructor turns any square nested sequence into that array,
+and no other module knows how it is stored.  The ``FiniteMonoid`` wrapper
+carries the identity index, an optional two-sided zero, and printable
+labels; construction verifies the entry range, the identity and zero laws
+and associativity, exactly at every size (Light's test over a generating
+set above 64 elements).  The structural predicates are array expressions.
 
 Presentations are closed by shortlex rewriting.  The given relations are
 oriented longer-to-shorter and completed by resolving critical pairs, so a
@@ -15,8 +18,9 @@ loudly; a finished table is verified against every input relation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FiniteMonoid", "Semigroup", "Presentation", "PresentationError",
@@ -31,67 +35,110 @@ class PresentationError(ValueError):
     pass
 
 
-def _check_associative(table, sample_above: int = 64, samples: int = 20000):
-    n = len(table)
-    if n <= sample_above:
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = ta[b]
-                tb = table[b]
-                for c in range(n):
-                    if table[tab][c] != ta[tb[c]]:
-                        raise ValueError(f"table not associative at ({a},{b},{c})")
+def _closure(t: np.ndarray, inside: np.ndarray, new) -> np.ndarray:
+    """The mask ``inside`` plus ``new``, closed under products.
+
+    ``inside`` must already be closed: each round forms only the products
+    with a factor among the elements added in the round before.
+    """
+    inside = inside.copy()
+    new = np.asarray(new, dtype=np.intp)
+    while len(new):
+        inside[new] = True
+        members = np.flatnonzero(inside)
+        reached = np.zeros(len(t), dtype=bool)
+        reached[t[np.ix_(new, members)]] = True
+        reached[t[np.ix_(members, new)]] = True
+        new = np.flatnonzero(reached & ~inside)
+    return inside
+
+
+def _check_associative(t: np.ndarray) -> None:
+    """Raise at the lex-first triple (a,b,c) with (ab)c != a(bc), if any.
+
+    Up to 64 elements the whole cube is compared.  Above, Light's test
+    (Clifford-Preston, vol. 1, section 1.2) checks (xg)y = x(gy) for the
+    generators g only, grown greedily in index order: the b with
+    (xb)y = x(by) for all x, y are closed under products, since
+    (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y), so they are
+    everything once they hold the generators.
+    """
+    if len(t) <= 64:
+        ok = (t[t] == t[:, t]).all()
     else:
-        rng = random.Random(0xA55)
-        for _ in range(samples):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValueError(f"table not associative at ({a},{b},{c})")
+        inside = np.zeros(len(t), dtype=bool)
+        for g in range(len(t)):
+            if not inside[g]:
+                if not (t[t[:, g]] == np.take(t, t[g], axis=1)).all():
+                    break
+                inside = _closure(t, inside, [g])
+        ok = inside.all()
+    if ok:
+        return
+    for a in range(len(t)):
+        bad = np.argwhere(t[t[a]] != t[a, t])
+        if len(bad):
+            b, c = bad[0]
+            raise ValueError(f"table not associative at ({a},{b},{c})")
 
 
-@dataclass(frozen=True)
+def _fixes(t: np.ndarray, x: int, image) -> bool:
+    """Whether x is an element and row x and column x both equal ``image``."""
+    if not 0 <= x < len(t):
+        return False
+    return bool((t[x] == image).all() and (t[:, x] == image).all())
+
+
+@dataclass(frozen=True, eq=False)
 class Semigroup:
     """A bare multiplication table with labels (no identity required)."""
 
-    table: tuple
+    table: np.ndarray
     labels: tuple
     zero: int | None = None
 
     def __post_init__(self):
-        n = len(self.table)
-        if len(self.labels) != n or any(len(r) != n for r in self.table):
+        n = len(self.labels)
+        try:
+            table = np.array(self.table, order="C")
+        except ValueError:
+            raise ValueError("malformed table") from None
+        if table.size == n == 0:
+            table = np.zeros((0, 0), dtype=np.int32)
+        if table.shape != (n, n) or table.dtype.kind not in "iu":
             raise ValueError("malformed table")
-        _check_associative(self.table)
-        if self.zero is not None:
-            z = self.zero
-            if any(self.table[z][x] != z or self.table[x][z] != z for x in range(n)):
-                raise ValueError("declared zero is not absorbing")
+        if n and not (table.min() >= 0 and table.max() < n):
+            raise ValueError(f"table entries must be element indices below {n}")
+        table = table.astype(np.int32, copy=False)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        _check_associative(table)
+        if self.zero is not None and not _fixes(table, self.zero, self.zero):
+            raise ValueError("declared zero is not absorbing")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.labels == other.labels
+                and self.zero == other.zero
+                and np.array_equal(self.table, other.table))
+
+    __hash__ = None
 
     @property
     def size(self) -> int:
         return len(self.table)
 
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMonoid(Semigroup):
     identity: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        e = self.identity
-        n = self.size
-        if any(self.table[e][x] != x or self.table[x][e] != x for x in range(n)):
+        if not _fixes(self.table, self.identity, np.arange(self.size)):
             raise ValueError("identity law fails at declared identity")
 
-    def power(self, x: int, k: int) -> int:
-        acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][x]
-        return acc
+    def __eq__(self, other):
+        return super().__eq__(other) and self.identity == other.identity
 
     def evaluate(self, word, assignment: dict) -> int:
         """Value of a plain word under a base -> element-index assignment."""
@@ -99,7 +146,7 @@ class FiniteMonoid(Semigroup):
         for b, p in word:
             if p:
                 raise ValueError("evaluation is defined on plain words")
-            acc = self.table[acc][assignment[b]]
+            acc = self.table.item(acc, assignment[b])
         return acc
 
 
@@ -278,7 +325,7 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
         it = iter(word)
         acc = val(next(it))
         for c in it:
-            acc = sg.table[acc][val(c)]
+            acc = sg.table[acc, val(c)]
         return acc
 
     for l, r in p.relations:
@@ -296,67 +343,61 @@ def adjoin_identity(s: Semigroup) -> FiniteMonoid:
     An existing neutral element, if any, is kept as an ordinary element.
     """
     n = s.size
-    rows = [tuple(range(n + 1))]
-    for i in range(n):
-        rows.append((i + 1,) + tuple(x + 1 for x in s.table[i]))
+    table = np.empty((n + 1, n + 1), dtype=np.int32)
+    table[0] = table[:, 0] = np.arange(n + 1)
+    table[1:, 1:] = s.table + 1
     zero = None if s.zero is None else s.zero + 1
-    return FiniteMonoid(table=tuple(rows), labels=("1",) + tuple(s.labels),
+    return FiniteMonoid(table=table, labels=("1",) + tuple(s.labels),
                         identity=0, zero=zero)
 
 
 def is_j_trivial(m: Semigroup):
     """Whether distinct elements generate distinct two-sided ideals.
 
-    Returns ``(True, None)`` or ``(False, (x, y))`` with a violating pair.
+    Returns ``(True, None)`` or ``(False, (x, y))`` with a violating pair:
+    y is the first element that generates the same ideal as an earlier
+    one, and x the first element of that ideal's generators.
     """
+    t = m.table
     n = m.size
-    ideals = []
-    for x in range(n):
-        ideal = {x}
-        stack = [x]
-        while stack:
-            a = stack.pop()
-            for s in range(n):
-                for y in (m.table[s][a], m.table[a][s]):
-                    if y not in ideal:
-                        ideal.add(y)
-                        stack.append(y)
-        ideals.append(frozenset(ideal))
-    seen: dict = {}
-    for x, ideal in enumerate(ideals):
-        if ideal in seen:
-            return False, (seen[ideal], x)
-        seen[ideal] = x
-    return True, None
+    every = np.arange(n)
+    # left[x, y]: y is in S^1 x; right[x, y]: y is in x S^1
+    left = np.zeros((n, n), dtype=np.float32)
+    right = np.zeros((n, n), dtype=np.float32)
+    left[every[:, None], t.T] = right[every[:, None], t] = 1
+    left[every, every] = right[every, every] = 1
+    ideal = (left @ right) > 0
+    later = np.triu(ideal & ideal.T, 1)
+    cols = later.any(axis=0)
+    if not cols.any():
+        return True, None
+    y = int(np.argmax(cols))
+    return False, (int(np.argmax(later[:, y])), y)
 
 
 def is_aperiodic(m: Semigroup) -> bool:
-    """Whether x^n = x^(n+1) holds for every x at some n <= size."""
-    n = m.size
-    for x in range(n):
-        acc = x
-        ok = False
-        for _ in range(n + 1):
-            nxt = m.table[acc][x]
-            if nxt == acc:
-                ok = True
-                break
-            acc = nxt
-        if not ok:
-            return False
-    return True
+    """Whether x^n = x^(n+1) holds for every x at some n <= size.
+
+    Squaring reaches x^N with N >= size, at or past every index.
+    """
+    t = m.table
+    power, exponent = np.arange(m.size), 1
+    while exponent < m.size:
+        power, exponent = t[power, power], 2 * exponent
+    return bool((t[power, np.arange(m.size)] == power).all())
 
 
 def idempotents(m: Semigroup) -> list:
-    return [x for x in range(m.size) if m.table[x][x] == x]
+    return np.flatnonzero(m.table.diagonal() == np.arange(m.size)).tolist()
 
 
 def idempotents_commute(m: Semigroup):
     idem = idempotents(m)
-    for e in idem:
-        for f in idem:
-            if m.table[e][f] != m.table[f][e]:
-                return False, (e, f)
+    among = m.table[np.ix_(idem, idem)]
+    bad = np.argwhere(among != among.T)
+    if len(bad):
+        i, j = bad[0]
+        return False, (idem[i], idem[j])
     return True, None
 
 
@@ -365,94 +406,75 @@ def submonoid(m: FiniteMonoid, gens):
 
     The embedding maps new indices to indices of ``m``.
     """
-    gens = set(gens) | {m.identity}
-    closure = set(gens)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closure):
-            for b in list(closure):
-                c = m.table[a][b]
-                if c not in closure:
-                    closure.add(c)
-                    changed = True
-    embed = sorted(closure)
-    pos = {x: i for i, x in enumerate(embed)}
-    rows = tuple(tuple(pos[m.table[a][b]] for b in embed) for a in embed)
-    labels = tuple(m.labels[x] for x in embed)
-    zero = pos.get(m.zero) if m.zero in pos else None
-    if zero is not None:
-        # the ambient zero is a zero of the submonoid only if it stayed absorbing
-        if any(rows[zero][i] != zero or rows[i][zero] != zero
-               for i in range(len(embed))):
-            zero = None
-    sub = FiniteMonoid(table=rows, labels=labels,
-                       identity=pos[m.identity], zero=zero)
+    inside = _closure(m.table, np.zeros(m.size, dtype=bool),
+                      [*gens, m.identity])
+    embed = np.flatnonzero(inside).tolist()
+    pos = np.cumsum(inside) - 1
+    # the ambient zero absorbs every element, those of the submonoid too
+    zero = int(pos[m.zero]) if m.zero is not None and inside[m.zero] else None
+    sub = FiniteMonoid(table=pos[m.table[np.ix_(embed, embed)]],
+                       labels=tuple(m.labels[x] for x in embed),
+                       identity=int(pos[m.identity]), zero=zero)
     return sub, embed
 
 
 def dual(m: FiniteMonoid) -> FiniteMonoid:
-    n = m.size
-    rows = tuple(tuple(m.table[j][i] for j in range(n)) for i in range(n))
-    return FiniteMonoid(table=rows, labels=m.labels,
+    return FiniteMonoid(table=m.table.T, labels=m.labels,
                         identity=m.identity, zero=m.zero)
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteMonoid:
-    if m.size * n.size > cap:
-        raise ValueError(f"product size {m.size * n.size} exceeds cap {cap}")
-    pairs = [(a, b) for a in range(m.size) for b in range(n.size)]
-    pos = {ab: i for i, ab in enumerate(pairs)}
-    rows = tuple(
-        tuple(pos[(m.table[a][c], n.table[b][d])] for (c, d) in pairs)
-        for (a, b) in pairs)
-    labels = tuple(f"({m.labels[a]},{n.labels[b]})" for (a, b) in pairs)
-    zero = pos[(m.zero, n.zero)] if m.zero is not None and n.zero is not None else None
-    return FiniteMonoid(table=rows, labels=labels,
-                        identity=pos[(m.identity, n.identity)], zero=zero)
+    """The product monoid; the pair (a, b) has index a * n.size + b."""
+    size = m.size * n.size
+    if size > cap:
+        raise ValueError(f"product size {size} exceeds cap {cap}")
+    k = n.size
+    mt, nt = m.table, n.table
+    table = (mt[:, None, :, None] * k + nt[None, :, None, :]).reshape(size, size)
+    labels = tuple(f"({a},{b})" for a in m.labels for b in n.labels)
+    zero = m.zero * k + n.zero if m.zero is not None and n.zero is not None else None
+    return FiniteMonoid(table=table, labels=labels,
+                        identity=m.identity * k + n.identity, zero=zero)
 
 
 # -- isomorphism search ----------------------------------------------------
 
-def _refined_colors(m: Semigroup, extra=None):
-    n = m.size
+def _refined_colors(table: list, extra: list) -> list:
+    n = len(table)
     colors = []
     for x in range(n):
         acc, seen = x, {x: 0}
         k = 0
         while True:
-            acc = m.table[acc][x]
+            acc = table[acc][x]
             k += 1
             if acc in seen:
                 idx, period = seen[acc], k - seen[acc]
                 break
             seen[acc] = k
-        colors.append((m.table[x][x] == x, idx, period,
-                       extra[x] if extra else 0))
-    # iterative refinement by multiplication behaviour against color classes
-    for _ in range(n):
+        colors.append((table[x][x] == x, idx, period, extra[x]))
+    # iterative refinement by multiplication behaviour against color classes;
+    # each round that does not stop splits a class, so at most n rounds run
+    while True:
         palette = sorted(set(colors))
         rank = {c: i for i, c in enumerate(palette)}
         cur = [rank[c] for c in colors]
         nxt = []
         for x in range(n):
-            row = sorted((cur[y], cur[m.table[x][y]], cur[m.table[y][x]])
+            row = sorted((cur[y], cur[table[x][y]], cur[table[y][x]])
                          for y in range(n))
             nxt.append((cur[x], tuple(row)))
         if len(set(nxt)) == len(set(cur)):
             return cur
         colors = nxt
-    palette = sorted(set(colors))
-    rank = {c: i for i, c in enumerate(palette)}
-    return [rank[c] for c in colors]
 
 
 def _absorbing_element(m: Semigroup):
     # structural, independent of the declared zero field
-    for z in range(m.size):
-        if all(m.table[z][x] == z == m.table[x][z] for x in range(m.size)):
-            return z
-    return None
+    every = np.arange(m.size)
+    absorbing = ((m.table == every[:, None]).all(axis=1)
+                 & (m.table == every).all(axis=0))
+    return int(np.argmax(absorbing)) if absorbing.any() else None
 
 
 def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
@@ -475,8 +497,9 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     if mz is not None:
         extra_m[mz] = 2
         extra_n[nz] = 2
-    cm = _refined_colors(m, extra_m)
-    cn = _refined_colors(n, extra_n)
+    mt, nt = m.table.tolist(), n.table.tolist()
+    cm = _refined_colors(mt, extra_m)
+    cn = _refined_colors(nt, extra_n)
     if sorted(cm) != sorted(cn):
         return None
     size = m.size
@@ -509,8 +532,8 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
                 w = mapping[z]
                 if w < 0:
                     continue
-                stack.append((m.table[a][z], n.table[b][w]))
-                stack.append((m.table[z][a], n.table[w][b]))
+                stack.append((mt[a][z], nt[b][w]))
+                stack.append((mt[z][a], nt[w][b]))
         return True
 
     def undo(trail):
@@ -542,10 +565,9 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     if not backtrack(0):
         return None
     # soundness check against both tables
-    for a in range(size):
-        for b in range(size):
-            if mapping[m.table[a][b]] != n.table[mapping[a]][mapping[b]]:
-                return None
+    f = np.array(mapping)
+    if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):
+        return None
     return mapping
 
 
@@ -555,8 +577,8 @@ def format_monoid(m: FiniteMonoid) -> str:
     zero = "none" if m.zero is None else str(m.zero)
     lines = [f"MONOID {m.size} identity={m.identity} zero={zero}"]
     lines.append(" ".join(l.replace(" ", "_") for l in m.labels))
-    for row in m.table:
-        lines.append(" ".join(str(x) for x in row))
+    for row in m.table.tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

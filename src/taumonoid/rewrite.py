@@ -225,9 +225,6 @@ class TauWordSet:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "words", tuple(sorted(set(ws))))
 
-    def tau_words(self):
-        return [TauWord(w, self.tau) for w in self.words]
-
 
 def compose(u: TauWord, v: TauWord) -> TauWord:
     """``u  v`` followed by canonicalization (the product of tau-words)."""

@@ -233,6 +233,38 @@ class TestTauTerm:
         assert verdict.method == "bounded-pairwise"
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("gen,tau,word,bound", [
+        # every member of ab is zero in M(): both paths report (ab, zab)
+        ("lambda:", "lambda", "ab", 2),
+        ("lambda:a+ta+", "lambda", "a+ta+", 6),
+        ("lambda:a+ta+", "lambda", "a+btb+", 5),
+        ("lambda:ata+", "lambda", "ata+", 5),
+        ("gamma:a+t", "gamma", "ta+", 6),
+        ("tau1:a+b+", "tau1", "a+b+", 5),
+        ("trivial:xy", "trivial", "x", 4),
+        # zero-free, so a fresh letter is adjoined
+        ("semilattice", "tau1", "a+", 5),
+        ("Z2", "tau1", "a+", 5),
+    ])
+    def test_fallback_agrees_with_bounded(self, gen, tau, word, bound):
+        zero_free = {"semilattice": SEMILATTICE,
+                     "Z2": FiniteMonoid(table=((0, 1), (1, 0)),
+                                        labels=("1", "g"), identity=0)}
+        m = zero_free[gen] if gen in zero_free else mtau(*gen.split(":"))
+        u = tw(word, tau)
+        fallback = is_tau_term(m, u, mode="auto", bound=bound, max_cells=0)
+        bounded = is_tau_term(m, u, mode="bounded", bound=bound)
+        assert fallback.method == "bounded-pairwise"
+        assert bounded.method == "bounded"
+        assert (fallback.status, fallback.witness) == \
+            (bounded.status, bounded.witness)
+
+    def test_zero_member_witness(self):
+        verdict = is_tau_term(mtau("lambda", ""), tw("ab", "lambda"),
+                              mode="auto", bound=2, max_cells=0)
+        assert verdict.fails
+        assert verdict.witness == (w("ab"), w("zab"))
+
     def test_zero_free_monoid_uses_fresh_letter(self):
         # the semilattice has no identity introducing a fresh letter, so a+
         # stays a tau1-term; the two-element group satisfies x = x z^2 and

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
-from taumonoid.catalog import (mtau, monoid_with_identity, named_monoid,
-                               semigroup)
+from taumonoid.catalog import (PRESENTATIONS, corpus_monoids, mtau,
+                               monoid_with_identity, named_monoid, semigroup)
 from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
-                              adjoin_identity, direct_product, dual,
+                              Semigroup, adjoin_identity, direct_product, dual,
                               find_isomorphism, format_monoid,
                               from_presentation, idempotents,
                               idempotents_commute, is_aperiodic, is_j_trivial,
@@ -207,6 +208,203 @@ class TestTableChecks:
         with pytest.raises(ValueError, match="zero"):
             FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
                          identity=0, zero=0)
+
+    def test_out_of_range_entry_rejected(self):
+        # adjoin_identity used to turn this into the two-element group
+        with pytest.raises(ValueError, match="below 1"):
+            Semigroup(table=((-1,),), labels=("x",))
+        with pytest.raises(ValueError, match="below 2"):
+            Semigroup(table=((0, 2), (1, 1)), labels=("x", "y"))
+        # a negative identity used to index from the end and be accepted
+        for identity in (-2, 2):
+            with pytest.raises(ValueError, match="identity"):
+                FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
+                             identity=identity)
+        with pytest.raises(ValueError, match="zero"):
+            FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
+                         identity=0, zero=2)
+
+    def test_ragged_table_rejected(self):
+        with pytest.raises(ValueError, match="malformed"):
+            Semigroup(table=((0, 0), (0,)), labels=("x", "y"))
+
+    def test_table_is_read_only(self):
+        k = mtau("lambda", "bta+b+")
+        assert k.table.dtype == np.int32
+        with pytest.raises(ValueError):
+            k.table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_light_test_reports_lex_first_triple(self, n):
+        # the left-zero table x*y = x with 1*2 := 0 is associative except
+        # where 1 and 2 meet; above 64 elements associativity used to be
+        # sampled, which accepted n = 100 and reported (1,12,2) at n = 65
+        rows = [[x] * n for x in range(n)]
+        rows[1][2] = 0
+        with pytest.raises(ValueError, match=r"at \(1,0,2\)$"):
+            Semigroup(table=rows, labels=tuple(map(str, range(n))))
+
+    def test_light_test_accepts_large_products(self):
+        k = mtau("lambda", "bta+b+")
+        p = direct_product(k, monoid_with_identity("S"))
+        assert p.size == 228
+        assert is_j_trivial(p)[0]
+
+
+# -- the loop versions of the structural checks, kept as oracles -----------
+
+def oracle_is_j_trivial(m):
+    t = m.table.tolist()
+    n = len(t)
+    ideals = []
+    for x in range(n):
+        ideal = {x}
+        stack = [x]
+        while stack:
+            a = stack.pop()
+            for s in range(n):
+                for y in (t[s][a], t[a][s]):
+                    if y not in ideal:
+                        ideal.add(y)
+                        stack.append(y)
+        ideals.append(frozenset(ideal))
+    seen = {}
+    for x, ideal in enumerate(ideals):
+        if ideal in seen:
+            return False, (seen[ideal], x)
+        seen[ideal] = x
+    return True, None
+
+
+def oracle_is_aperiodic(m):
+    t = m.table.tolist()
+    n = len(t)
+    for x in range(n):
+        acc = x
+        for _ in range(n + 1):
+            if t[acc][x] == acc:
+                break
+            acc = t[acc][x]
+        else:
+            return False
+    return True
+
+
+def oracle_idempotents_commute(m):
+    t = m.table.tolist()
+    idem = [x for x in range(len(t)) if t[x][x] == x]
+    for e in idem:
+        for f in idem:
+            if t[e][f] != t[f][e]:
+                return False, (e, f)
+    return True, None
+
+
+def oracle_submonoid(m, gens):
+    """``(rows, labels, identity, zero, embed)`` of the generated submonoid."""
+    t = m.table.tolist()
+    closure = set(gens) | {m.identity}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(closure):
+            for b in list(closure):
+                if t[a][b] not in closure:
+                    closure.add(t[a][b])
+                    changed = True
+    embed = sorted(closure)
+    pos = {x: i for i, x in enumerate(embed)}
+    rows = [[pos[t[a][b]] for b in embed] for a in embed]
+    return (rows, tuple(m.labels[x] for x in embed), pos[m.identity],
+            pos.get(m.zero), embed)
+
+
+def oracle_dual(m):
+    t = m.table.tolist()
+    return [[t[j][i] for j in range(len(t))] for i in range(len(t))]
+
+
+def oracle_direct_product(m, n):
+    """``(rows, labels, identity, zero)`` of the product."""
+    mt, nt = m.table.tolist(), n.table.tolist()
+    pairs = [(a, b) for a in range(m.size) for b in range(n.size)]
+    pos = {ab: i for i, ab in enumerate(pairs)}
+    rows = [[pos[(mt[a][c], nt[b][d])] for (c, d) in pairs] for (a, b) in pairs]
+    labels = tuple(f"({m.labels[a]},{n.labels[b]})" for (a, b) in pairs)
+    zero = (pos[(m.zero, n.zero)]
+            if m.zero is not None and n.zero is not None else None)
+    return rows, labels, pos[(m.identity, n.identity)], zero
+
+
+def oracle_adjoin_identity(s):
+    t = s.table.tolist()
+    rows = [list(range(len(t) + 1))]
+    rows += [[i + 1] + [x + 1 for x in t[i]] for i in range(len(t))]
+    return rows, None if s.zero is None else s.zero + 1
+
+
+def _differential_cases():
+    cases = []
+    for name, m in corpus_monoids().items():
+        cases += [(name, m), (f"dual({name})", dual(m))]
+    k = mtau("lambda", "bta+b+")
+    gens = [k.labels.index(l) for l in ("a+", "b", "ta+")]
+    cases.append(("sub(K; a+,b,ta+)", submonoid(k, gens)[0]))
+    cases.append(("sub(K; t,b+)", submonoid(k, [k.labels.index("t"),
+                                                 k.labels.index("b+")])[0]))
+    cases.append(("Z2", Z2))
+    cases.append(("A01 x E1", direct_product(monoid_with_identity("A0"),
+                                              monoid_with_identity("E"))))
+    cases.append(("Z2 x dualA1", direct_product(Z2, named_monoid("dualA1"))))
+    return cases
+
+
+class TestAgainstLoopOracles:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _differential_cases()
+
+    def test_predicates(self, cases):
+        for name, m in cases:
+            assert is_j_trivial(m) == oracle_is_j_trivial(m), name
+            assert is_aperiodic(m) == oracle_is_aperiodic(m), name
+            assert idempotents_commute(m) == oracle_idempotents_commute(m), name
+        # the cases reach both verdicts of each predicate
+        verdicts = {(is_j_trivial(m)[0], is_aperiodic(m),
+                     idempotents_commute(m)[0]) for _, m in cases}
+        for i in range(3):
+            assert {v[i] for v in verdicts} == {True, False}
+
+    def test_dual(self, cases):
+        for name, m in cases:
+            assert np.array_equal(dual(m).table, oracle_dual(m)), name
+
+    def test_submonoid(self, cases):
+        for name, m in cases:
+            for gens in ([], range(0, m.size, 3), [m.size - 1], range(m.size)):
+                sub, embed = submonoid(m, gens)
+                rows, labels, identity, zero, want = oracle_submonoid(m, gens)
+                assert np.array_equal(sub.table, rows), (name, list(gens))
+                assert (sub.labels, sub.identity, sub.zero, embed) == \
+                    (labels, identity, zero, want), (name, list(gens))
+
+    def test_direct_product(self, cases):
+        small = [m for _, m in cases if m.size <= 7]
+        for m in small[:6]:
+            for n in small[-4:]:
+                p = direct_product(m, n)
+                rows, labels, identity, zero = oracle_direct_product(m, n)
+                assert np.array_equal(p.table, rows)
+                assert (p.labels, p.identity, p.zero) == (labels, identity, zero)
+
+    def test_adjoin_identity(self, cases):
+        semigroups = [semigroup(name) for name in PRESENTATIONS]
+        for s in semigroups + [m for _, m in cases]:
+            one = adjoin_identity(s)
+            rows, zero = oracle_adjoin_identity(s)
+            assert np.array_equal(one.table, rows)
+            assert (one.labels, one.identity, one.zero) == \
+                (("1",) + tuple(s.labels), 0, zero)
 
 
 class TestFileFormat:
