@@ -51,10 +51,15 @@ def monoid_with_identity(name: str) -> FiniteMonoid:
 
 @lru_cache(maxsize=None)
 def mtau(tau: str, words: str) -> FiniteMonoid:
-    """Quotient monoid of comma-separated word text under ``tau``."""
-    ws = [parse_word(w) for w in words.split(",") if w.strip()] \
-        if words.strip() else []
-    return build_monoid(TauWordSet(tau, ws))
+    """Quotient monoid of comma-separated word text under ``tau``.
+
+    Empty text is the empty word set; an empty field between commas is an
+    error (the empty word is written ``1``).
+    """
+    fields = words.split(",") if words.strip() else []
+    if not all(w.strip() for w in fields):
+        raise ValueError(f"empty word in {words!r}; write the empty word as 1")
+    return build_monoid(TauWordSet(tau, [parse_word(w) for w in fields]))
 
 
 def named_monoid(name: str) -> FiniteMonoid:

@@ -117,9 +117,11 @@ def parse_monoid_expr(text: str) -> FiniteMonoid:
     if text.startswith("dual(") and text.endswith(")"):
         return dual(parse_monoid_expr(text[5:-1]))
     if text.startswith("prod(") and text.endswith(")"):
-        inner = text[5:-1]
-        left, right = _split_top(inner, ",")
-        return direct_product(parse_monoid_expr(left), parse_monoid_expr(right))
+        factors = _fields(text[5:-1], ",")
+        if len(factors) != 2:
+            raise ValueError(f"prod takes two monoids, got {len(factors)}: "
+                             f"{text!r}")
+        return direct_product(*map(parse_monoid_expr, factors))
     if text.startswith("sub(") and text.endswith(")"):
         inner = text[4:-1]
         expr, labels = _split_top(inner, ";")
@@ -146,8 +148,9 @@ def _split_top(text: str, sep: str):
     raise ValueError(f"expected top-level {sep!r} in {text!r}")
 
 
-def _fields(inputs: str) -> list:
-    # split on top-level ';' only: sub(...) expressions carry one inside
+def _fields(inputs: str, sep: str = ";") -> list:
+    # split on top-level separators only: sub(...) expressions carry a ';'
+    # and prod(...) expressions a ',' inside
     parts = []
     depth = 0
     cur = []
@@ -156,7 +159,7 @@ def _fields(inputs: str) -> list:
             depth += 1
         elif c in ")]":
             depth -= 1
-        if c == ";" and depth == 0:
+        if c == sep and depth == 0:
             parts.append("".join(cur).strip())
             cur = []
         else:

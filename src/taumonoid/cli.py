@@ -40,6 +40,13 @@ def _tau_arg(text: str) -> str:
     return text
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(m, out):
     if out:
         save_monoid(m, out)
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-paper", help="run the claim corpus")
     p.add_argument("--filter", default=None, help="run claims with this id prefix")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run the claims in this many worker processes")
     p.add_argument("--slow", action="store_true", help="include slow claims")
     p.add_argument("--disputed", action="store_true",

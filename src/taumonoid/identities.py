@@ -267,14 +267,22 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
 
 
 def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
-    """Reference evaluator: plain nested loops, no early exit."""
+    """Reference evaluator: plain nested loops, no early exit.
+
+    Products are looked up in a local list-of-lists copy of the table,
+    which Python indexes faster than the array.
+    """
     letters = ident.letters()
+    table = m.table.tolist()
     first = None
     checked = 0
     for values in product(range(m.size), repeat=len(letters)):
         assignment = dict(zip(letters, values))
-        lv = m.evaluate(ident.lhs, assignment)
-        rv = m.evaluate(ident.rhs, assignment)
+        lv = rv = m.identity
+        for b, _ in ident.lhs:
+            lv = table[lv][assignment[b]]
+        for b, _ in ident.rhs:
+            rv = table[rv][assignment[b]]
         checked += 1
         if lv != rv and first is None:
             first = (assignment, lv, rv)

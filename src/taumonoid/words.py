@@ -16,6 +16,11 @@ Word = Tuple[Letter, ...]
 
 EMPTY: Word = ()
 
+# parse_word refuses longer words before building them, so that an exponent
+# like x^99999999999 is an error rather than an allocation; the paper's
+# corpus needs at most 16 letters
+MAX_WORD_LENGTH = 10_000
+
 
 class WordSyntaxError(ValueError):
     """Raised by parse_word on malformed input; carries the offset."""
@@ -87,7 +92,7 @@ def projection(w: Word, keep: Iterable[str]) -> Word:
     return tuple(l for l in w if l[0] in keep)
 
 
-def _parse_token(tok: str, offset: int) -> list:
+def _parse_token(tok: str, offset: int) -> tuple:
     # BASE [+] [^k]; the base is everything before the first '+' or '^'
     i = 0
     while i < len(tok) and tok[i] not in "+^":
@@ -106,10 +111,26 @@ def _parse_token(tok: str, offset: int) -> list:
         digits = tok[i + 1:]
         if not digits.isdigit():
             raise WordSyntaxError("malformed exponent", offset + i)
-        exp = int(digits)
-        if exp == 0:
-            raise WordSyntaxError("zero exponent", offset + i)
-    return [(base, plussed)] * exp
+        exp = _exponent(digits, offset + i)
+    return (base, plussed), exp
+
+
+def _exponent(digits: str, position: int) -> int:
+    """A nonzero exponent.  A digit run longer than the cap's own reads as
+    one past the cap, so ``int`` never converts a huge digit string."""
+    digits = digits.lstrip("0")
+    if not digits:
+        raise WordSyntaxError("zero exponent", position)
+    if len(digits) > len(str(MAX_WORD_LENGTH)):
+        return MAX_WORD_LENGTH + 1
+    return int(digits)
+
+
+def _extend(out: list, symbol: Letter, exp: int, position: int) -> None:
+    if len(out) + exp > MAX_WORD_LENGTH:
+        raise WordSyntaxError(
+            f"word longer than {MAX_WORD_LENGTH} letters", position)
+    out.extend([symbol] * exp)
 
 
 def parse_word(text: str) -> Word:
@@ -119,7 +140,8 @@ def parse_word(text: str) -> Word:
     optional ``+`` suffix and an exponent written ``^k`` or, after a
     single-character base, as a bare digit run (``ab2a5ba3``).  Multi-character
     bases (``y1``) must be whitespace-separated, one token per letter.
-    ``1`` on its own denotes the empty word.
+    ``1`` on its own denotes the empty word.  Words longer than
+    ``MAX_WORD_LENGTH`` are refused before they are built.
     """
     text = text.strip()
     if text == "1" or text == "":
@@ -129,12 +151,13 @@ def parse_word(text: str) -> Word:
         offset = 0
         for tok in text.split():
             offset = text.find(tok, offset)
-            out.extend(_parse_token(tok, offset))
+            _extend(out, *_parse_token(tok, offset), offset)
             offset += len(tok)
         return tuple(out)
     out = []
     i = 0
     while i < len(text):
+        start = i
         c = text[i]
         if not c.isalpha():
             raise WordSyntaxError(f"unexpected character {c!r}", i)
@@ -151,19 +174,15 @@ def parse_word(text: str) -> Word:
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError("malformed exponent", i)
-            exp = int(text[i + 1:j])
-            if exp == 0:
-                raise WordSyntaxError("zero exponent", i)
+            exp = _exponent(text[i + 1:j], i)
             i = j
         elif i < len(text) and text[i].isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            exp = int(text[i:j])
-            if exp == 0:
-                raise WordSyntaxError("zero exponent", i)
+            exp = _exponent(text[i:j], i)
             i = j
-        out.extend([(base, plussed)] * exp)
+        _extend(out, (base, plussed), exp, start)
     return tuple(out)
 
 

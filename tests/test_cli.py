@@ -123,6 +123,24 @@ class TestMalformedInput:
     def test_monoid_expression_without_words(self, capsys):
         self.assert_one_line_error(capsys, "jtrivial", "M[lambda]")
 
+    def test_empty_word_between_commas(self, capsys):
+        self.assert_one_line_error(capsys, "jtrivial", "M[lambda](ab,,c)")
+
+    def test_empty_word_sets_stay_valid(self, capsys):
+        # no words is the one-element monoid, and 1 is the empty word
+        for expr, size in (("M[lambda]()", "1"), ("M[lambda](1)", "2")):
+            code, out, _ = run(capsys, "dual", expr)
+            assert code == 0 and out.startswith(f"MONOID {size} ")
+
+    def test_prod_arity(self, capsys):
+        self.assert_one_line_error(capsys, "jtrivial", "prod(A1,E1,S1)")
+        assert "prod takes two monoids" in run(capsys, "jtrivial", "prod(A1)")[2]
+
+    @pytest.mark.parametrize("identity", ["x^99999999999=x",
+                                          "y1^99999999999 x = x"])
+    def test_huge_exponent(self, capsys, identity):
+        self.assert_one_line_error(capsys, "check", "A1", identity)
+
     def test_table_entry_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "bad.mon"
         path.write_text("MONOID 3 identity=0 zero=2\n1 x 0\n"
@@ -155,6 +173,14 @@ class TestVerifyPaper:
                            "--filter", "dp-")
         assert code == 1
         assert out.count("\tfail\t") == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        with pytest.raises(SystemExit) as e:
+            main(["verify-paper", "--jobs", jobs])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--jobs" in err.splitlines()[-1]
 
     def test_usage_error_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as e:

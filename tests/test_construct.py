@@ -3,13 +3,16 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE
 from taumonoid.construct import (build_monoid, leq_tau,
                                  leq_tau_by_factor_search, lower_set, mtau)
-from taumonoid.monoid import dual, find_isomorphism, is_aperiodic, is_j_trivial
+from taumonoid.monoid import (FiniteMonoid, dual, find_isomorphism,
+                              is_aperiodic, is_j_trivial)
 from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
                                compose_words)
-from taumonoid.words import EMPTY, content, parse_word
+from taumonoid.words import EMPTY, content, parse_word, print_word
 
 # the lambda lower set of bta+b+, frozen after the factor-search oracle run
 K_LOWER = sorted(
@@ -242,3 +245,52 @@ class TestBuildMonoid:
             left = mtau("rho", str(rev))
             right = dual(mtau("lambda", text))
             assert find_isomorphism(left, right) is not None, text
+
+
+def build_monoid_by_compose(ws: TauWordSet) -> FiniteMonoid:
+    """Oracle: the Rees quotient with every one of the n^2 products composed.
+
+    Same elements, label order, identity and zero as ``build_monoid``; each
+    entry is the canonical product when it stays in the lower set, else zero.
+    """
+    low = sorted((w.word for w in lower_set(ws)),
+                 key=lambda w: (len(w), print_word(w)))
+    if not low:
+        return FiniteMonoid(table=((0,),), labels=("0",), identity=0, zero=0)
+    index = {w: i for i, w in enumerate(low)}
+    zero = len(low)
+    rows = [tuple(index.get(compose_words(x, y, ws.tau), zero) for y in low)
+            + (zero,) for x in low]
+    rows.append((zero,) * (zero + 1))
+    labels = tuple(print_word(w) for w in low) + ("0",)
+    return FiniteMonoid(table=tuple(rows), labels=labels,
+                        identity=index[EMPTY], zero=zero)
+
+
+class TestCayleyBuildAgainstCompose:
+    @pytest.mark.parametrize("name,tau,words", FIG_LATTICE + EXTRA_GENERATORS,
+                             ids=[n for n, _, _ in FIG_LATTICE + EXTRA_GENERATORS])
+    def test_corpus_generators(self, name, tau, words):
+        ws = TauWordSet(tau, [parse_word(w) for w in words.split(",") if w])
+        assert build_monoid(ws) == build_monoid_by_compose(ws)
+
+    @pytest.mark.parametrize("tau", CONGRUENCES)
+    def test_empty_set_and_empty_word(self, tau):
+        # FiniteMonoid equality covers table, labels, identity and zero
+        for ws in (TauWordSet(tau, []), TauWordSet(tau, [EMPTY])):
+            assert build_monoid(ws) == build_monoid_by_compose(ws)
+
+    @pytest.mark.parametrize("tau", CONGRUENCES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_drawn_word_sets(self, tau, data):
+        pool = _canonical_up_to_5(tau)
+        words = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=3))
+        ws = TauWordSet(tau, words)
+        assert build_monoid(ws) == build_monoid_by_compose(ws)
+
+
+@lru_cache(maxsize=None)
+def _canonical_up_to_5(tau: str) -> list:
+    return canonical_words(tau, 5)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taumonoid.identities import long_identity
-from taumonoid.words import (EMPTY, WordSyntaxError, content, islands,
-                             is_two_island_limited, parse_word, print_word,
-                             simple_and_multiple)
+from taumonoid.words import (EMPTY, MAX_WORD_LENGTH, WordSyntaxError, content,
+                             islands, is_two_island_limited, parse_word,
+                             print_word, simple_and_multiple)
 
 
 def w(text):
@@ -43,6 +43,26 @@ class TestParsePrint:
 
     def test_plus_and_exponent_in_token(self):
         assert w("a+^3") == (("a", True),) * 3
+
+    @pytest.mark.parametrize("text,position", [
+        ("x^99999999999", 0), ("ab3x99999999999", 3), ("x^5000x^5001", 6),
+        ("y1^99999999999 x", 0), ("x y1^5000 y1^5001", 10)])
+    def test_length_cap(self, text, position):
+        with pytest.raises(WordSyntaxError) as e:
+            w(text)
+        assert e.value.position == position
+        assert str(MAX_WORD_LENGTH) in str(e.value)
+
+    def test_length_cap_before_int_conversion(self):
+        # 5000 digits exceed the interpreter's int-from-string limit
+        for text in ("x" + "9" * 5000, "y1^" + "9" * 5000 + " x"):
+            with pytest.raises(WordSyntaxError, match="longer than"):
+                w(text)
+
+    def test_length_cap_is_inclusive(self):
+        assert len(w(f"x^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+        assert len(w(f"x^000{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+        assert len(w(f"y1^{MAX_WORD_LENGTH - 1} x")) == MAX_WORD_LENGTH
 
     @given(st.lists(st.tuples(st.sampled_from("abct"), st.booleans()), max_size=12))
     def test_round_trip(self, letters):
