@@ -62,17 +62,18 @@ def mtau(tau: str, words: str) -> FiniteMonoid:
     return build_monoid(TauWordSet(tau, [parse_word(w) for w in fields]))
 
 
+# the named monoids of the expression language, each built on demand
+NAMED_MONOIDS = {
+    "A1": lambda: monoid_with_identity("A"),
+    "dualA1": lambda: dual(monoid_with_identity("A")),
+    "E1": lambda: monoid_with_identity("E"),
+    "A01": lambda: monoid_with_identity("A0"),
+    "S1": lambda: monoid_with_identity("S"),
+}
+
+
 def named_monoid(name: str) -> FiniteMonoid:
-    builders = {
-        "A1": lambda: monoid_with_identity("A"),
-        "E1": lambda: monoid_with_identity("E"),
-        "A01": lambda: monoid_with_identity("A0"),
-        "S1": lambda: monoid_with_identity("S"),
-        "dualA1": lambda: dual(monoid_with_identity("A")),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown monoid name {name!r}")
-    return builders[name]()
+    return NAMED_MONOIDS[name]()
 
 
 # the subvariety-lattice figure: generator of each node, bottom to top
@@ -113,10 +114,6 @@ FIG_EDGES = [
 ]
 
 
-def fig_lattice_monoids() -> dict:
-    return {name: mtau(tau, words) for name, tau, words in FIG_LATTICE}
-
-
 def lattice_dot() -> str:
     """DOT rendering of the lattice figure with computed monoid sizes."""
     sizes = {name: mtau(tau, words).size for name, tau, words in FIG_LATTICE}
@@ -144,12 +141,8 @@ EXTRA_GENERATORS = [
 
 def corpus_monoids() -> dict:
     """Every monoid exercised by the J-triviality/aperiodicity sweep."""
-    out = fig_lattice_monoids()
-    for name, tau, words in EXTRA_GENERATORS:
-        out[name] = mtau(tau, words)
-    out["A1"] = named_monoid("A1")
-    out["dualA1"] = named_monoid("dualA1")
-    out["E1"] = named_monoid("E1")
-    out["A01"] = named_monoid("A01")
-    out["S1"] = named_monoid("S1")
+    out = {name: mtau(tau, words)
+           for name, tau, words in FIG_LATTICE + EXTRA_GENERATORS}
+    for name in NAMED_MONOIDS:
+        out[name] = named_monoid(name)
     return out

@@ -4,18 +4,20 @@ A corpus is a text file with one claim per line::
 
     id | kind | inputs | expected | provenance | source_loc
 
-``#`` starts a comment.  Monoids inside the inputs field are written in a
-small expression language: ``M[lambda](bta+b+)`` builds a quotient monoid,
-``A1 / E1 / A01 / S1 / dualA1`` name the presentation monoids, and
-``dual(...)``, ``prod(...,...)`` and ``sub(EXPR; label, ...)`` wrap them.
-The runner executes every claim, never aborts on a failing one, and renders
-one stable tab-separated line per claim.
+``#`` starts a comment.  The inputs are cut at each ``;`` outside brackets,
+and may end in ``key=value`` options.  Monoids are written in the grammar
+``expr := NAME | M[tau](words) | dual(expr) | prod(expr, expr) |
+sub(expr; label, ...)`` with ``NAME`` a key of ``catalog.NAMED_MONOIDS``;
+a label may contain bracketed commas.  Errors outside the words give their
+position in the whole expression.  The runner executes every claim, never
+aborts on a failing one, and renders one stable tab-separated line per claim.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,13 +29,8 @@ from .monoid import (FiniteMonoid, direct_product, dual, find_isomorphism,
                      idempotents_commute, is_aperiodic, is_j_trivial,
                      submonoid)
 from .rewrite import TauWord
-from .words import is_two_island_limited, parse_word, print_word
-
-KINDS = (
-    "monoid-size", "element-set", "satisfies", "violates", "isomorphic",
-    "j-trivial", "aperiodic", "idempotents-commute", "tau-term",
-    "not-tau-term", "isoterm", "derivable", "two-island-limited",
-)
+from .words import (WordSyntaxError, is_two_island_limited, parse_word,
+                    print_word)
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,7 @@ class ClaimReport:
         return [r.line() for r in self.results]
 
     def summary(self) -> str:
-        counts = {"pass": 0, "fail": 0, "skipped": 0}
-        for r in self.results:
-            counts[r.verdict] += 1
+        counts = Counter(r.verdict for r in self.results)
         return (f"{counts['pass']} passed, {counts['fail']} failed, "
                 f"{counts['skipped']} skipped (corpus {self.corpus_hash[:12]})")
 
@@ -106,86 +101,123 @@ def parse_corpus(text: str) -> list:
 # -- monoid expression language ---------------------------------------------
 
 def parse_monoid_expr(text: str) -> FiniteMonoid:
-    text = text.strip()
-    if text in ("A1", "E1", "A01", "S1", "dualA1"):
-        return catalog.named_monoid(text)
-    if text.startswith("M["):
-        tau, close, words = text[2:].partition("]")
-        if not (close and words.startswith("(") and words.endswith(")")):
-            raise ValueError(f"malformed monoid expression {text!r}")
-        return catalog.mtau(tau, words[1:-1])
-    if text.startswith("dual(") and text.endswith(")"):
-        return dual(parse_monoid_expr(text[5:-1]))
-    if text.startswith("prod(") and text.endswith(")"):
-        factors = _fields(text[5:-1], ",")
-        if len(factors) != 2:
-            raise ValueError(f"prod takes two monoids, got {len(factors)}: "
-                             f"{text!r}")
-        return direct_product(*map(parse_monoid_expr, factors))
-    if text.startswith("sub(") and text.endswith(")"):
-        inner = text[4:-1]
-        expr, labels = _split_top(inner, ";")
-        m = parse_monoid_expr(expr)
-        gens = []
-        for lab in labels.split(","):
-            lab = lab.strip()
-            if lab not in m.labels:
-                raise ValueError(f"no element labelled {lab!r}")
-            gens.append(m.labels.index(lab))
-        return submonoid(m, gens)[0]
-    raise ValueError(f"unknown construction {text!r}")
+    """The monoid that an expression of the grammar above denotes."""
+    return _monoid(text, *_trim(text, 0, len(text)))
 
 
-def _split_top(text: str, sep: str):
-    depth = 0
-    for i, c in enumerate(text):
+def _monoid(text: str, i: int, j: int) -> FiniteMonoid:
+    """The monoid written in ``text[i:j]``, a span without outer spaces."""
+    k = text.find("(", i, j)
+    if k < 0:
+        if text[i:j] not in catalog.NAMED_MONOIDS:
+            raise WordSyntaxError(f"expected a monoid, got {text[i:j]!r}", i)
+        return catalog.named_monoid(text[i:j])
+    head = text[i:k].rstrip()
+    args, end = _split(text, k + 1, {"prod": ",", "sub": ";"}.get(head, ""), ")")
+    if end < j:
+        raise WordSyntaxError(f"unexpected {text[end:j].strip()!r}", end)
+    if head.startswith("M[") and head.endswith("]"):
+        return catalog.mtau(head[2:-1], text[slice(*args[0])])
+    if head == "dual":
+        return dual(_monoid(text, *args[0]))
+    if head == "prod":
+        if len(args) != 2:
+            raise WordSyntaxError(f"prod takes two monoids, got {len(args)}", i)
+        return direct_product(*(_monoid(text, *arg) for arg in args))
+    if head == "sub":
+        if len(args) != 2:
+            raise WordSyntaxError("sub takes a monoid, ';' and labels", i)
+        m = _monoid(text, *args[0])
+        labels, _ = _split(text, args[1][0], ",", ")")
+        return submonoid(m, [_element(m, text, *label) for label in labels])[0]
+    raise WordSyntaxError(f"expected a monoid, got {text[i:j]!r}", i)
+
+
+def _element(m: FiniteMonoid, text: str, i: int, j: int) -> int:
+    if text[i:j] not in m.labels:
+        raise WordSyntaxError(f"no element labelled {text[i:j]!r}", i)
+    return m.labels.index(text[i:j])
+
+
+def _split(text: str, i: int, seps: str, close: str = "") -> tuple:
+    """Cut ``text`` from ``i`` at the ``seps`` outside brackets, up to the
+    bracket ``close`` or the end, where brackets must match; return each
+    field's trimmed ``(start, stop)`` span and the index after ``close``."""
+    spans, start, opened = [], i, []
+    for k, c in enumerate(text[i:], i):
         if c in "([":
-            depth += 1
+            opened.append(k)
         elif c in ")]":
-            depth -= 1
-        elif c == sep and depth == 0:
-            return text[:i], text[i + 1:]
-    raise ValueError(f"expected top-level {sep!r} in {text!r}")
+            if opened and text[opened[-1]] + c in ("()", "[]"):
+                opened.pop()
+            elif opened or c != close:
+                raise WordSyntaxError(f"unbalanced {c!r}", k)
+            else:
+                return spans + [_trim(text, start, k)], k + 1
+        elif c in seps and not opened:
+            spans.append(_trim(text, start, k))
+            start = k + 1
+    if close or opened:
+        raise WordSyntaxError("unclosed bracket", opened[0] if opened else i - 1)
+    return spans + [_trim(text, start, len(text))], len(text)
 
 
-def _fields(inputs: str, sep: str = ";") -> list:
-    # split on top-level separators only: sub(...) expressions carry a ';'
-    # and prod(...) expressions a ',' inside
-    parts = []
-    depth = 0
-    cur = []
-    for c in inputs:
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        if c == sep and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur).strip())
-    return parts
+def _trim(text: str, i: int, j: int) -> tuple:
+    field = text[i:j]
+    i += len(field) - len(field.lstrip())
+    return i, i + len(field.strip())
+
+
+# -- claims -------------------------------------------------------------------
+
+def _axioms(text: str) -> list:
+    return [parse_identity(a) for a in text.split("&")]
+
+
+# per kind: the readers of its leading inputs, then the types of its options
+_INPUTS = {
+    "monoid-size": ((parse_monoid_expr,), {}),
+    "element-set": ((parse_monoid_expr,), {}),
+    "satisfies": ((parse_monoid_expr, parse_identity), {}),
+    "violates": ((parse_monoid_expr, parse_identity), {}),
+    "isomorphic": ((parse_monoid_expr, parse_monoid_expr), {}),
+    "j-trivial": ((parse_monoid_expr,), {}),
+    "aperiodic": ((parse_monoid_expr,), {}),
+    "idempotents-commute": ((parse_monoid_expr,), {}),
+    "tau-term": ((str, parse_monoid_expr, parse_word), {"mode": str, "bound": int}),
+    "not-tau-term": ((str, parse_monoid_expr, parse_word), {"mode": str, "bound": int}),
+    "isoterm": ((parse_monoid_expr, parse_word), {}),
+    "derivable": ((parse_identity, _axioms), {"max_len": int, "max_steps": int}),
+    "two-island-limited": ((parse_word,), {}),
+}
+KINDS = tuple(_INPUTS)
+
+
+def _inputs(claim: Claim) -> tuple:
+    """The claim's inputs, each read once, and its ``key=value`` options."""
+    readers, accepted = _INPUTS[claim.kind]
+    parts = [claim.inputs[a:b] for a, b in _split(claim.inputs, 0, ";")[0]]
+    if len(parts) < len(readers):
+        raise ValueError(f"{claim.kind} takes {len(readers)} inputs")
+    opts = {}
+    for part in parts[len(readers):]:
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq or key not in accepted:
+            raise ValueError(f"{claim.kind} takes no option {part!r}")
+        opts[key] = accepted[key](value)
+    return [read(p) for read, p in zip(readers, parts)], opts
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _options(parts, start):
-    opts = {}
-    for p in parts[start:]:
-        if "=" in p:
-            k, v = p.split("=", 1)
-            opts[k.strip()] = v.strip()
-    return opts
-
-
 def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
     t0 = time.perf_counter()
     try:
-        actual = _execute(claim, budget)
-        verdict = "pass" if _matches(claim, actual) else "fail"
+        args, opts = _inputs(claim)
+        actual = _execute(claim.kind, args, opts, budget)
+        verdict = "pass" if _matches(claim, actual, args) else "fail"
     except BudgetExceededError as e:
         actual = f"budget: {e}"
         verdict = "skipped"
@@ -196,17 +228,13 @@ def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
     return ClaimResult(claim, verdict, actual, ms)
 
 
-def _execute(claim: Claim, budget) -> str:
-    kind = claim.kind
-    parts = _fields(claim.inputs)
+def _execute(kind: str, args: list, opts: dict, budget) -> str:
     if kind == "monoid-size":
-        return str(parse_monoid_expr(parts[0]).size)
+        return str(args[0].size)
     if kind == "element-set":
-        m = parse_monoid_expr(parts[0])
-        return ",".join(sorted(m.labels))
+        return ",".join(sorted(args[0].labels))
     if kind in ("satisfies", "violates"):
-        m = parse_monoid_expr(parts[0])
-        ident = parse_identity(parts[1])
+        m, ident = args
         res = satisfies(m, ident, budget=budget)
         if res.holds:
             return "holds"
@@ -218,49 +246,37 @@ def _execute(claim: Claim, budget) -> str:
             return "unsound-witness"
         return f"violated@{wit}->{m.labels[lv]},{m.labels[rv]}"
     if kind == "isomorphic":
-        a = parse_monoid_expr(parts[0])
-        b = parse_monoid_expr(parts[1])
-        return _yesno(find_isomorphism(a, b) is not None)
+        return _yesno(find_isomorphism(*args) is not None)
     if kind == "j-trivial":
-        ok, pair = is_j_trivial(parse_monoid_expr(parts[0]))
+        ok, pair = is_j_trivial(args[0])
         return _yesno(ok)
     if kind == "aperiodic":
-        return _yesno(is_aperiodic(parse_monoid_expr(parts[0])))
+        return _yesno(is_aperiodic(args[0]))
     if kind == "idempotents-commute":
-        ok, pair = idempotents_commute(parse_monoid_expr(parts[0]))
+        ok, pair = idempotents_commute(args[0])
         return _yesno(ok)
     if kind == "isoterm":
-        m = parse_monoid_expr(parts[0])
-        rep = is_isoterm(m, parse_word(parts[1]))
+        rep = is_isoterm(*args)
         return _yesno(rep.is_isoterm)
     if kind in ("tau-term", "not-tau-term"):
-        tau = parts[0]
-        m = parse_monoid_expr(parts[1])
-        u = TauWord.make(parse_word(parts[2]), tau)
-        opts = _options(parts, 3)
-        verdict = is_tau_term(m, u, mode=opts.get("mode", "auto"),
-                              bound=int(opts.get("bound", 10)))
+        tau, m, w = args
+        verdict = is_tau_term(m, TauWord.make(w, tau), **opts)
         if verdict.fails:
             member, off = verdict.witness
             return f"fails@{print_word(member)}~{print_word(off)}"
         return verdict.status
     if kind == "derivable":
-        goal = parse_identity(parts[0])
-        axioms = [parse_identity(a) for a in parts[1].split("&")]
-        opts = _options(parts, 2)
-        trace = derive_bounded(axioms, goal,
-                               max_len=int(opts.get("max_len", 14)),
-                               max_steps=int(opts.get("max_steps", 100000)))
+        goal, axioms = args
+        trace = derive_bounded(axioms, goal, **opts)
         if trace is None:
             return "not-found-within-bounds"
         ok, msg = check_trace(axioms, trace, goal)
         return f"derived-in-{len(trace)}-steps" if ok else f"invalid-trace: {msg}"
     if kind == "two-island-limited":
-        return _yesno(is_two_island_limited(parse_word(parts[0])))
-    raise ValueError(f"unknown claim kind {kind!r}")
+        return _yesno(is_two_island_limited(args[0]))
 
 
-def _matches(claim: Claim, actual: str) -> bool:
+def _matches(claim: Claim, actual: str, args: list) -> bool:
     kind, expected = claim.kind, claim.expected
     if kind == "satisfies":
         return actual == "holds"
@@ -271,22 +287,19 @@ def _matches(claim: Claim, actual: str) -> bool:
             return True
         # expected: substitution -> lhs,rhs; check the stated evaluation too
         want_sub, want_vals = expected.split("->")
-        m = parse_monoid_expr(_fields(claim.inputs)[0])
-        ident = parse_identity(_fields(claim.inputs)[1])
+        m, ident = args
         assignment = {}
-        for kv in want_sub.split(","):
-            b, lab = kv.split("=")
-            assignment[b.strip()] = m.labels.index(lab.strip())
+        for i, j in _split(want_sub, 0, ",")[0]:
+            var, lab = want_sub[i:j].split("=")
+            assignment[var.strip()] = m.labels.index(lab.strip())
         lv = m.evaluate(ident.lhs, assignment)
         rv = m.evaluate(ident.rhs, assignment)
-        lw, rw = [s.strip() for s in want_vals.split(",")]
+        lw, rw = [want_vals[i:j] for i, j in _split(want_vals, 0, ",")[0]]
         return m.labels[lv] == lw and m.labels[rv] == rw
     if kind == "element-set":
         return sorted(actual.split(",")) == sorted(
             lab.strip() for lab in expected.split(","))
     if kind == "tau-term":
-        if expected == "holds":
-            return actual == "holds"
         if expected == "holds-up-to-bound":
             return actual in ("holds", "holds-up-to-bound")
         return actual == expected

@@ -147,7 +147,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, RecursionError) as e:
+        # RecursionError: an expression nested deeper than the reader recurses
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,119 @@
 import pytest
 
+from taumonoid import catalog
 from taumonoid.claims import (Claim, ClaimReport, parse_corpus,
                               parse_monoid_expr, run_claim, verify_corpus)
 from taumonoid.cli import corpus_text
+from taumonoid.monoid import direct_product, dual, submonoid
 
 
 def make_claim(kind, inputs, expected, id="t1"):
     return Claim(id, kind, inputs, expected, "DERIVED", "here")
+
+
+# -- the former prefix-matching reader, kept as the oracle for the new one ---
+
+def oracle_parse_monoid_expr(text):
+    text = text.strip()
+    if text in ("A1", "E1", "A01", "S1", "dualA1"):
+        return catalog.named_monoid(text)
+    if text.startswith("M["):
+        tau, close, words = text[2:].partition("]")
+        if not (close and words.startswith("(") and words.endswith(")")):
+            raise ValueError(f"malformed monoid expression {text!r}")
+        return catalog.mtau(tau, words[1:-1])
+    if text.startswith("dual(") and text.endswith(")"):
+        return dual(oracle_parse_monoid_expr(text[5:-1]))
+    if text.startswith("prod(") and text.endswith(")"):
+        factors = oracle_fields(text[5:-1], ",")
+        if len(factors) != 2:
+            raise ValueError(f"prod takes two monoids, got {len(factors)}: "
+                             f"{text!r}")
+        return direct_product(*map(oracle_parse_monoid_expr, factors))
+    if text.startswith("sub(") and text.endswith(")"):
+        inner = text[4:-1]
+        expr, labels = oracle_split_top(inner, ";")
+        m = oracle_parse_monoid_expr(expr)
+        gens = []
+        for lab in labels.split(","):
+            lab = lab.strip()
+            if lab not in m.labels:
+                raise ValueError(f"no element labelled {lab!r}")
+            gens.append(m.labels.index(lab))
+        return submonoid(m, gens)[0]
+    raise ValueError(f"unknown construction {text!r}")
+
+
+def oracle_split_top(text, sep):
+    depth = 0
+    for i, c in enumerate(text):
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == sep and depth == 0:
+            return text[:i], text[i + 1:]
+    raise ValueError(f"expected top-level {sep!r} in {text!r}")
+
+
+def oracle_fields(inputs, sep=";"):
+    parts = []
+    depth = 0
+    cur = []
+    for c in inputs:
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        if c == sep and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(c)
+    parts.append("".join(cur).strip())
+    return parts
+
+
+# the inputs that are monoid expressions, by claim kind
+MONOID_INPUTS = {"monoid-size": (0,), "element-set": (0,), "satisfies": (0,),
+                 "violates": (0,), "isomorphic": (0, 1), "j-trivial": (0,),
+                 "aperiodic": (0,), "idempotents-commute": (0,),
+                 "isoterm": (0,), "tau-term": (1,), "not-tau-term": (1,)}
+
+# written in the README and in the other tests
+DOCUMENTED_EXPRESSIONS = [
+    "M[lambda](bta+b+)", "sub(M[lambda](bta+b+); a+, b, ta+)", "S1", "E1",
+    "A1", "A01", "dualA1", "M[lambda](a+ta+)", "M[trivial]()", "dual(A1)",
+    "prod(A01,E1)", "M[gamma](a+t)", "M[gamma](ta+)", "M[lambda]()",
+    "M[lambda](1)", "M[rho](a+t)",
+]
+
+
+def corpus_expressions():
+    found = set(DOCUMENTED_EXPRESSIONS)
+    for claim in parse_corpus(corpus_text() + corpus_text(disputed=True)):
+        parts = oracle_fields(claim.inputs)
+        found.update(parts[i] for i in MONOID_INPUTS.get(claim.kind, ()))
+    return sorted(found)
+
+
+class TestReaderAgainstOracle:
+    @pytest.mark.parametrize("expr", corpus_expressions())
+    def test_same_monoid(self, expr):
+        assert parse_monoid_expr(expr) == oracle_parse_monoid_expr(expr)
+
+    def test_covers_every_construction(self):
+        heads = {e.split("(")[0].split("[")[0] for e in corpus_expressions()}
+        assert {"M", "dual", "prod", "sub", "S1", "dualA1"} <= heads
+
+    def test_product_labels_with_commas(self):
+        # the oracle cut labels at every comma, so it could name none of these
+        p = direct_product(catalog.named_monoid("A1"),
+                           catalog.named_monoid("E1"))
+        gens = [p.labels.index("(a,1)"), p.labels.index("(1,b)")]
+        expected = submonoid(p, gens)[0]
+        assert parse_monoid_expr("sub(prod(A1,E1); (a,1), (1,b))") == expected
+        assert parse_monoid_expr("sub(prod(A1,E1); (1,1))").labels == ("(1,1)",)
 
 
 class TestExpressionLanguage:
@@ -41,6 +148,12 @@ class TestRunClaim:
         assert bad.verdict == "pass"
         assert bad.actual.startswith("violated@")
 
+    def test_stated_witness_with_product_labels(self):
+        res = run_claim(make_claim("violates", "prod(A1,E1) ; xy=yx",
+                                   "x=(1,a), y=(1,b) -> (1,0), (1,a)"))
+        assert res.verdict == "pass"
+        assert res.actual == "violated@x=(1,a),y=(1,b)->(1,0),(1,a)"
+
     def test_broken_input_is_a_recorded_failure(self):
         res = run_claim(make_claim("monoid-size", "M[zeta](a)", "5"))
         assert res.verdict == "fail"
@@ -51,6 +164,38 @@ class TestRunClaim:
             "derivable", "xtx=xtxx ; xtysyx=xtysxyx", "yes"))
         assert res.verdict == "pass"
         assert res.actual == "derived-in-1-steps"
+
+    def test_options_reach_the_search(self):
+        res = run_claim(make_claim(
+            "derivable", "xtx=xtxx ; xtysyx=xtysxyx ; max_len=3", "yes"))
+        assert res.actual == "not-found-within-bounds"
+        res = run_claim(make_claim(
+            "tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; mode=bounded ; "
+            "bound=6", "holds-up-to-bound"))
+        assert res.actual == "holds-up-to-bound"
+
+    @pytest.mark.parametrize("kind, inputs", [
+        ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; max_step=200000"),
+        ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; 200000"),
+        ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; bound=3"),
+        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; max_len=3"),
+        ("satisfies", "A01 ; xtsx=xtxsx ; mode=exact"),
+        ("satisfies", "A01"),
+    ])
+    def test_unknown_options_and_missing_inputs_fail(self, kind, inputs):
+        res = run_claim(make_claim(kind, inputs, "yes"))
+        assert res.verdict == "fail"
+        assert res.actual.startswith("error: ValueError:")
+
+    def test_inputs_are_read_once(self, monkeypatch):
+        calls = []
+        named = catalog.named_monoid
+        monkeypatch.setattr(catalog, "named_monoid",
+                            lambda name: calls.append(name) or named(name))
+        res = run_claim(make_claim("violates", "S1 ; xtysxy=xtysyx",
+                                   "x=b,y=a,t=c,s=1->0,bcb"))
+        assert res.verdict == "pass"
+        assert calls == ["S1"]
 
 
 class TestCorpusFile:

@@ -1,7 +1,12 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from taumonoid.catalog import named_monoid
 from taumonoid.cli import main
-from taumonoid.monoid import load_monoid
+from taumonoid.monoid import format_monoid, load_monoid
 
 
 def run(capsys, *argv):
@@ -132,6 +137,23 @@ class TestMalformedInput:
             code, out, _ = run(capsys, "dual", expr)
             assert code == 0 and out.startswith(f"MONOID {size} ")
 
+    @pytest.mark.parametrize("expr, message", [
+        ("prod(A1),E1)", "unexpected ',E1)' (at position 8)"),
+        ("M[lambda](a)(b)", "unexpected '(b)' (at position 12)"),
+        ("dual(A1)x", "unexpected 'x' (at position 8)"),
+        ("dual((A1))", "expected a monoid, got '(A1)' (at position 5)"),
+        ("sub(A1; b, (c)", "unclosed bracket (at position 3)"),
+        ("dual(M[lambda)(a))", "unbalanced ')' (at position 13)"),
+        ("prod(A1, S)", "expected a monoid, got 'S' (at position 9)"),
+    ])
+    def test_expression_errors_name_their_position(self, capsys, expr,
+                                                   message):
+        assert run(capsys, "jtrivial", expr) == (2, "", f"error: {message}\n")
+
+    def test_deep_nesting(self, capsys):
+        expr = "dual(" * 2000 + "A1" + ")" * 2000
+        self.assert_one_line_error(capsys, "jtrivial", expr)
+
     def test_prod_arity(self, capsys):
         self.assert_one_line_error(capsys, "jtrivial", "prod(A1,E1,S1)")
         assert "prod takes two monoids" in run(capsys, "jtrivial", "prod(A1)")[2]
@@ -151,6 +173,71 @@ class TestMalformedInput:
         path = tmp_path / "nozero.mon"
         path.write_text("MONOID 3 identity=0\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n")
         self.assert_one_line_error(capsys, "jtrivial", str(path))
+
+
+# generated command lines: short inputs, one-digit exponents, no work-size
+# options, and check always under a small budget
+def _mutated(text):
+    edit = st.tuples(st.integers(0, len(text)), st.integers(0, 2),
+                     st.sampled_from(["", "0", "7", " ", "\n", "=", "a", "x",
+                                      ",", "#"]))
+
+    def apply(edits):
+        out = text
+        for at, cut, insert in edits:
+            out = out[:at] + insert + out[at + cut:]
+        return out
+    return st.lists(edit, max_size=3).map(apply)
+
+
+def _joined(*pieces):
+    return st.lists(st.sampled_from(pieces), max_size=6).map(
+        lambda parts: "".join(parts)[:12])
+
+
+SURFACES = {
+    "words": st.tuples(
+        st.sampled_from(["canon trivial", "canon lambda", "canon rho"]),
+        _joined("a", "b", "t+", "a2", "b^3", "^", "+", " ", "y1 ", "0", "(")),
+    "identities": st.tuples(
+        st.just("check A01 --budget 2000"),
+        _joined("x", "y", "t", "x2", "y^3", "=", "=", " ", "1", "^", "+",
+                "y1 ")),
+    "expressions": st.tuples(
+        st.just("aperiodic"),
+        _joined("A1", "E1", "S1", "dualA1", "dual(", "prod(", "sub(",
+                "M[rho](", "M[x](", "M[", "](", "(", ")", "[", "]", ",", ";",
+                " ", "a", "b+", "t", "1")),
+    "monoid files": st.tuples(
+        st.just("jtrivial {file}"),
+        _mutated(format_monoid(named_monoid("A01")))),
+    # the appended relations keep every closure finite and small: without
+    # them an edit such as 'ab = ba' takes seconds to reach the closure cap
+    "presentation files": st.tuples(
+        st.just("present {file}"),
+        _mutated("gens: a b\naa = a\nbb = b\n0 = ab, ba\n").map(
+            lambda text: text + "\naa = a\nbb = b\n0 = ab, ba\n")),
+}
+
+
+class TestFuzzedInput:
+    @pytest.mark.parametrize("surface", list(SURFACES))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exits_cleanly(self, tmp_path, surface, data):
+        command, text = data.draw(SURFACES[surface])
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = command.format(file=path).split()
+        if "{file}" not in command:
+            argv.append(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1) or (code == 2 and len(lines) == 1), lines
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyPaper:
