@@ -15,7 +15,7 @@ from .construct import build_monoid
 from .monoid import (FiniteMonoid, Presentation, Semigroup, adjoin_identity,
                      dual, from_presentation)
 from .rewrite import TauWordSet
-from .words import parse_word
+from .words import WordSyntaxError, parse_word
 
 PRESENTATIONS = {
     # a2=a, b2=b, ab=ca=0, ac=cb=c
@@ -54,12 +54,20 @@ def mtau(tau: str, words: str) -> FiniteMonoid:
     """Quotient monoid of comma-separated word text under ``tau``.
 
     Empty text is the empty word set; an empty field between commas is an
-    error (the empty word is written ``1``).
+    error (the empty word is written ``1``).  A malformed word raises
+    ``WordSyntaxError`` with its position in ``words``.
     """
     fields = words.split(",") if words.strip() else []
     if not all(w.strip() for w in fields):
         raise ValueError(f"empty word in {words!r}; write the empty word as 1")
-    return build_monoid(TauWordSet(tau, [parse_word(w) for w in fields]))
+    parsed, start = [], 0
+    for field in fields:
+        try:
+            parsed.append(parse_word(field))
+        except WordSyntaxError as e:
+            raise e.shifted(start + len(field) - len(field.lstrip())) from None
+        start += len(field) + 1
+    return build_monoid(TauWordSet(tau, parsed))
 
 
 # the named monoids of the expression language, each built on demand

@@ -8,9 +8,9 @@ A corpus is a text file with one claim per line::
 and may end in ``key=value`` options.  Monoids are written in the grammar
 ``expr := NAME | M[tau](words) | dual(expr) | prod(expr, expr) |
 sub(expr; label, ...)`` with ``NAME`` a key of ``catalog.NAMED_MONOIDS``;
-a label may contain bracketed commas.  Errors outside the words give their
-position in the whole expression.  The runner executes every claim, never
-aborts on a failing one, and renders one stable tab-separated line per claim.
+a label may contain bracketed commas.  Errors give their position in the
+whole expression.  The runner executes every claim, never aborts on a
+failing one, and renders one stable tab-separated line per claim.
 """
 
 from __future__ import annotations
@@ -117,7 +117,10 @@ def _monoid(text: str, i: int, j: int) -> FiniteMonoid:
     if end < j:
         raise WordSyntaxError(f"unexpected {text[end:j].strip()!r}", end)
     if head.startswith("M[") and head.endswith("]"):
-        return catalog.mtau(head[2:-1], text[slice(*args[0])])
+        try:
+            return catalog.mtau(head[2:-1], text[slice(*args[0])])
+        except WordSyntaxError as e:
+            raise e.shifted(args[0][0]) from None
     if head == "dual":
         return dual(_monoid(text, *args[0]))
     if head == "prod":

@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="check an identity against a monoid")
     p.add_argument("monoid")
     p.add_argument("identity")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("isoterm", help="is the word an isoterm for the monoid")
     p.add_argument("monoid")
@@ -99,16 +99,16 @@ def main(argv=None) -> int:
     p.add_argument("tau")
     p.add_argument("monoid")
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_positive_int, default=10)
     p.add_argument("--mode", choices=("auto", "exact", "bounded"), default="auto")
-    p.add_argument("--max-states", type=int, default=60000,
+    p.add_argument("--max-states", type=_positive_int, default=60000,
                    help="automaton state budget for the exact method")
 
     p = sub.add_parser("derive", help="bounded derivation search")
     p.add_argument("axioms", help="file with one identity per line")
     p.add_argument("goal")
-    p.add_argument("--max-len", type=int, default=14)
-    p.add_argument("--max-steps", type=int, default=100000)
+    p.add_argument("--max-len", type=_positive_int, default=14)
+    p.add_argument("--max-steps", type=_positive_int, default=100000)
 
     for name in ("jtrivial", "aperiodic", "idem-commute"):
         p = sub.add_parser(name)
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     p.add_argument("--slow", action="store_true", help="include slow claims")
     p.add_argument("--disputed", action="store_true",
                    help="also run the disputed source-text claims")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--report", default=None, help="write the report to a file")
     p.add_argument("--corpus", default=None, help="alternative corpus file")
 

@@ -164,10 +164,3 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
     labels = tuple(label[w] for w in low) + ("0",)
     return FiniteMonoid(table=columns.T, labels=labels, identity=one,
                         zero=zero)
-
-
-def mtau(tau: str, *words) -> FiniteMonoid:
-    """Convenience constructor from parsed words or text."""
-    from .words import parse_word
-    parsed = [parse_word(w) if isinstance(w, str) else w for w in words]
-    return build_monoid(TauWordSet(tau, parsed))

@@ -121,28 +121,11 @@ class IsotermReport:
     word: Word
     is_isoterm: bool
     counterexample: Word | None = None
-    language_size: int | None = None   # None = infinite
-    note: str = ""
-
-
-def _co_reachable(transitions, target: int) -> set:
-    rev: dict = {}
-    for s, row in enumerate(transitions):
-        for t in row:
-            rev.setdefault(t, []).append(s)
-    out: set = set()
-    stack = [target]
-    while stack:
-        x = stack.pop()
-        if x in out:
-            continue
-        out.add(x)
-        stack.extend(rev.get(x, ()))
-    return out
 
 
 def _accepted_words(aut: RelFreeAutomaton, target: int, want: int = 2) -> list:
-    """Up to ``want`` shortest words reaching ``target`` (per-state capped BFS)."""
+    """The first ``want`` words in shortlex order that reach ``target``
+    (breadth-first, keeping up to ``want`` words per state)."""
     k = len(aut.letters)
     stored: dict = {aut.initial: [()]}
     queue = deque([(aut.initial, ())])
@@ -161,104 +144,26 @@ def _accepted_words(aut: RelFreeAutomaton, target: int, want: int = 2) -> list:
 def is_isoterm(m: FiniteMonoid, w: Word, max_states: int = 60000) -> IsotermReport:
     """Whether M violates every nontrivial identity with ``w`` on one side.
 
-    Decided over the content of ``w``: the language accepted at the state of
-    ``w`` in the evaluation automaton must be exactly ``{w}``.  An identity
-    using extra letters specializes (extra letters to the empty word) to one
-    over the content; when M has a zero, an extra-letter counterexample
-    forces the state of ``w`` to be the zero vector, and then ``ww`` already
-    witnesses failure over the content, so the restriction is complete.  For
-    zero-free monoids single fresh-letter insertions are checked separately.
+    Decided in the evaluation automaton over the content of ``w``, or over
+    one fresh letter ``z`` when ``w`` is empty: ``w`` is an isoterm exactly
+    when neither of the two shortlex-first words reaching its state differs
+    from ``w``, and the first one that does is the counterexample.
+
+    The alphabet loses no identity.  Take ``w`` nonempty and an identity
+    ``w = v`` where ``v`` has letters outside the content of ``w``.  Setting
+    those letters to 1 gives an identity ``w = v'`` over the content.  If
+    ``v' = w``, setting them to a letter of ``w`` instead gives a longer
+    word over the content.  For the empty word, an identity ``1 = v`` gives
+    ``1 = z^|v|``.  The search keeps the two shortlex-first words at each
+    state, and that loses none at the state of ``w``: if a word were not
+    among the first two at a state it passes through, the two earlier words
+    there, each extended the same way, would come before it.
     """
-    letters = tuple(sorted(content(w)))
+    letters = tuple(sorted(content(w))) or ("z",)
     aut = rel_free_automaton(m, letters, max_states=max_states)
-    target = aut.state_of_word(w)
-    note = "extra-letter identities specialize to the content alphabet"
-    relevant = _co_reachable(aut.transitions, target)
-    k = len(letters)
-
-    # cycle inside the relevant subgraph <=> infinitely many accepted words
-    color = dict.fromkeys(relevant, 0)     # 0 new, 1 on stack, 2 done
-    postorder = []
-    has_cycle = False
-    for root in relevant:
-        if color[root] or has_cycle:
-            continue
-        stack = [(root, iter(range(k)))]
-        color[root] = 1
-        while stack and not has_cycle:
-            node, it = stack[-1]
-            for i in it:
-                nxt = aut.transitions[node][i]
-                if nxt not in relevant:
-                    continue
-                if color[nxt] == 1:
-                    has_cycle = True
-                elif color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(range(k))))
-                break
-            else:
-                color[node] = 2
-                postorder.append(node)
-                stack.pop()
-    if has_cycle:
-        accepted = _accepted_words(aut, target)
-        counter = next((c for c in accepted if c != w), None)
-        return IsotermReport(w, False, counter, None, note)
-
-    # acyclic: count accepted words; target has no outgoing relevant edges
-    counts: dict = {}
-    for s in postorder:
-        acc = 1 if s == target else 0
-        for i in range(k):
-            t = aut.transitions[s][i]
-            if t in relevant:
-                acc += counts[t]
-        counts[s] = acc
-    total = counts.get(aut.initial, 0)
-    if total == 1:
-        if m.zero is None:
-            ce = _insertion_counterexample(aut, m, w)
-            if ce is not None:
-                return IsotermReport(w, False, ce, 1,
-                                     note + "; fresh-letter insertion found")
-        return IsotermReport(w, True, None, 1, note)
-    accepted = _accepted_words(aut, target)
-    counter = next((c for c in accepted if c != w), None)
-    return IsotermReport(w, False, counter, total, note)
-
-
-def _insertion_counterexample(aut: RelFreeAutomaton, m: FiniteMonoid, w: Word):
-    """For zero-free monoids: is inserting one fresh letter value-preserving?
-
-    Tests identities ``w = u z v`` (z fresh) at every cut point: multiplying
-    by an arbitrary constant in the middle must preserve the value under all
-    assignments.
-    """
-    k = len(aut.letters)
-    pos = {b: i for i, b in enumerate(aut.letters)}
-    n = m.size
-    gen = _generator_columns(n, k)
-    veclen = n ** k
-    prefix = [np.full(veclen, m.identity, dtype=np.int32)]
-    for b, _ in w:
-        prefix.append(m.table[prefix[-1], gen[pos[b]]])
-    full = prefix[-1]
-    for cut in range(len(w) + 1):
-        ok_all = True
-        for e in range(n):
-            if e == m.identity:
-                continue
-            val = m.table[prefix[cut], e]
-            for b, _ in w[cut:]:
-                val = m.table[val, gen[pos[b]]]
-            if not np.array_equal(val, full):
-                ok_all = False
-                break
-        if ok_all:
-            fresh = _fresh_base({b for b, _ in w})
-            return w[:cut] + ((fresh, False),) + w[cut:]
-    return None
+    accepted = _accepted_words(aut, aut.state_of_word(w))
+    counter = next((v for v in accepted if v != w), None)
+    return IsotermReport(w, counter is None, counter)
 
 
 @dataclass(frozen=True)

@@ -265,35 +265,3 @@ def class_members(u: TauWord, max_len: int) -> set:
             if canonical(w, u.tau) == u.word:
                 out.add(w)
     return out
-
-
-def some_member(u: TauWord) -> Word:
-    """A short plain representative of the class of ``u``.
-
-    A plussed symbol stands for a run of its base.  A run of length two is
-    needed exactly where the plus records adjacency of occurrences: at the
-    first slot of a base for tau1/gamma/lambda, at the last slot for rho.
-    """
-    if u.tau == "trivial":
-        return u.word
-    out = []
-    if u.tau == "rho":
-        last = {}
-        for i, (b, _) in enumerate(u.word):
-            last[b] = i
-        for i, (b, p) in enumerate(u.word):
-            if p and last[b] == i:
-                out += [(b, False), (b, False)]
-            else:
-                out.append((b, False))
-    else:
-        seen = set()
-        for b, p in u.word:
-            if p and b not in seen:
-                out += [(b, False), (b, False)]
-            else:
-                out.append((b, False))
-            seen.add(b)
-    w = tuple(out)
-    assert canonical(w, u.tau) == u.word
-    return w

@@ -27,7 +27,12 @@ class WordSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def shifted(self, offset: int) -> "WordSyntaxError":
+        """The same error, for text that starts ``offset`` characters later."""
+        return WordSyntaxError(self.message, self.position + offset)
 
 
 def letter(base: str, plussed: bool = False) -> Letter:

@@ -145,6 +145,8 @@ class TestMalformedInput:
         ("sub(A1; b, (c)", "unclosed bracket (at position 3)"),
         ("dual(M[lambda)(a))", "unbalanced ')' (at position 13)"),
         ("prod(A1, S)", "expected a monoid, got 'S' (at position 9)"),
+        ("M[lambda](a,b$)", "unexpected character '$' (at position 13)"),
+        ("dual(M[lambda]( a,  b^0))", "zero exponent (at position 21)"),
     ])
     def test_expression_errors_name_their_position(self, capsys, expr,
                                                    message):
@@ -173,6 +175,24 @@ class TestMalformedInput:
         path = tmp_path / "nozero.mon"
         path.write_text("MONOID 3 identity=0\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n")
         self.assert_one_line_error(capsys, "jtrivial", str(path))
+
+    @pytest.mark.parametrize("argv,option", [
+        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+", "--mode",
+          "bounded", "--bound", "-1"], "--bound"),
+        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+",
+          "--max-states", "-3"], "--max-states"),
+        (["derive", "axioms.txt", "x=x", "--max-len", "0"], "--max-len"),
+        (["derive", "axioms.txt", "x=x", "--max-steps", "-5"], "--max-steps"),
+        (["check", "A1", "x=x", "--budget", "0"], "--budget"),
+        (["verify-paper", "--budget", "-2"], "--budget"),
+    ], ids=["tau-term-bound", "tau-term-max-states", "derive-max-len",
+            "derive-max-steps", "check-budget", "verify-paper-budget"])
+    def test_work_sizes_must_be_positive(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and option in err.splitlines()[-1]
 
 
 # generated command lines: short inputs, one-digit exponents, no work-size

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE
+from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE, mtau
 from taumonoid.construct import (build_monoid, leq_tau,
-                                 leq_tau_by_factor_search, lower_set, mtau)
+                                 leq_tau_by_factor_search, lower_set)
 from taumonoid.monoid import (FiniteMonoid, dual, find_isomorphism,
                               is_aperiodic, is_j_trivial)
 from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
@@ -215,7 +215,7 @@ class TestBuildMonoid:
         assert m.labels[m.identity] == "1"
 
     def test_empty_word_set(self):
-        m = mtau("trivial")
+        m = mtau("trivial", "")
         assert m.size == 1
         assert m.identity == m.zero
 

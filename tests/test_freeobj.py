@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from taumonoid import freeobj
-from taumonoid.catalog import mtau, monoid_with_identity
+from taumonoid.catalog import corpus_monoids, mtau, monoid_with_identity
 from taumonoid.freeobj import (RelFreeAutomaton, is_isoterm, is_tau_term,
                                rel_free_automaton, _tracker_next, _SINK)
 from taumonoid.identities import BudgetExceededError, Identity, satisfies
@@ -11,6 +13,7 @@ from taumonoid.rewrite import TauWord, canonical, class_members
 from taumonoid.words import parse_word, print_word, projection, simple_and_multiple
 
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
+Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 
 
 def w(text):
@@ -66,7 +69,7 @@ class TestIsoterm:
     def test_xy_for_the_generator_monoid(self):
         k = mtau("lambda", "bta+b+")
         rep = is_isoterm(k, w("xy"))
-        assert rep.is_isoterm and rep.language_size == 1
+        assert rep.is_isoterm
 
     def test_x_for_single_word_monoid(self):
         rep = is_isoterm(mtau("trivial", "x"), w("x"))
@@ -185,10 +188,23 @@ class TestTauTerm:
         assert is_tau_term(m, tw("a+b+", "tau1"), mode="exact").holds
 
     def test_trivial_congruence_matches_isoterm(self):
-        m = mtau("trivial", "xy")
-        for text in ("xy", "x"):
-            verdict = is_tau_term(m, tw(text, "trivial"), mode="exact")
-            assert verdict.holds == is_isoterm(m, w(text)).is_isoterm
+        # two methods for one question: under the trivial congruence a word
+        # is a tau-term exactly when it is an isoterm.  The grid holds the
+        # empty word on Z2 (1 = zz) and on M() (1 = z), which need a letter
+        # outside the word
+        monoids = [m for m in corpus_monoids().values() if m.size <= 12]
+        monoids += [SEMILATTICE, Z2]
+        words = [()] + [tuple((c, False) for c in combo)
+                        for n in (1, 2, 3) for combo in product("xy", repeat=n)]
+        for m in monoids:
+            for word in words:
+                rep = is_isoterm(m, word)
+                verdict = is_tau_term(m, TauWord(word, "trivial"), mode="exact")
+                assert rep.is_isoterm == verdict.holds, (m.labels, word)
+                assert rep.is_isoterm == (rep.counterexample is None)
+                if rep.counterexample is not None:
+                    assert rep.counterexample != word
+                    assert satisfies(m, Identity(word, rep.counterexample)).holds
 
     def test_empty_word(self):
         m = mtau("trivial", "x")
@@ -247,9 +263,7 @@ class TestTauTerm:
         ("Z2", "tau1", "a+", 5),
     ])
     def test_fallback_agrees_with_bounded(self, gen, tau, word, bound):
-        zero_free = {"semilattice": SEMILATTICE,
-                     "Z2": FiniteMonoid(table=((0, 1), (1, 0)),
-                                        labels=("1", "g"), identity=0)}
+        zero_free = {"semilattice": SEMILATTICE, "Z2": Z2}
         m = zero_free[gen] if gen in zero_free else mtau(*gen.split(":"))
         u = tw(word, tau)
         fallback = is_tau_term(m, u, mode="auto", bound=bound, max_cells=0)

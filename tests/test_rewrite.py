@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from taumonoid.rewrite import (CONGRUENCES, RULE_MARK, TauWord, TauWordSet,
                                applicable_rules, canonical, canonical_stepwise,
                                class_members, compose, compose_words,
-                               normal_forms_all_orders, some_member, tau_equal)
+                               normal_forms_all_orders, tau_equal)
 from taumonoid.words import content, is_two_island_limited, parse_word, print_word
 
 NONTRIVIAL = [t for t in CONGRUENCES if t != "trivial"]
@@ -240,13 +240,6 @@ class TestProperties:
         for letter in word:
             acc = compose_words(acc, (letter,), tau)
         assert acc == canonical(word, tau)
-
-    def test_some_member_is_in_class(self):
-        for text in ("bta+b+", "a+ta+", "ata+", "a+b+", "a+btb+"):
-            for tau in NONTRIVIAL:
-                u = TauWord.make(w(text), tau)
-                member = some_member(u)
-                assert canonical(member, tau) == u.word
 
 
 class TestTauWordTypes:
