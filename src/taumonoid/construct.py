@@ -12,13 +12,11 @@ factors) of the members of its class, and finitely many members suffice
 ``build_monoid`` materializes the Rees quotient: the elements are the lower
 set of a finite word set plus a fresh absorbing zero, and a product falls to
 zero exactly when the composed word escapes the lower set.  The table comes
-from the right Cayley graph, as in Froidure and Pin's enumeration of finite
-semigroups: only the n * |A| products of an element by a letter are composed,
-and a breadth-first search from the identity along those edges gives each
-column from the column of the element it was reached from.  Every element is
-reached, since each prefix of a plain member of ``v`` is a factor of it and so
-stays in the lower set; associativity of the quotient makes each column
-``t -> (t * u) * x`` equal to ``t -> t * (u * x)``.
+from the right Cayley graph through ``monoid.cayley_table``, as for every
+generated monoid: only the n * |A| products of an element by a letter are
+composed, and the search from the identity reaches every element, since each
+prefix of a plain member of ``v`` is a factor of it and so stays in the lower
+set.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, cayley_table
 from .rewrite import TauWord, TauWordSet, canonical, compose_words
 from .words import EMPTY, Word, content, print_word
 
@@ -124,19 +120,14 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
     otherwise.  An empty word set yields the one-element monoid in which the
     identity and the zero coincide.
 
-    The table is read off the right Cayley graph (Froidure and Pin,
-    "Algorithms for computing finite semigroups", 1997).  First the right
-    action ``right[u][x]`` of each letter ``x`` of the content on each
-    element ``u`` is composed directly: n * |A| compositions for an
-    alphabet A, with the zero row fixed at zero.  Then a breadth-first
-    search of that graph from the identity reaches each element ``v`` first
-    as ``u * x``, and column ``v`` of the table is column ``u`` mapped
-    through ``right[.][x]``: one whole-column gather per element.  This is
-    exact.  Every element is reached: with ``x1 ... xk`` a plain member of
-    ``v``, every prefix ``x1 ... xi`` is a factor of that member, so its
-    canonical form lies below ``v`` and in the lower set, and the path
-    ``1, x1, x1 x2, ..., v`` never falls to zero.  And as the Rees quotient
-    is associative, ``t * v = t * (u * x) = (t * u) * x`` for every ``t``.
+    The table is read off the right Cayley graph by ``cayley_table``: the
+    right action ``right[u][x]`` of each letter ``x`` of the content on each
+    element ``u`` is composed directly, n * |A| compositions for an alphabet
+    A with the zero row fixed at zero, and the search starts at the
+    identity, whose column is every element.  It reaches every element: with
+    ``x1 ... xk`` a plain member of ``v``, every prefix ``x1 ... xi`` is a
+    factor of that member, so its canonical form lies below ``v`` and in the
+    lower set, and the path ``1, x1, x1 x2, ..., v`` never falls to zero.
     """
     label = {t.word: print_word(t.word) for t in lower_set(ws)}
     low = sorted(label, key=lambda w: (len(w), label[w]))
@@ -147,20 +138,8 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
     zero = len(low)
     letters = sorted({(b, False) for w in ws.words for b, _ in w})
     right = [[index.get(compose_words(w, (x,), ws.tau), zero) for x in letters]
-             for w in low]
-    # the search walks the lists; the gathers index the array, zero row added
-    gather = np.array(right + [[zero] * len(letters)], dtype=np.int32)
-    columns = np.full((zero + 1, zero + 1), zero, dtype=np.int32)
+             for w in low] + [[zero] * len(letters)]
     one = index[EMPTY]
-    columns[one] = np.arange(zero + 1)
-    reached = [one]
-    seen = {one, zero}
-    for u in reached:
-        for j, v in enumerate(right[u]):
-            if v not in seen:
-                seen.add(v)
-                reached.append(v)
-                columns[v] = gather[columns[u], j]
     labels = tuple(label[w] for w in low) + ("0",)
-    return FiniteMonoid(table=columns.T, labels=labels, identity=one,
-                        zero=zero)
+    return FiniteMonoid(table=cayley_table(right, {one: range(zero + 1)}, zero),
+                        labels=labels, identity=one, zero=zero)

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .identities import BudgetExceededError
+from .identities import BudgetExceededError, _blocks, _eval_batch
 from .monoid import FiniteMonoid
 from .rewrite import TauWord, canonical, compose_words
 from .words import Word, content
@@ -61,16 +61,6 @@ class RelFreeAutomaton:
         return s
 
 
-def _generator_columns(n: int, k: int) -> list:
-    """Column i gives letter i's value in each of the n^k assignments."""
-    cols = []
-    for i in range(k):
-        reps = n ** (k - i - 1)
-        cols.append(np.tile(np.repeat(np.arange(n, dtype=np.int32), reps),
-                            n ** i))
-    return cols
-
-
 def rel_free_automaton(m: FiniteMonoid, letters, max_states: int = 60000,
                        max_cells: int = 4_000_000) -> RelFreeAutomaton:
     """Breadth-first closure of the evaluation-vector automaton.
@@ -84,7 +74,7 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_states: int = 60000,
     veclen = n ** k
     if veclen > max_cells:
         raise BudgetExceededError(veclen, max_cells, "vector cells")
-    gen = _generator_columns(n, k)
+    gen = next(_blocks([np.arange(n, dtype=np.int32)] * k, veclen))
     init = np.full(veclen, m.identity, dtype=np.int32)
     zero_key = (np.full(veclen, m.zero, dtype=np.int32).tobytes()
                 if m.zero is not None else None)
@@ -331,16 +321,14 @@ def _tau_term_bounded(m: FiniteMonoid, u: TauWord, letters, fresh, bound,
         cells = m.size ** len(letters)
         if cells > 2_000_000:
             raise BudgetExceededError(cells, 2_000_000, "vector cells")
-        gen = _generator_columns(m.size, len(letters))
+        gen = next(_blocks([np.arange(m.size, dtype=np.int32)] * len(letters),
+                           cells))
 
         def digest(vec):
             return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
 
         def key(combo):
-            vec = np.full(cells, m.identity, dtype=np.int32)
-            for i in combo:
-                vec = m.table[vec, gen[i]]
-            return digest(vec)
+            return digest(_eval_batch(m.table, m.identity, combo, gen, cells))
 
         zero_key = (None if m.zero is None
                     else digest(np.full(cells, m.zero, dtype=np.int32)))

@@ -55,9 +55,6 @@ class Identity:
     def reversed(self) -> "Identity":
         return Identity(tuple(reversed(self.lhs)), tuple(reversed(self.rhs)))
 
-    def swapped(self) -> "Identity":
-        return Identity(self.rhs, self.lhs)
-
     def __str__(self) -> str:
         return f"{print_word(self.lhs)}={print_word(self.rhs)}"
 

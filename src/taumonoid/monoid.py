@@ -6,14 +6,24 @@ and no other module knows how it is stored.  The ``FiniteMonoid`` wrapper
 carries the identity index, an optional two-sided zero, and printable
 labels; construction verifies the entry range, the identity and zero laws
 and associativity, exactly at every size (Light's test over a generating
-set above 64 elements).  The structural predicates are array expressions.
+set above 55 elements).  The structural predicates are array expressions.
+
+Every generated monoid gets its table one way, ``cayley_table``: from the
+right action of the generators on the elements, each column is gathered
+from the column of the element it was first reached from.  The Rees
+quotients of ``construct.build_monoid`` and the presentations here both
+use it.
 
 Presentations are closed by shortlex rewriting.  The given relations are
-oriented longer-to-shorter and completed by resolving critical pairs, so a
-relation like ``ca = c`` together with the zero word ``ac`` correctly forces
-``cc = 0`` even though no given rule touches ``cc``.  If completion or the
-element enumeration does not settle within its cap the construction fails
-loudly; a finished table is verified against every input relation.
+oriented longer-to-shorter and completed by resolving critical pairs, with
+the rules inter-reduced one at a time, so a relation like ``ca = c``
+together with the zero word ``ac`` correctly forces ``cc = 0`` even though
+no given rule touches ``cc``.  The normal forms are then the shortlex-least
+words of their classes.  A depth-first search by right multiplication from
+the generators enumerates them and records the right action for the table.
+If completion or the enumeration does not settle within its cap, or a
+normal form is long enough to pump, the construction fails loudly; a
+finished table is verified against every input relation.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ import numpy as np
 
 __all__ = [
     "FiniteMonoid", "Semigroup", "Presentation", "PresentationError",
-    "from_presentation", "adjoin_identity", "is_j_trivial", "is_aperiodic",
-    "idempotents", "idempotents_commute", "submonoid", "dual",
+    "cayley_table", "from_presentation", "adjoin_identity", "is_j_trivial",
+    "is_aperiodic", "idempotents", "idempotents_commute", "submonoid", "dual",
     "direct_product", "find_isomorphism", "save_monoid", "load_monoid",
     "format_monoid", "parse_monoid",
 ]
@@ -56,14 +66,14 @@ def _closure(t: np.ndarray, inside: np.ndarray, new) -> np.ndarray:
 def _check_associative(t: np.ndarray) -> None:
     """Raise at the lex-first triple (a,b,c) with (ab)c != a(bc), if any.
 
-    Up to 64 elements the whole cube is compared.  Above, Light's test
+    Up to 55 elements the whole cube is compared.  Above, Light's test
     (Clifford-Preston, vol. 1, section 1.2) checks (xg)y = x(gy) for the
     generators g only, grown greedily in index order: the b with
     (xb)y = x(by) for all x, y are closed under products, since
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y), so they are
     everything once they hold the generators.
     """
-    if len(t) <= 64:
+    if len(t) <= 55:
         ok = (t[t] == t[:, t]).all()
     else:
         inside = np.zeros(len(t), dtype=bool)
@@ -171,6 +181,37 @@ class Presentation:
                 raise ValueError(f"word {w!r} uses symbols outside the generators")
 
 
+def cayley_table(right: list, starts: dict, zero: int | None) -> np.ndarray:
+    """The table of a finite semigroup from its right Cayley graph.
+
+    ``right[u][j]`` is the product of element ``u`` by generator ``j``, for
+    every element, the ``zero`` too if there is one.  ``starts`` maps the
+    elements a breadth-first search along ``right`` begins at to their
+    columns, and the search must reach every other element.  It reaches each
+    element ``v`` first as ``u * x`` for a generator ``x``, and column ``v``
+    is column ``u`` mapped through ``right[.][x]``: one whole-column gather
+    per element (Froidure and Pin, "Algorithms for computing finite
+    semigroups", 1997).  This is exact, as ``t * (u * x) = (t * u) * x``.
+    """
+    gather = np.array(right, dtype=np.int32)
+    n = len(right)
+    # a column the search never sets fails the table's range check
+    columns = np.full((n, n), -1, dtype=np.int32)
+    if zero is not None:
+        columns[zero] = zero
+    for v, column in starts.items():
+        columns[v] = column
+    reached = list(starts)
+    seen = {*starts, zero}
+    for u in reached:
+        for j, v in enumerate(right[u]):
+            if v not in seen:
+                seen.add(v)
+                reached.append(v)
+                columns[v] = gather[columns[u], j]
+    return columns.T
+
+
 # -- shortlex completion ---------------------------------------------------
 #
 # Rules are pairs (lhs, rhs) with rhs a word or None (None = zero).  Any word
@@ -212,15 +253,14 @@ def _orient(a, b, order):
 def _complete(rules, order, max_rules=400, max_passes=60):
     rules = list(dict.fromkeys(rules))
     for _ in range(max_passes):
-        # keep every side reduced with respect to the other rules; a rhs is
-        # always shortlex-below its lhs, so reducing it by the full set is safe
-        normalized = []
-        for lhs, rhs in rules:
-            others = [r for r in rules if r != (lhs, rhs)]
-            pair = _orient(_reduce(lhs, others), _reduce(rhs, rules), order)
-            if pair is not None:
-                normalized.append(pair)
-        rules = list(dict.fromkeys(normalized))
+        # reduce both sides of one rule at a time by the other rules as they
+        # now stand: the old rule and its replacement follow from each other
+        # given the rest, so every step keeps the congruence
+        for i in range(len(rules)):
+            rest = [r for r in rules[:i] + rules[i + 1:] if r is not None]
+            lhs, rhs = rules[i]
+            rules[i] = _orient(_reduce(lhs, rest), _reduce(rhs, rest), order)
+        rules = list(dict.fromkeys(r for r in rules if r is not None))
 
         new = []
         for l1, r1 in rules:
@@ -256,83 +296,77 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
 
     The element set is the set of irreducible nonempty generator words under
     the completed rule system, plus a zero element whenever some product
-    collapses.  Raises ``PresentationError`` when the closure does not fit in
-    ``cap`` elements or (after the fact) some input relation fails on the
-    produced table.
+    collapses.  They are numbered in the order a depth-first search along
+    right multiplication by the generators first meets them, and that search
+    records the right action from which ``cayley_table`` builds the table.
+
+    Raises ``PresentationError`` when the closure does not fit in ``cap``
+    elements, when it is infinite, or (after the fact) when some input
+    relation fails on the produced table.  Infinity shows early.  With ``m``
+    the longest left side of the completed rules, a word is irreducible when
+    no left side is a factor of it, so whether an irreducible word stays
+    irreducible as letters are appended depends only on its last ``m - 1``
+    letters.  An irreducible word longer than ``|A|^(m-1) + m - 1`` letters
+    has more than ``|A|^(m-1)`` prefixes of at least ``m - 1`` letters, so
+    two of them end in the same ``m - 1`` letters.  The letters between the
+    two ends can then be repeated at will, each repetition another
+    irreducible word: infinitely many elements.
     """
     order = {g: i for i, g in enumerate(p.generators)}
     rules = [_orient(l, r, order) for l, r in p.relations]
     rules = [r for r in rules if r is not None]
     rules += [(z, None) for z in p.zero_words]
     rules = _complete(rules, order)
+    m = max((len(l) for l, _ in rules), default=1)
+    longest = len(order) ** (m - 1) + m - 1
 
-    words = []
+    words: list = []
     index: dict = {}
-    zero_index = None
-    queue = []
-    for g in p.generators:
-        nf = _reduce(g, rules)
-        if nf is None:
-            zero_index = True
-        elif nf == "":
-            raise PresentationError("presentation collapses a generator to the empty word")
-        elif nf not in index:
+    right: list = []
+    stack: list = []
+
+    def element(word):
+        nf = _reduce(word, rules)
+        if nf is not None and nf not in index:
+            if len(nf) > longest:
+                raise PresentationError(
+                    f"not closed within cap: the closure is infinite (a "
+                    f"normal form of {len(nf)} letters pumps)")
+            if len(words) >= cap:
+                raise PresentationError("not closed within cap")
             index[nf] = len(words)
             words.append(nf)
-            queue.append(nf)
-    while queue:
-        w = queue.pop()
-        for g in p.generators:
-            nf = _reduce(w + g, rules)
-            if nf is None:
-                zero_index = True
-            elif nf not in index:
-                if len(words) >= cap:
-                    raise PresentationError("not closed within cap")
-                index[nf] = len(words)
-                words.append(nf)
-                queue.append(nf)
-    if zero_index or p.zero_words:
-        zero_index = len(words)
-    else:
-        zero_index = None
-    n = len(words) + (1 if zero_index is not None else 0)
+            right.append(None)
+            stack.append(nf)
+        return None if nf is None else index[nf]
 
-    def val(word):
-        nf = _reduce(word, rules)
-        if nf is None:
-            if zero_index is None:
-                raise PresentationError("product collapsed to zero unexpectedly")
-            return zero_index
-        if nf == "":
-            raise PresentationError("presentation collapses a word to the empty word")
-        return index[nf]
-
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == zero_index or j == zero_index:
-                row.append(zero_index)
-            else:
-                row.append(val(words[i] + words[j]))
-        rows.append(tuple(row))
-    labels = tuple(words) + (("0",) if zero_index is not None else ())
-    sg = Semigroup(table=tuple(rows), labels=labels, zero=zero_index)
+    letter = {g: element(g) for g in p.generators}
+    while stack:
+        w = stack.pop()
+        right[index[w]] = [element(w + g) for g in p.generators]
+    collapsed = None in letter.values() or any(None in r for r in right)
+    zero = len(words) if collapsed or p.zero_words else None
+    if zero is not None:
+        right = [[zero if v is None else v for v in r] for r in right]
+        right.append([zero] * len(letter))
+        letter = {g: zero if v is None else v for g, v in letter.items()}
+    starts = {v: [r[order[g]] for r in right] for g, v in letter.items()}
+    labels = tuple(words) + (("0",) if zero is not None else ())
+    sg = Semigroup(table=cayley_table(right, starts, zero), labels=labels,
+                   zero=zero)
 
     # verification: the table must satisfy every input relation exactly
-    def eval_word(word):
-        it = iter(word)
-        acc = val(next(it))
-        for c in it:
-            acc = sg.table[acc, val(c)]
+    def value(word):
+        acc = letter[word[0]]
+        for c in word[1:]:
+            acc = sg.table[acc, letter[c]]
         return acc
 
     for l, r in p.relations:
-        if eval_word(l) != eval_word(r):
+        if value(l) != value(r):
             raise PresentationError(f"non-confluent orientation: relation {l}={r} violated")
     for z in p.zero_words:
-        if eval_word(z) != zero_index:
+        if value(z) != zero:
             raise PresentationError(f"non-confluent orientation: {z}=0 violated")
     return sg
 

@@ -56,6 +56,29 @@ class TestMonoidCommands:
         code, out, _ = run(capsys, "present", "S")
         assert code == 0 and "11 elements" in out
 
+    @pytest.mark.parametrize("text,want", [
+        ("gens: a b\na = b\n0 = b\n", "1 elements: 0"),
+        ("gens: a b\na = bb\nb = bb\n0 = ba\n", "1 elements: 0"),
+        ("gens: a b\naa = aabb = b\n", "5 elements: a, b, ab, bb, abb"),
+    ], ids=["a=b,b=0", "a=bb,b=bb,ba=0", "aa=aabb=b"])
+    def test_present_file(self, capsys, tmp_path, text, want):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "present", str(path))
+        assert code == 0 and out.strip() == want
+
+    @pytest.mark.parametrize("text", [
+        "gens: a b\nab = ba\n",
+        "gens: a b\naba = b\n",
+        "gens: a b\nab = ba\naa = a\n",
+    ], ids=["ab=ba", "aba=b", "ab=ba,aa=a"])
+    def test_present_infinite_file(self, capsys, tmp_path, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "present", str(path))
+        assert code == 2 and "not closed within cap" in err
+        assert "infinite" in err and len(err.strip().splitlines()) == 1
+
     def test_iso(self, capsys):
         code, out, _ = run(capsys, "iso",
                            "sub(M[lambda](bta+b+); a+, b, ta+)", "S1")
@@ -232,7 +255,8 @@ SURFACES = {
         st.just("jtrivial {file}"),
         _mutated(format_monoid(named_monoid("A01")))),
     # the appended relations keep every closure finite and small: without
-    # them an edit such as 'ab = ba' takes seconds to reach the closure cap
+    # them an edit such as 'ab = bb' keeps the completion adding rules for
+    # about a minute before it gives up
     "presentation files": st.tuples(
         st.just("present {file}"),
         _mutated("gens: a b\naa = a\nbb = b\n0 = ab, ba\n").map(
