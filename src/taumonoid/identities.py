@@ -19,6 +19,17 @@ instead of the rest of 19^7.  Im(B) itself is the set product of the
 images of B's maximal consecutive parts that share no letters (``_image``):
 for y1^2 ... y5^2, five scans of 19 values and four products of at most
 19 by 19.
+
+Direct products: a product evaluates coordinate by coordinate, so an
+identity holds in A x B exactly when it holds in A and in B; this is the
+fact behind Var(A x B) = Var A v Var B (Burris and Sankappanavar, "A Course
+in Universal Algebra", ch. II).  A monoid built by
+``monoid.direct_product`` records its factors, and ``satisfies`` decides
+"holds" on them, recursively for nested products: on the 42-element
+product of dualA1 and E1 a four-letter identity that holds costs
+7^4 + 6^4 evaluations instead of 42^4.  A violated factor only says that
+the product is violated somewhere; the lex-first witness is then found by
+the ordinary scan of the product.
 """
 
 from __future__ import annotations
@@ -221,12 +232,17 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     """Exhaustively check one identity against a monoid.
 
     Reports the lex-first violating substitution, evaluating at most
-    ``chunk`` substitutions at a time.  If the first block is clean and more
-    remain, a shared private factor B (module docstring) is collapsed: when
-    the reduced identity holds, so does this one; otherwise the ordinary
-    scan resumes, so the witness stays the lex-first one.
-    ``checked`` counts the substitutions evaluated on either identity, not
-    those computing Im(B); ``budget`` still refuses on |M|^k.
+    ``chunk`` substitutions at a time.  A direct product is first checked
+    factor by factor (module docstring); if a factor is violated, the
+    product itself is scanned as below.  If the first block is clean and
+    more remain, a shared private factor B (module docstring) is collapsed:
+    when the reduced identity holds, so does this one; otherwise the
+    ordinary scan resumes, so the witness stays the lex-first one.
+    ``checked`` counts the substitutions evaluated on every identity and
+    monoid scanned: the factors', then the reduced and the given identity
+    on the monoid itself, but not those computing Im(B).  So when every
+    factor holds, it is the sum of the factors' counts.  ``budget`` still
+    refuses on |M|^k of the monoid given.
 
     ``jobs`` is accepted so that existing callers keep working, and ignored:
     with the reduction the costliest corpus identity takes well under a
@@ -241,12 +257,22 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     if k == 0:
         return SatisfactionResult(ident, True, checked=1)
 
+    parts = []
+    for factor in m.factors:
+        parts.append(satisfies(factor, ident, chunk=chunk))
+        if not parts[-1].holds:
+            break
+    checked = sum(part.checked for part in parts)
+    if parts and parts[-1].holds:
+        return SatisfactionResult(ident, True, checked=checked)
+
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    found, checked = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
-                                      _blocks(domains, chunk, 0, 1))
-    if found is None and checked < total:
+    found, first = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
+                                    _blocks(domains, chunk, 0, 1))
+    checked += first
+    if found is None and first < total:
         reduced = _reduced(m.table, m.identity, ident, letters, chunk)
         if reduced is not None:
             r_found, r_checked = _first_violation(m.table, m.identity, *reduced)

@@ -28,7 +28,7 @@ finished table is verified against every input relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,6 +141,8 @@ class Semigroup:
 @dataclass(frozen=True, eq=False)
 class FiniteMonoid(Semigroup):
     identity: int = 0
+    # the monoids this one is the direct product of, in order, or ()
+    factors: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -458,7 +460,13 @@ def dual(m: FiniteMonoid) -> FiniteMonoid:
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteMonoid:
-    """The product monoid; the pair (a, b) has index a * n.size + b."""
+    """The product monoid; the pair (a, b) has index a * n.size + b.
+
+    The result records ``(m, n)`` as its ``factors``, which
+    ``identities.satisfies`` checks one at a time.  They take no part in
+    equality or the text format, so a product read back from its file is
+    an ordinary monoid.
+    """
     size = m.size * n.size
     if size > cap:
         raise ValueError(f"product size {size} exceeds cap {cap}")
@@ -468,7 +476,8 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
     labels = tuple(f"({a},{b})" for a in m.labels for b in n.labels)
     zero = m.zero * k + n.zero if m.zero is not None and n.zero is not None else None
     return FiniteMonoid(table=table, labels=labels,
-                        identity=m.identity * k + n.identity, zero=zero)
+                        identity=m.identity * k + n.identity, zero=zero,
+                        factors=(m, n))
 
 
 # -- isomorphism search ----------------------------------------------------

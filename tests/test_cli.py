@@ -118,6 +118,14 @@ class TestMonoidCommands:
                              "xtysxy=xtysyx", "--budget", "100")
         assert code == 2 and "refused" in err
 
+    def test_check_budget_refusal_on_a_product(self, capsys):
+        # the budget counts the product's substitutions, not its factors'
+        code, out, err = run(capsys, "check", "--budget", "1000",
+                             "prod(dualA1,E1)", "xtyxsy=xtyxysy")
+        assert code == 2 and out == ""
+        assert err == ("refused: search needs 3111696 substitutions, "
+                       "budget is 1000\n")
+
     def test_check_with_jobs(self, capsys):
         # check runs one exact single-process scan, so --jobs is gone.
         code, out, _ = run(capsys, "check", "M[lambda](bta+b+)",

@@ -1,16 +1,18 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from taumonoid.catalog import monoid_with_identity, mtau
+from taumonoid.catalog import monoid_with_identity, mtau, named_monoid
 from taumonoid.identities import (BudgetExceededError, Identity, _image,
                                   estimate_cost, long_identity,
                                   naive_satisfies, parse_identity,
                                   parse_identity_file, satisfies,
                                   satisfies_all)
-from taumonoid.monoid import FiniteMonoid
+from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
+                              format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
@@ -185,6 +187,113 @@ class TestBlockElimination:
         table = np.asarray(m.table, dtype=np.int32)
         got = _image(table, m.identity, block, chunk)
         assert got.tolist() == sorted(brute)
+
+
+@st.composite
+def _factors(draw):
+    """A monoid of SMALL_POOL, as it is, dualised, or a submonoid of it."""
+    m = draw(st.sampled_from(SMALL_POOL))
+    how = draw(st.sampled_from(["plain", "dual", "submonoid"]))
+    if how == "dual":
+        return dual(m)
+    if how == "submonoid":
+        gens = draw(st.lists(st.integers(0, m.size - 1), max_size=2))
+        return submonoid(m, gens)[0]
+    return m
+
+
+@st.composite
+def _products(draw):
+    """prod(A,B), prod(prod(A,B),C) or prod(A,prod(B,C)), at most 36 elements."""
+    m = direct_product(draw(_factors()), draw(_factors()))
+    nest = draw(st.sampled_from(["none", "left", "right"]))
+    if nest == "left":
+        m = direct_product(m, draw(_factors()))
+    elif nest == "right":
+        m = direct_product(draw(_factors()), m)
+    assume(m.size <= 36)
+    return m
+
+
+def _nested_products():
+    e1 = monoid_with_identity("E")
+    return [
+        direct_product(Z2, SEMILATTICE),
+        direct_product(direct_product(SEMILATTICE, dual(mtau("trivial", "xy"))),
+                       Z2),
+        direct_product(mtau("gamma", "a+t"),
+                       submonoid(e1, [1])[0]),
+        direct_product(SEMILATTICE,
+                       direct_product(mtau("tau1", "a+b+"), mtau("trivial", "x"))),
+    ]
+
+
+class TestDirectProducts:
+    """An identity is checked on a product's factors first (module docstring)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_products(),
+           st.sampled_from([t for t in IDENTITY_POOL
+                            if len(parse_identity(t).letters()) <= 3])
+           | st.builds(Identity, _word_over("xyz"), _word_over("xyz")),
+           st.sampled_from([7, 1 << 18]))
+    def test_agrees_with_naive(self, m, ident, chunk):
+        if isinstance(ident, str):
+            ident = parse_identity(ident)
+        fast = satisfies(m, ident, chunk=chunk)
+        slow = naive_satisfies(m, ident)
+        assert fast.holds == slow.holds
+        assert fast.witness == slow.witness
+        assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
+
+    def test_nested_products_agree_with_naive(self):
+        verdicts = set()
+        for m in _nested_products():
+            for text in IDENTITY_POOL:
+                ident = parse_identity(text)
+                if len(ident.letters()) > 3:
+                    continue
+                fast = satisfies(m, ident)
+                slow = naive_satisfies(m, ident)
+                assert fast.holds == slow.holds, (m.labels, text)
+                assert fast.witness == slow.witness, (m.labels, text)
+                assert (fast.lhs_value, fast.rhs_value) == (
+                    slow.lhs_value, slow.rhs_value), (m.labels, text)
+                verdicts.add(fast.holds)
+        assert verdicts == {True, False}
+
+    def test_holds_counts_only_the_factor_scans(self):
+        p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
+        res = satisfies(p, parse_identity("xtyxsy=xtyxysy"))
+        assert res.holds
+        assert res.checked == 7 ** 4 + 6 ** 4
+
+    def test_nested_holds_counts_every_leaf(self):
+        p = direct_product(direct_product(Z2, SEMILATTICE), SEMILATTICE)
+        res = satisfies(p, parse_identity("xy=yx"))
+        assert res.holds and res.checked == 3 * 2 ** 2
+
+    def test_without_factors_the_product_is_scanned(self):
+        # a product read back from its text, or dualised twice, has no
+        # factors and takes the full scan to the same answer
+        p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
+        reloaded = parse_monoid(format_monoid(p))
+        twice = dual(dual(p))
+        assert reloaded.factors == () and twice.factors == ()
+        for text, holds in [("xtyxsy=xtyxysy", True), ("xyx=xxy", False)]:
+            ident = parse_identity(text)
+            full = satisfies(reloaded, ident)
+            assert full.holds == holds
+            assert satisfies(twice, ident) == full
+            assert replace(satisfies(p, ident), checked=full.checked) == full
+            if holds:
+                assert full.checked == 42 ** 4
+
+    def test_budget_refuses_on_the_product(self):
+        p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
+        with pytest.raises(BudgetExceededError) as e:
+            satisfies(p, parse_identity("xtyxsy=xtyxysy"), budget=1000)
+        assert e.value.needed == 42 ** 4
 
 
 class TestWitnessReporting:

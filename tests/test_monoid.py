@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -242,6 +243,34 @@ class TestDualAndProduct:
         k = mtau("lambda", "bta+b+")
         with pytest.raises(ValueError):
             direct_product(k, k, cap=10)
+
+    def test_product_records_its_factors(self):
+        a, e = named_monoid("dualA1"), monoid_with_identity("E")
+        p = direct_product(a, e)
+        assert p.factors == (a, e)
+        assert dual(p).factors == ()
+        assert submonoid(p, [1])[0].factors == ()
+        assert parse_monoid(format_monoid(p)).factors == ()
+
+    def test_factors_are_invisible(self):
+        # equality, repr and the text format see only the table, labels,
+        # identity and zero
+        p = direct_product(named_monoid("dualA1"), monoid_with_identity("E"))
+        plain = FiniteMonoid(table=p.table, labels=p.labels,
+                             identity=p.identity, zero=p.zero)
+        assert p == plain and plain == p
+        assert repr(p) == repr(plain)
+        assert "factors" not in repr(p)
+        assert format_monoid(p) == format_monoid(plain)
+
+    def test_product_text_unchanged(self):
+        # sha256 of the .mon text written for prod(dualA1,E1) before the
+        # product recorded its factors
+        text = format_monoid(direct_product(named_monoid("dualA1"),
+                                            monoid_with_identity("E")))
+        assert len(text) == 5517
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d0e41b2728ecd9f55075417530a84c7bcac5a1d2eeb18d07dbe5d2e22cf8b2b1")
 
 
 class TestIsomorphism:
