@@ -104,12 +104,14 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
 def lower_set(ws: TauWordSet) -> set:
     """The downward closure of a word set in the factor order.
 
-    Contains the empty word whenever the set is nonempty.
+    Contains the empty word whenever the set is nonempty.  The words of
+    ``_lower_words`` are canonical forms already, so they are not checked
+    again.
     """
     out: set = set()
     for w in ws.words:
         out |= _lower_words(w, ws.tau)
-    return {TauWord(w, ws.tau) for w in out}
+    return {TauWord.of_canonical(w, ws.tau) for w in out}
 
 
 def build_monoid(ws: TauWordSet) -> FiniteMonoid:

@@ -24,6 +24,13 @@ the generators enumerates them and records the right action for the table.
 If completion or the enumeration does not settle within its cap, or a
 normal form is long enough to pump, the construction fails loudly; a
 finished table is verified against every input relation.
+
+One right Cayley graph search, ``_generators``, grows a generating set
+greedily; it gives Light's test its generators, ``submonoid`` its closure,
+and ``find_isomorphism`` the elements whose images it searches for.  That
+search extends the map along the right Cayley graph as each image is chosen,
+and takes its candidate images from one colour refinement of both tables
+together, whose rounds are array sorts.
 """
 
 from __future__ import annotations
@@ -45,22 +52,36 @@ class PresentationError(ValueError):
     pass
 
 
-def _closure(t: np.ndarray, inside: np.ndarray, new) -> np.ndarray:
-    """The mask ``inside`` plus ``new``, closed under products.
+def _generators(rows: list, among=None) -> tuple:
+    """A generating set grown greedily, and the mask of what it generates.
 
-    ``inside`` must already be closed: each round forms only the products
-    with a factor among the elements added in the round before.
+    ``rows`` is a table as nested lists.  The candidates ``among`` (every
+    element in index order by default) are taken in turn, each one that no
+    product of those taken before reaches.  Products are followed along the
+    right Cayley graph: a new generator multiplies every element reached so
+    far on the right, and each newly reached element is multiplied by every
+    generator.
     """
-    inside = inside.copy()
-    new = np.asarray(new, dtype=np.intp)
-    while len(new):
-        inside[new] = True
-        members = np.flatnonzero(inside)
-        reached = np.zeros(len(t), dtype=bool)
-        reached[t[np.ix_(new, members)]] = True
-        reached[t[np.ix_(members, new)]] = True
-        new = np.flatnonzero(reached & ~inside)
-    return inside
+    inside = [False] * len(rows)
+    reached: list = []
+    gens: list = []
+    for g in range(len(rows)) if among is None else among:
+        if inside[g]:
+            continue
+        gens.append(g)
+        i = len(reached)
+        for x in [g] + [rows[u][g] for u in reached]:
+            if not inside[x]:
+                inside[x] = True
+                reached.append(x)
+        while i < len(reached):
+            for h in gens:
+                x = rows[reached[i]][h]
+                if not inside[x]:
+                    inside[x] = True
+                    reached.append(x)
+            i += 1
+    return gens, np.array(inside, dtype=bool)
 
 
 def _check_associative(t: np.ndarray) -> None:
@@ -68,21 +89,17 @@ def _check_associative(t: np.ndarray) -> None:
 
     Up to 55 elements the whole cube is compared.  Above, Light's test
     (Clifford-Preston, vol. 1, section 1.2) checks (xg)y = x(gy) for the
-    generators g only, grown greedily in index order: the b with
-    (xb)y = x(by) for all x, y are closed under products, since
+    generators g of ``_generators`` only: the b with (xb)y = x(by) for all
+    x, y are closed under products, since
     (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y), so they are
-    everything once they hold the generators.
+    everything once they hold a set whose products, even taken left to
+    right only, reach every element.
     """
     if len(t) <= 55:
         ok = (t[t] == t[:, t]).all()
     else:
-        inside = np.zeros(len(t), dtype=bool)
-        for g in range(len(t)):
-            if not inside[g]:
-                if not (t[t[:, g]] == np.take(t, t[g], axis=1)).all():
-                    break
-                inside = _closure(t, inside, [g])
-        ok = inside.all()
+        ok = all((t[t[:, g]] == np.take(t, t[g], axis=1)).all()
+                 for g in _generators(t.tolist())[0])
     if ok:
         return
     for a in range(len(t)):
@@ -442,8 +459,7 @@ def submonoid(m: FiniteMonoid, gens):
 
     The embedding maps new indices to indices of ``m``.
     """
-    inside = _closure(m.table, np.zeros(m.size, dtype=bool),
-                      [*gens, m.identity])
+    inside = _generators(m.table.tolist(), [*gens, m.identity])[1]
     embed = np.flatnonzero(inside).tolist()
     pos = np.cumsum(inside) - 1
     # the ambient zero absorbs every element, those of the submonoid too
@@ -482,34 +498,56 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
 
 # -- isomorphism search ----------------------------------------------------
 
-def _refined_colors(table: list, extra: list) -> list:
-    n = len(table)
-    colors = []
-    for x in range(n):
-        acc, seen = x, {x: 0}
-        k = 0
-        while True:
-            acc = table[acc][x]
-            k += 1
-            if acc in seen:
-                idx, period = seen[acc], k - seen[acc]
-                break
-            seen[acc] = k
-        colors.append((table[x][x] == x, idx, period, extra[x]))
-    # iterative refinement by multiplication behaviour against color classes;
-    # each round that does not stop splits a class, so at most n rounds run
+def _classes(rows: np.ndarray) -> np.ndarray:
+    """Equal rows of a C-contiguous array get equal numbers, from 0 up."""
+    whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.unique(whole.ravel(), return_inverse=True)[1].ravel()
+
+
+def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
+    """Invariant colours of the elements of two equal-sized monoids.
+
+    Both tables are coloured together, so a colour is one class across m
+    and n, and an isomorphism keeps every element's colour.  Element x of
+    n is numbered ``size + x``.  The first colours are whether x is
+    idempotent, the index and period of x, and ``extra``.  Each round then
+    colours x by its colour and the sorted row of (c[y], c[xy], c[yx]) over
+    the y of its own monoid, until the number of classes stops growing.
+    Returns the colours of m and n as the two rows of one array.
+    """
+    s = m.size
+    right = np.concatenate([m.table, n.table + s])
+    left = np.concatenate([m.table.T, n.table.T + s])
+    every = np.arange(2 * s)
+    # x^1 .. x^(s+1), or up to the first power at which every x repeats its
+    # last one: the last power lies on the cycle of x, so the period is the
+    # distance back to its last repeat, and the index what precedes the cycle
+    powers = [every]
+    while len(powers) <= s:
+        powers.append(right[powers[-1], every % s])
+        if (powers[-1] == powers[-2]).all():
+            break
+    powers = np.array(powers)
+    period = np.argmax(powers[-2::-1] == powers[-1], axis=0) + 1
+    distinct = 1 + (np.diff(np.sort(powers, axis=0), axis=0) != 0).sum(axis=0)
+    colors = _classes(np.column_stack(
+        [powers[1] == every, distinct - period, period, extra]))
+    # row x: c[x], then the keys over the y of x's own monoid, in place
+    keys = np.empty((2, s, s + 1), dtype=np.int64)
+    body = keys[:, :, 1:]
     while True:
-        palette = sorted(set(colors))
-        rank = {c: i for i, c in enumerate(palette)}
-        cur = [rank[c] for c in colors]
-        nxt = []
-        for x in range(n):
-            row = sorted((cur[y], cur[table[x][y]], cur[table[y][x]])
-                         for y in range(n))
-            nxt.append((cur[x], tuple(row)))
-        if len(set(nxt)) == len(set(cur)):
-            return cur
-        colors = nxt
+        k = colors.max() + 1
+        keys[:, :, 0] = own = colors.reshape(2, s)
+        body[...] = own[:, None, :]
+        body *= k
+        body += colors[right].reshape(2, s, s)
+        body *= k
+        body += colors[left].reshape(2, s, s)
+        body.sort(axis=2)
+        finer = _classes(keys.reshape(2 * s, s + 1))
+        if finer.max() + 1 == k:
+            return own
+        colors = finer
 
 
 def _absorbing_element(m: Semigroup):
@@ -523,90 +561,96 @@ def _absorbing_element(m: Semigroup):
 def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     """A multiplication-preserving bijection m -> n, or None.
 
-    The identity maps to the identity and the absorbing element (derived
-    from the table, not the declared field) to the absorbing element.
-    Backtracking is seeded by iterated invariant colors; at the sizes used
-    here the search is exhaustive, so ``None`` means non-isomorphic.
+    A homomorphism is fixed by its images of a generating set G of m
+    (``_generators``), since f(u*g) = f(u)*f(g).  The search backtracks
+    over the images of G in index order, each tried in ascending order
+    among the elements of n with the same colour (``_joint_colors``; the
+    identity and the absorbing element, derived from the table, get
+    colours of their own).  After each choice the map is extended from the
+    identity along the right Cayley graph of the generators chosen so far;
+    a product whose image conflicts, repeats an image or changes colour
+    rejects the choice at once.  Colours are kept by every isomorphism, so
+    the search is exhaustive over the images of G: ``None`` means
+    non-isomorphic.  A complete map is checked against both tables.
     """
     if m.size != n.size:
         return None
     mz, nz = _absorbing_element(m), _absorbing_element(n)
     if (mz is None) != (nz is None):
         return None
-    extra_m = [0] * m.size
-    extra_n = [0] * n.size
-    extra_m[m.identity] = 1
-    extra_n[n.identity] = 1
-    if mz is not None:
-        extra_m[mz] = 2
-        extra_n[nz] = 2
-    mt, nt = m.table.tolist(), n.table.tolist()
-    cm = _refined_colors(mt, extra_m)
-    cn = _refined_colors(nt, extra_n)
-    if sorted(cm) != sorted(cn):
-        return None
     size = m.size
-    candidates = [[y for y in range(size) if cn[y] == cm[x]] for x in range(size)]
-    order = sorted(range(size), key=lambda x: len(candidates[x]))
+    extra = np.zeros(2 * size, dtype=np.intp)
+    extra[[m.identity, size + n.identity]] = 1
+    if mz is not None:
+        extra[[mz, size + nz]] = 2
+    cm, cn = _joint_colors(m, n, extra)
+    if not np.array_equal(np.sort(cm), np.sort(cn)):
+        return None
+    mt, nt = m.table.tolist(), n.table.tolist()
+    gens = _generators(mt)[0]
+    candidates = [np.flatnonzero(cn == cm[g]).tolist() for g in gens]
+    cm, cn = cm.tolist(), cn.tolist()
     mapping = [-1] * size
     used = [False] * size
+    mapping[m.identity] = n.identity
+    used[n.identity] = True
+    # the mapped elements in the order reached, and the chosen generators
+    reached = [m.identity]
+    chosen: list = []
 
-    def assign(x, y, trail):
-        """Map x to y and force every product image this determines.
-
-        Keeps the invariant that for mapped a, z the product a*z is mapped
-        compatibly, so a completed assignment is a homomorphism by
-        construction.  Appends everything it sets to ``trail`` so the caller
-        can undo on failure.
-        """
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            if mapping[a] >= 0:
-                if mapping[a] != b:
-                    return False
-                continue
-            if used[b] or cm[a] != cn[b]:
-                return False
-            mapping[a] = b
-            used[b] = True
-            trail.append((a, b))
-            for z in range(size):
-                w = mapping[z]
-                if w < 0:
-                    continue
-                stack.append((mt[a][z], nt[b][w]))
-                stack.append((mt[z][a], nt[w][b]))
+    def settle(a, b):
+        if mapping[a] >= 0:
+            return mapping[a] == b
+        if used[b] or cm[a] != cn[b]:
+            return False
+        mapping[a] = b
+        used[b] = True
+        reached.append(a)
         return True
 
-    def undo(trail):
-        for a, b in trail:
+    def extend(g, y):
+        # the elements reached so far are closed under the chosen
+        # generators; they now need g, and the new ones every generator
+        start = len(reached)
+        chosen.append((g, y))
+        if not all(settle(mt[u][g], nt[mapping[u]][y]) for u in reached[:start]):
+            return False
+        i = start
+        while i < len(reached):
+            u = reached[i]
+            if not all(settle(mt[u][h], nt[mapping[u]][z]) for h, z in chosen):
+                return False
+            i += 1
+        return True
+
+    def retract(start):
+        chosen.pop()
+        for a in reached[start:]:
+            used[mapping[a]] = False
             mapping[a] = -1
-            used[b] = False
+        del reached[start:]
 
-    def backtrack(i):
-        if i == size:
-            return True
-        x = order[i]
-        if mapping[x] >= 0:
-            return backtrack(i + 1)
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            trail: list = []
-            if assign(x, y, trail) and backtrack(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    seed: list = []
-    if not assign(m.identity, n.identity, seed):
-        return None
-    if mz is not None and mapping[mz] < 0:
-        if not assign(mz, nz, seed):
-            return None
-    if not backtrack(0):
-        return None
+    # depth first over the generators, without recursion: tried[i] counts
+    # the images of gens[i] tried so far, and marks[i] is the length of
+    # ``reached`` before its current image was chosen
+    tried = [0] * len(gens)
+    marks: list = []
+    i = 0
+    while i < len(gens):
+        if tried[i] == len(candidates[i]):
+            if not marks:
+                return None
+            tried[i] = 0
+            i -= 1
+            retract(marks.pop())
+            continue
+        y = candidates[i][tried[i]]
+        tried[i] += 1
+        marks.append(len(reached))
+        if extend(gens[i], y):
+            i += 1
+        else:
+            retract(marks.pop())
     # soundness check against both tables
     f = np.array(mapping)
     if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):

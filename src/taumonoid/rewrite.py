@@ -201,6 +201,14 @@ class TauWord:
     def make(w: Word, tau: str) -> "TauWord":
         return TauWord(canonical(w, tau), tau)
 
+    @classmethod
+    def of_canonical(cls, w: Word, tau: str) -> "TauWord":
+        """Wrap ``w`` without checking it: the caller knows it is canonical."""
+        tw = object.__new__(cls)
+        object.__setattr__(tw, "word", w)
+        object.__setattr__(tw, "tau", tau)
+        return tw
+
     def __str__(self) -> str:
         return print_word(self.word)
 

@@ -80,9 +80,20 @@ class TestMonoidCommands:
         assert "infinite" in err and len(err.strip().splitlines()) == 1
 
     def test_iso(self, capsys):
+        # the whole mapping line is pinned: the search picks the same map
+        # among the isomorphisms whatever method it uses
         code, out, _ = run(capsys, "iso",
                            "sub(M[lambda](bta+b+); a+, b, ta+)", "S1")
-        assert code == 0 and out.startswith("isomorphic")
+        assert code == 0 and out == (
+            "isomorphic: 1->1, a+->a, b->b, b+->bb, a+b->ab, a+b+->abb, "
+            "ta+->c, bta+->bc, ta+b->cb, ta+b+->cbb, bta+b+->bcb, 0->0\n")
+        code, out, _ = run(capsys, "iso", "M[rho](b+a+tb)",
+                           "dual(M[lambda](bta+b+))")
+        assert code == 0 and out == (
+            "isomorphic: 1->1, a->a, a+->a+, b->b, b+->b+, t->t, a+t->ta+, "
+            "at->ta, b+a->ab+, b+a+->a+b+, ba->ab, ba+->a+b, tb->bt, "
+            "a+tb->bta+, atb->bta, b+a+t->ta+b+, ba+t->ta+b, "
+            "b+a+tb->bta+b+, 0->0\n")
         code, out, _ = run(capsys, "iso", "M[gamma](a+t)", "M[gamma](ta+)")
         assert code == 1
 

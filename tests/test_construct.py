@@ -185,6 +185,14 @@ class TestLowerSet:
     def test_empty_set(self):
         assert lower_set(TauWordSet("lambda", [])) == set()
 
+    def test_words_pass_the_canonical_check(self):
+        # lower_set wraps its words unchecked; the checked constructor
+        # accepts every one of them
+        for _, tau, text in FIG_LATTICE + EXTRA_GENERATORS:
+            low = lower_set(TauWordSet(tau, [parse_word(w.strip())
+                                             for w in text.split(",")]))
+            assert {TauWord(t.word, t.tau) for t in low} == low, (tau, text)
+
     def test_golden_ata(self):
         low = lower_set(TauWordSet("lambda", [parse_word("ata+")]))
         assert sorted(str(t) for t in low) == ATA_LOWER

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,7 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               idempotents_commute, is_aperiodic, is_j_trivial,
                               parse_monoid, submonoid)
 from taumonoid.monoid import _complete, _orient, _reduce
+from test_identities import SEMILATTICE, SMALL_POOL
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 TRIVIAL = FiniteMonoid(table=((0,),), labels=("1",), identity=0)
@@ -273,6 +275,139 @@ class TestDualAndProduct:
             "d0e41b2728ecd9f55075417530a84c7bcac5a1d2eeb18d07dbe5d2e22cf8b2b1")
 
 
+# -- the colour-refinement search, kept as the oracle of find_isomorphism --
+
+def refined_colors(table: list, extra: list) -> list:
+    n = len(table)
+    colors = []
+    for x in range(n):
+        acc, seen = x, {x: 0}
+        k = 0
+        while True:
+            acc = table[acc][x]
+            k += 1
+            if acc in seen:
+                idx, period = seen[acc], k - seen[acc]
+                break
+            seen[acc] = k
+        colors.append((table[x][x] == x, idx, period, extra[x]))
+    # iterative refinement by multiplication behaviour against color classes;
+    # each round that does not stop splits a class, so at most n rounds run
+    while True:
+        palette = sorted(set(colors))
+        rank = {c: i for i, c in enumerate(palette)}
+        cur = [rank[c] for c in colors]
+        nxt = []
+        for x in range(n):
+            row = sorted((cur[y], cur[table[x][y]], cur[table[y][x]])
+                         for y in range(n))
+            nxt.append((cur[x], tuple(row)))
+        if len(set(nxt)) == len(set(cur)):
+            return cur
+        colors = nxt
+
+
+def absorbing_element(table: list):
+    n = len(table)
+    return next((z for z in range(n)
+                 if all(table[z][x] == z == table[x][z] for x in range(n))), None)
+
+
+def find_isomorphism_by_refinement(m: FiniteMonoid, n: FiniteMonoid):
+    """Oracle: a multiplication-preserving bijection m -> n, or None.
+
+    The identity maps to the identity and the absorbing element (derived
+    from the table, not the declared field) to the absorbing element.
+    Each table is coloured on its own, in pure Python, and the search
+    backtracks over the image of every element in turn, smallest colour
+    class first, forcing the image of every product of mapped elements.
+    """
+    if m.size != n.size:
+        return None
+    mt, nt = m.table.tolist(), n.table.tolist()
+    mz, nz = absorbing_element(mt), absorbing_element(nt)
+    if (mz is None) != (nz is None):
+        return None
+    extra_m = [0] * m.size
+    extra_n = [0] * n.size
+    extra_m[m.identity] = 1
+    extra_n[n.identity] = 1
+    if mz is not None:
+        extra_m[mz] = 2
+        extra_n[nz] = 2
+    cm = refined_colors(mt, extra_m)
+    cn = refined_colors(nt, extra_n)
+    if sorted(cm) != sorted(cn):
+        return None
+    size = m.size
+    candidates = [[y for y in range(size) if cn[y] == cm[x]] for x in range(size)]
+    order = sorted(range(size), key=lambda x: len(candidates[x]))
+    mapping = [-1] * size
+    used = [False] * size
+
+    def assign(x, y, trail):
+        """Map x to y and force every product image this determines.
+
+        Keeps the invariant that for mapped a, z the product a*z is mapped
+        compatibly, so a completed assignment is a homomorphism by
+        construction.  Appends everything it sets to ``trail`` so the caller
+        can undo on failure.
+        """
+        stack = [(x, y)]
+        while stack:
+            a, b = stack.pop()
+            if mapping[a] >= 0:
+                if mapping[a] != b:
+                    return False
+                continue
+            if used[b] or cm[a] != cn[b]:
+                return False
+            mapping[a] = b
+            used[b] = True
+            trail.append((a, b))
+            for z in range(size):
+                w = mapping[z]
+                if w < 0:
+                    continue
+                stack.append((mt[a][z], nt[b][w]))
+                stack.append((mt[z][a], nt[w][b]))
+        return True
+
+    def undo(trail):
+        for a, b in trail:
+            mapping[a] = -1
+            used[b] = False
+
+    def backtrack(i):
+        if i == size:
+            return True
+        x = order[i]
+        if mapping[x] >= 0:
+            return backtrack(i + 1)
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            trail: list = []
+            if assign(x, y, trail) and backtrack(i + 1):
+                return True
+            undo(trail)
+        return False
+
+    seed: list = []
+    if not assign(m.identity, n.identity, seed):
+        return None
+    if mz is not None and mapping[mz] < 0:
+        if not assign(mz, nz, seed):
+            return None
+    if not backtrack(0):
+        return None
+    # soundness check against both tables
+    f = np.array(mapping)
+    if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):
+        return None
+    return mapping
+
+
 class TestIsomorphism:
     def test_positive_suite(self):
         assert find_isomorphism(mtau("gamma", "a+t"), mtau("lambda", "a+t"))
@@ -306,6 +441,127 @@ class TestIsomorphism:
         abar = named_monoid("dualA1")
         assert find_isomorphism(a1, abar) is None
         assert find_isomorphism(dual(a1), abar) is not None
+
+    def test_agrees_with_refinement_on_corpus_pairs(self):
+        pool = list(corpus_monoids().values())
+        pool += [dual(m) for m in pool]
+        found = 0
+        for m, n in product(pool, repeat=2):
+            want = find_isomorphism_by_refinement(m, n)
+            assert find_isomorphism(m, n) == want, (m.labels, n.labels)
+            found += want is not None
+        assert found == 86
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabelled_copies_are_found(self, data):
+        # duals, submonoids and products of the small pool under a random
+        # renumbering of their elements: the isomorphic branch of the search
+        m = data.draw(st.sampled_from(SMALL_POOL))
+        how = data.draw(st.sampled_from(["dual", "sub", "prod"]))
+        if how == "dual":
+            m = dual(m)
+        elif how == "sub":
+            gens = data.draw(st.lists(st.integers(0, m.size - 1), max_size=3))
+            m = submonoid(m, gens)[0]
+        else:
+            m = direct_product(m, data.draw(st.sampled_from(SMALL_POOL)))
+        n = relabel(m, data.draw(st.permutations(range(m.size))))
+        assert_isomorphism(m, n, find_isomorphism(m, n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(range(14)), st.permutations(range(14)))
+    def test_hexagon_found_after_backtracking(self, p, q):
+        # all six vertices share one colour, so a vertex not adjacent to the
+        # ones mapped before may get an image that only a later vertex
+        # shows to be wrong, and the search must back up past it
+        m, n = relabel(HEXAGON, p), relabel(HEXAGON, q)
+        assert_isomorphism(m, n, find_isomorphism(m, n))
+
+    def test_hexagon_is_not_two_triangles(self):
+        # the colours cannot tell them apart, so the search is exhausted
+        assert find_isomorphism_by_refinement(HEXAGON, TWO_TRIANGLES) is None
+        assert find_isomorphism(HEXAGON, TWO_TRIANGLES) is None
+
+    def test_self_map_is_the_identity(self):
+        # generator images are tried in ascending order, and every element
+        # below a generator lies in the closure of the ones before it, so a
+        # monoid maps to itself by the identity although it has other
+        # automorphisms (these swap or permute their letters)
+        for m in [direct_product(Z2, Z2), direct_product(SEMILATTICE, SEMILATTICE),
+                  direct_product(direct_product(Z2, Z2), SEMILATTICE)]:
+            assert find_isomorphism(m, m) == list(range(m.size))
+
+    @pytest.mark.slow
+    def test_more_generators_than_the_recursion_limit(self):
+        # 1100 letters, each a generator; the search used to recurse once
+        # per element and raised RecursionError above about 1000
+        m = near_null(1100, both=True)
+        assert find_isomorphism(m, m) == list(range(m.size))
+
+    def test_refinement_rejects_the_near_null_pair_at_once(self):
+        # two null monoids on a1..a12 and c with a11*a12 = c, the first also
+        # with a12*a11 = c: every letter has the same idempotent, index and
+        # period, and only refining by products tells a11, a12 apart; a
+        # search over the 12 letters' images without it runs for minutes
+        start = time.monotonic()
+        k = 12
+        assert find_isomorphism(near_null(k, both=True),
+                                near_null(k, both=False)) is None
+        assert time.monotonic() - start < 1.0
+
+
+def assert_isomorphism(m: FiniteMonoid, n: FiniteMonoid, mapping) -> None:
+    assert mapping is not None
+    assert sorted(mapping) == list(range(m.size))
+    f = np.array(mapping)
+    assert np.array_equal(f[m.table], n.table[np.ix_(f, f)])
+
+
+def relabel(m: FiniteMonoid, perm) -> FiniteMonoid:
+    """The copy of ``m`` in which element x is numbered ``perm[x]``."""
+    p = np.array(perm)
+    table = np.empty_like(m.table)
+    table[np.ix_(p, p)] = p[m.table]
+    labels = [None] * m.size
+    for x, label in enumerate(m.labels):
+        labels[perm[x]] = label
+    return FiniteMonoid(table=table, labels=tuple(labels),
+                        identity=perm[m.identity],
+                        zero=None if m.zero is None else perm[m.zero])
+
+
+def graph_monoid(k: int, edges) -> FiniteMonoid:
+    """1, vertices 1..k, one element per edge, 0: the two ends of an edge
+    multiply to it in either order, and every other product of two
+    non-identity elements is 0."""
+    size = k + len(edges) + 2
+    zero = size - 1
+    rows = [[zero] * size for _ in range(size)]
+    for x in range(size):
+        rows[0][x] = rows[x][0] = x
+    for j, (u, v) in enumerate(edges, k + 1):
+        rows[u][v] = rows[v][u] = j
+    return FiniteMonoid(table=rows, labels=tuple(map(str, range(size))),
+                        identity=0, zero=zero)
+
+
+HEXAGON = graph_monoid(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+TWO_TRIANGLES = graph_monoid(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+
+
+def near_null(k: int, both: bool) -> FiniteMonoid:
+    """1, a1..ak, c, 0: every product of two letters is 0, except
+    a(k-1)*ak = c and, if ``both``, ak*a(k-1) = c."""
+    one, c, zero = 0, k + 1, k + 2
+    rows = [[zero] * (k + 3) for _ in range(k + 3)]
+    for x in range(k + 3):
+        rows[one][x] = rows[x][one] = x
+    rows[k - 1][k] = c
+    if both:
+        rows[k][k - 1] = c
+    return FiniteMonoid(table=rows, labels=("1",) + tuple(
+        f"a{i}" for i in range(1, k + 1)) + ("c", "0"), identity=one, zero=zero)
 
 
 class TestTableChecks:
@@ -366,6 +622,17 @@ class TestTableChecks:
         rows[1][2] = 0
         with pytest.raises(ValueError, match=r"at \(1,0,2\)$"):
             Semigroup(table=rows, labels=tuple(map(str, range(n))))
+
+    def test_light_test_looks_past_the_identity(self):
+        # the left-zero table x*y = x with an identity 0 adjoined and
+        # 1*2 := 3: the identity is the first generator and passes, and
+        # only a later one shows the defect
+        n = 60
+        rows = [list(range(n))] + [[x] * n for x in range(1, n)]
+        rows[1][2] = 3
+        with pytest.raises(ValueError, match=r"at \(1,1,2\)$"):
+            FiniteMonoid(table=rows, labels=tuple(map(str, range(n))),
+                         identity=0)
 
     def test_light_test_accepts_large_products(self):
         k = mtau("lambda", "bta+b+")
