@@ -8,10 +8,15 @@ transition by a letter multiplies componentwise by that letter's vector.
 Two words evaluate equally under every substitution, i.e. form an identity
 of M, exactly when they reach the same state.
 
-``is_isoterm`` asks whether a word is alone in its state's language, and
-``is_tau_term`` runs the product of this automaton with a canonical-form
-tracker to decide whether identities of M can move a word out of its
-congruence class.
+``is_isoterm`` asks whether a word is alone in its state's language.
+``is_tau_term`` decides whether identities of M can move a word out of its
+congruence class, by one breadth-first search over pairs (value key,
+canonical-form tracker).  The key is the automaton state when the automaton
+fits its budget, and otherwise a digest of the evaluation vector, whose
+successors are computed once per key from the word that first reached it.
+The bounded modes are the same search cut after a number of levels, so
+they report the witness the exact search would find, when it lies within
+the bound.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -192,10 +196,6 @@ def _tracker_next(state, base: str, tau: str, limit: int):
     return nxt if len(nxt) <= limit else _SINK
 
 
-def _in_class(w: Word, u: TauWord) -> bool:
-    return canonical(w, u.tau) == u.word
-
-
 def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
                 bound: int = 10, max_states: int = 60000,
                 max_cells: int = 4_000_000) -> TauTermVerdict:
@@ -203,17 +203,33 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
 
     ``u`` fails to be a tau-term exactly when the monoid satisfies an
     identity ``U = v`` with ``U`` in the class of ``u`` and ``v`` outside it.
-    Exact mode pairs the evaluation automaton with a canonical-form tracker
-    (states: canonical words up to ``len(u)``, plus an absorbing sink that by
-    length monotonicity class members never enter) and scans the reachable
-    product states.  When the monoid has a zero, a witness cannot involve
-    letters outside the content of ``u`` unless some member evaluates to zero
-    under every substitution; that case is detected directly, and a fresh
-    letter is adjoined only for zero-free monoids.  Bounded mode enumerates
-    words up to the length cap; it can find failures but only ever reports
+    One breadth-first search runs over nodes (value key, tracker).  The key
+    is the word's state in the evaluation automaton or, when no automaton
+    fits the budget (method "bounded-pairwise"), a 16-byte digest of its
+    evaluation vector; equal keys mean equal values under every
+    substitution.  The tracker is the canonical form of the word, or an
+    absorbing sink past ``len(u)`` letters, which by length monotonicity
+    class members never enter.  ``u`` fails when some key is reached both
+    by a member and by a word outside the class.  Exact mode searches every
+    reachable node and answers "holds" or "fails"; bounded mode is the same
+    search cut after ``bound`` levels, which only ever reports
     "holds-up-to-bound" positively.  In auto mode an exact-budget overflow
     falls back to bounded with the downgraded verdict, never silently.
+
+    The search reaches each node first by its shortlex-least word, so the
+    witness is the shortlex-first word outside the class whose key has a
+    member, paired with the shortlex-first member of that key: the same
+    pair as enumerating every word in shortlex order, in every mode.
+
+    When the monoid has a zero, a witness cannot involve letters outside
+    the content of ``u`` unless some member evaluates to zero under every
+    substitution; that case is detected directly, and a fresh letter is
+    adjoined only for zero-free monoids.
     """
+    if mode not in ("auto", "exact", "bounded"):
+        raise ValueError(f"unknown mode {mode!r}: use auto, exact or bounded")
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
     bases = sorted(content(u.word))
     fresh = None
     if m.zero is None:
@@ -233,127 +249,93 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
             raise
         if mode == "auto":
             note += "; exact budget exceeded, downgraded to bounded"
-        return _tau_term_bounded(m, u, letters, fresh, bound, note)
-    if mode in ("auto", "exact"):
-        return _tau_term_exact(aut, u, fresh, note)
-    return _tau_term_bounded(m, u, letters, fresh, bound, note, aut)
-
-
-def _zero_member_verdict(member: Word, u: TauWord, method: str, note: str,
-                         bound=None) -> TauTermVerdict:
-    z = _fresh_base({b for b, _ in member})
-    witness = (member, ((z, False),) + member)
-    return TauTermVerdict("fails", u, witness, bound=bound, method=method,
-                          fresh_letter_used=True,
-                          note=note + "; member evaluates to zero everywhere")
-
-
-def _tau_term_exact(aut: RelFreeAutomaton, u: TauWord, fresh, note):
-    tau = u.tau
-    limit = len(u.word)
-    start = (aut.initial, ())
-    parents = {start: None}
-    queue = deque([start])
-    member_node: dict = {}     # rel-free state -> product node with tracker == u
-    offender_node: dict = {}   # rel-free state -> product node with tracker != u
-    while queue:
-        node = queue.popleft()
-        s, t = node
-        if t == u.word:
-            member_node.setdefault(s, node)
-        else:
-            offender_node.setdefault(s, node)
-        for i, b in enumerate(aut.letters):
-            nxt = (aut.transitions[s][i], _tracker_next(t, b, tau, limit))
-            if nxt not in parents:
-                parents[nxt] = (node, i)
-                queue.append(nxt)
-
-    def path_word(node) -> Word:
-        out = []
-        while parents[node] is not None:
-            node, i = parents[node]
-            out.append((aut.letters[i], False))
-        return tuple(reversed(out))
-
-    if aut.zero_state is not None and aut.zero_state in member_node:
-        member = path_word(member_node[aut.zero_state])
-        return _zero_member_verdict(member, u, "exact", note)
-    for s, node in offender_node.items():
-        if s in member_node:
-            member = path_word(member_node[s])
-            off = path_word(node)
-            assert not _in_class(off, u) or any(b == fresh for b, _ in off)
-            return TauTermVerdict("fails", u, (member, off), method="exact",
-                                  fresh_letter_used=fresh is not None, note=note)
-    return TauTermVerdict("holds", u, method="exact",
-                          fresh_letter_used=fresh is not None, note=note)
-
-
-def _bounded_words(letters, bound: int):
-    for ln in range(bound + 1):
-        yield from product(range(len(letters)), repeat=ln)
-
-
-def _tau_term_bounded(m: FiniteMonoid, u: TauWord, letters, fresh, bound,
-                      note, aut: RelFreeAutomaton | None = None):
-    """Enumerate words up to ``bound`` letters, keyed by their values.
-
-    A word's key is its state in ``aut`` or, when no automaton fits the
-    budget (``aut`` None, method "bounded-pairwise"), a digest of its
-    evaluation vector; equal keys mean equal values under every
-    substitution.  Only member keys are kept, so without the automaton
-    memory stays flat.  A member keyed like the everywhere-zero vector is
-    reported first, on either key.
-    """
-    if aut is not None:
-        method = "bounded"
-
-        def key(combo):
-            s = aut.initial
-            for i in combo:
-                s = aut.transitions[s][i]
-            return s
-
-        zero_key = aut.zero_state
-    else:
         method = "bounded-pairwise"
-        cells = m.size ** len(letters)
-        if cells > 2_000_000:
-            raise BudgetExceededError(cells, 2_000_000, "vector cells")
-        gen = next(_blocks([np.arange(m.size, dtype=np.int32)] * len(letters),
-                           cells))
-
-        def digest(vec):
-            return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
-
-        def key(combo):
-            return digest(_eval_batch(m.table, m.identity, combo, gen, cells))
-
-        zero_key = (None if m.zero is None
-                    else digest(np.full(cells, m.zero, dtype=np.int32)))
-
-    def member(w: Word) -> bool:
-        return (fresh is None or all(b != fresh for b, _ in w)) and _in_class(w, u)
-
-    member_word: dict = {}
-    for combo in _bounded_words(letters, bound):
-        w = tuple((letters[i], False) for i in combo)
-        if member(w):
-            member_word.setdefault(key(combo), w)
-    if zero_key is not None and zero_key in member_word:
-        return _zero_member_verdict(member_word[zero_key], u, method, note,
-                                    bound=bound)
-    if not member_word:
-        note += "; no class member within bound"
+        start, zero, new_row = _digest_keys(m, letters)
+        rows = {}
     else:
-        for combo in _bounded_words(letters, bound):
-            w = tuple((letters[i], False) for i in combo)
-            k = key(combo)
-            if k in member_word and not member(w):
-                return TauTermVerdict("fails", u, (member_word[k], w),
-                                      bound=bound, method=method,
-                                      fresh_letter_used=fresh is not None,
-                                      note=note)
-    return TauTermVerdict("holds-up-to-bound", u, bound=bound, method=method,
-                          fresh_letter_used=fresh is not None, note=note)
+        method = "bounded" if mode == "bounded" else "exact"
+        start, zero = aut.initial, aut.zero_state
+        rows, new_row = dict(enumerate(aut.transitions)), None
+    if method == "exact":
+        bound = None
+
+    limit = len(u.word)
+    root = (start, ())
+    parents = {root: None}
+    member: dict = {}     # key -> first node whose tracker is u
+    offender: dict = {}   # key -> first node whose tracker is not u
+    level, depth = [root], 0
+    while level:
+        nodes, level = level, []
+        for node in nodes:
+            key, t = node
+            (member if t == u.word else offender).setdefault(key, node)
+            if depth == bound:
+                continue
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = new_row(_path(parents, node))
+            for i, b in enumerate(letters):
+                nxt = (row[i], _tracker_next(t, b, u.tau, limit))
+                if nxt not in parents:
+                    parents[nxt] = (node, i)
+                    level.append(nxt)
+        depth += 1
+
+    def word(node) -> Word:
+        return tuple((letters[i], False) for i in _path(parents, node))
+
+    used = fresh is not None
+    if zero is not None and zero in member:
+        first = word(member[zero])
+        z = _fresh_base(content(first))
+        return TauTermVerdict("fails", u, (first, ((z, False),) + first),
+                              bound=bound, method=method, fresh_letter_used=True,
+                              note=note + "; member evaluates to zero everywhere")
+    if bound is not None and not member:
+        note += "; no class member within bound"
+    for key, node in offender.items():
+        if key in member:
+            off = word(node)
+            assert canonical(off, u.tau) != u.word or fresh in content(off)
+            return TauTermVerdict("fails", u, (word(member[key]), off),
+                                  bound=bound, method=method,
+                                  fresh_letter_used=used, note=note)
+    return TauTermVerdict("holds" if bound is None else "holds-up-to-bound", u,
+                          bound=bound, method=method, fresh_letter_used=used,
+                          note=note)
+
+
+def _path(parents: dict, node) -> tuple:
+    """The letter indices of the word that first reached ``node``."""
+    out = []
+    while parents[node] is not None:
+        node, i = parents[node]
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def _digest_keys(m: FiniteMonoid, letters) -> tuple:
+    """Digest keys of evaluation vectors, for when no automaton fits.
+
+    Returns the key of the empty word, the key of the everywhere-zero
+    vector (None without a zero), and the function that computes a key's
+    successors from a word reaching it: one evaluation of the word, then
+    one gather per letter.  No vector is kept.
+    """
+    cells = m.size ** len(letters)
+    if cells > 2_000_000:
+        raise BudgetExceededError(cells, 2_000_000, "vector cells")
+    gen = next(_blocks([np.arange(m.size, dtype=np.int32)] * len(letters),
+                       cells))
+
+    def digest(vec):
+        return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
+
+    def new_row(combo):
+        vec = _eval_batch(m.table, m.identity, combo, gen, cells)
+        return [digest(m.table[vec, g]) for g in gen]
+
+    zero = (None if m.zero is None
+            else digest(np.full(cells, m.zero, dtype=np.int32)))
+    return digest(np.full(cells, m.identity, dtype=np.int32)), zero, new_row

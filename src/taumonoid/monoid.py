@@ -52,31 +52,34 @@ class PresentationError(ValueError):
     pass
 
 
-def _generators(rows: list, among=None) -> tuple:
+def _generators(t: np.ndarray, among=None) -> tuple:
     """A generating set grown greedily, and the mask of what it generates.
 
-    ``rows`` is a table as nested lists.  The candidates ``among`` (every
-    element in index order by default) are taken in turn, each one that no
-    product of those taken before reaches.  Products are followed along the
-    right Cayley graph: a new generator multiplies every element reached so
-    far on the right, and each newly reached element is multiplied by every
-    generator.
+    The candidates ``among`` (every element in index order by default) are
+    taken in turn, each one that no product of those taken before reaches.
+    Products are followed along the right Cayley graph: a new generator
+    multiplies every element reached so far on the right, and each newly
+    reached element is multiplied by every generator.  Only the columns of
+    the generators are read, each once, as a list.
     """
-    inside = [False] * len(rows)
+    inside = [False] * len(t)
     reached: list = []
     gens: list = []
-    for g in range(len(rows)) if among is None else among:
+    cols: list = []
+    for g in range(len(t)) if among is None else among:
         if inside[g]:
             continue
         gens.append(g)
+        cols.append(t[:, g].tolist())
         i = len(reached)
-        for x in [g] + [rows[u][g] for u in reached]:
+        for x in [g] + [cols[-1][u] for u in reached]:
             if not inside[x]:
                 inside[x] = True
                 reached.append(x)
         while i < len(reached):
-            for h in gens:
-                x = rows[reached[i]][h]
+            u = reached[i]
+            for col in cols:
+                x = col[u]
                 if not inside[x]:
                     inside[x] = True
                     reached.append(x)
@@ -99,7 +102,7 @@ def _check_associative(t: np.ndarray) -> None:
         ok = (t[t] == t[:, t]).all()
     else:
         ok = all((t[t[:, g]] == np.take(t, t[g], axis=1)).all()
-                 for g in _generators(t.tolist())[0])
+                 for g in _generators(t)[0])
     if ok:
         return
     for a in range(len(t)):
@@ -459,7 +462,7 @@ def submonoid(m: FiniteMonoid, gens):
 
     The embedding maps new indices to indices of ``m``.
     """
-    inside = _generators(m.table.tolist(), [*gens, m.identity])[1]
+    inside = _generators(m.table, [*gens, m.identity])[1]
     embed = np.flatnonzero(inside).tolist()
     pos = np.cumsum(inside) - 1
     # the ambient zero absorbs every element, those of the submonoid too
@@ -571,7 +574,9 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     a product whose image conflicts, repeats an image or changes colour
     rejects the choice at once.  Colours are kept by every isomorphism, so
     the search is exhaustive over the images of G: ``None`` means
-    non-isomorphic.  A complete map is checked against both tables.
+    non-isomorphic.  A complete map is checked against both tables.  The
+    search reads the tables only in the columns of the generators and of
+    their tried images, each turned into a list once.
     """
     if m.size != n.size:
         return None
@@ -586,8 +591,9 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     cm, cn = _joint_colors(m, n, extra)
     if not np.array_equal(np.sort(cm), np.sort(cn)):
         return None
-    mt, nt = m.table.tolist(), n.table.tolist()
-    gens = _generators(mt)[0]
+    gens = _generators(m.table)[0]
+    gen_cols = [m.table[:, g].tolist() for g in gens]
+    image_cols: dict = {}     # y -> column y of n, read on first use
     candidates = [np.flatnonzero(cn == cm[g]).tolist() for g in gens]
     cm, cn = cm.tolist(), cn.tolist()
     mapping = [-1] * size
@@ -610,15 +616,19 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
 
     def extend(g, y):
         # the elements reached so far are closed under the chosen
-        # generators; they now need g, and the new ones every generator
+        # generators; they now need the one of column g, and the new ones
+        # every generator
         start = len(reached)
-        chosen.append((g, y))
-        if not all(settle(mt[u][g], nt[mapping[u]][y]) for u in reached[:start]):
+        if y not in image_cols:
+            image_cols[y] = n.table[:, y].tolist()
+        z = image_cols[y]
+        chosen.append((g, z))
+        if not all(settle(g[u], z[mapping[u]]) for u in reached[:start]):
             return False
         i = start
         while i < len(reached):
             u = reached[i]
-            if not all(settle(mt[u][h], nt[mapping[u]][z]) for h, z in chosen):
+            if not all(settle(h[u], hz[mapping[u]]) for h, hz in chosen):
                 return False
             i += 1
         return True
@@ -647,7 +657,7 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
         y = candidates[i][tried[i]]
         tried[i] += 1
         marks.append(len(reached))
-        if extend(gens[i], y):
+        if extend(gen_cols[i], y):
             i += 1
         else:
             retract(marks.pop())

@@ -1,10 +1,12 @@
 import pytest
 
 from taumonoid import catalog
-from taumonoid.claims import (Claim, ClaimReport, parse_corpus,
+from taumonoid.claims import (Claim, ClaimReport, _inputs, parse_corpus,
                               parse_monoid_expr, run_claim, verify_corpus)
 from taumonoid.cli import corpus_text
 from taumonoid.monoid import direct_product, dual, submonoid
+from taumonoid.rewrite import TauWord
+from test_freeobj import tau_term_by_enumeration
 
 
 def make_claim(kind, inputs, expected, id="t1"):
@@ -179,6 +181,11 @@ class TestRunClaim:
         ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; 200000"),
         ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; bound=3"),
         ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; max_len=3"),
+        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; mode=exat"),
+        # a+btb+ is not a tau-term here (ntt-F), so an empty search must not
+        # pass for one
+        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+btb+ ; mode=bounded ; "
+         "bound=-1"),
         ("satisfies", "A01 ; xtsx=xtxsx ; mode=exact"),
         ("satisfies", "A01"),
     ])
@@ -258,3 +265,17 @@ class TestCorpusFile:
         strip = lambda rep: [l.rsplit("\t", 1)[0] for l in rep.lines()]
         assert strip(seq) == strip(par)   # identical up to timing
         assert seq.corpus_hash == par.corpus_hash
+
+
+class TestCorpusAgainstOracles:
+    """Each corpus claim recomputed by its kind's independent method."""
+
+    @pytest.mark.parametrize("claim", [
+        c for c in parse_corpus(corpus_text())
+        if c.kind in ("tau-term", "not-tau-term")], ids=lambda c: c.id)
+    def test_tau_term_claims_by_enumeration(self, claim):
+        # the verdict family of every word up to 8 letters
+        (tau, m, word), _ = _inputs(claim)
+        oracle = tau_term_by_enumeration(m, TauWord.make(word, tau), 8)
+        actual = run_claim(claim).actual
+        assert oracle.fails == actual.startswith("fails"), (oracle, actual)

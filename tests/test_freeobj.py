@@ -1,3 +1,5 @@
+import hashlib
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -5,12 +7,15 @@ import pytest
 
 from taumonoid import freeobj
 from taumonoid.catalog import corpus_monoids, mtau, monoid_with_identity
-from taumonoid.freeobj import (RelFreeAutomaton, is_isoterm, is_tau_term,
-                               rel_free_automaton, _tracker_next, _SINK)
-from taumonoid.identities import BudgetExceededError, Identity, satisfies
+from taumonoid.freeobj import (RelFreeAutomaton, TauTermVerdict, is_isoterm,
+                               is_tau_term, rel_free_automaton, _tracker_next,
+                               _SINK)
+from taumonoid.identities import (BudgetExceededError, Identity, _blocks,
+                                   _eval_batch, satisfies)
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import TauWord, canonical, class_members
-from taumonoid.words import parse_word, print_word, projection, simple_and_multiple
+from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, class_members
+from taumonoid.words import (content, parse_word, print_word, projection,
+                             simple_and_multiple)
 
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
@@ -18,6 +23,91 @@ Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 
 def w(text):
     return parse_word(text)
+
+
+@lru_cache(maxsize=None)
+def _canonical(word, tau):
+    return canonical(word, tau)
+
+
+def tau_term_by_enumeration(m, u, bound, fallback=False):
+    """Bounded tau-term verdict by enumerating every word up to ``bound``.
+
+    The oracle for ``is_tau_term``'s bounded modes: words over the content
+    of ``u`` (plus a fresh letter when ``m`` has no zero) are listed in
+    shortlex order and keyed by their state in the evaluation automaton or,
+    with ``fallback``, by a digest of their evaluation vector, as
+    ``is_tau_term`` does in auto mode when no automaton fits.  The first
+    member of each key is kept; the verdict fails at the first word outside
+    the class whose key has a member, and a member keyed like the
+    everywhere-zero vector is reported first.
+    """
+    bases = sorted({b for b, _ in u.word})
+    fresh = None
+    if m.zero is None:
+        fresh = next(c for c in "zwvuq" if c not in bases)
+        note = f"fresh letter {fresh} adjoined"
+    else:
+        note = ("no fresh letter: monoid has a zero, extra-letter witnesses "
+                "require an everywhere-zero member (checked directly)")
+    letters = tuple(bases) + ((fresh,) if fresh else ())
+    if not fallback:
+        method = "bounded"
+        aut = freeobj.rel_free_automaton(m, letters)
+
+        def key(combo):
+            s = aut.initial
+            for i in combo:
+                s = aut.transitions[s][i]
+            return s
+
+        zero_key = aut.zero_state
+    else:
+        method = "bounded-pairwise"
+        note += "; exact budget exceeded, downgraded to bounded"
+        cells = m.size ** len(letters)
+        gen = next(_blocks([np.arange(m.size, dtype=np.int32)] * len(letters),
+                           cells))
+
+        def digest(vec):
+            return hashlib.blake2b(vec.tobytes(), digest_size=16).digest()
+
+        def key(combo):
+            return digest(_eval_batch(m.table, m.identity, combo, gen, cells))
+
+        zero_key = (None if m.zero is None
+                    else digest(np.full(cells, m.zero, dtype=np.int32)))
+
+    words = [(combo, tuple((letters[i], False) for i in combo))
+             for n in range(bound + 1)
+             for combo in product(range(len(letters)), repeat=n)]
+
+    def member(word):
+        # a word with the fresh letter keeps it in its canonical form
+        return _canonical(word, u.tau) == u.word
+
+    member_word: dict = {}
+    for combo, word in words:
+        if member(word):
+            member_word.setdefault(key(combo), word)
+    if zero_key is not None and zero_key in member_word:
+        first = member_word[zero_key]
+        z = next(c for c in "zwvuq" if c not in {b for b, _ in first})
+        return TauTermVerdict("fails", u, (first, ((z, False),) + first),
+                              bound=bound, method=method, fresh_letter_used=True,
+                              note=note + "; member evaluates to zero everywhere")
+    if not member_word:
+        note += "; no class member within bound"
+    else:
+        for combo, word in words:
+            k = key(combo)
+            if k in member_word and not member(word):
+                return TauTermVerdict("fails", u, (member_word[k], word),
+                                      bound=bound, method=method,
+                                      fresh_letter_used=fresh is not None,
+                                      note=note)
+    return TauTermVerdict("holds-up-to-bound", u, bound=bound, method=method,
+                          fresh_letter_used=fresh is not None, note=note)
 
 
 def tw(text, tau):
@@ -292,3 +382,70 @@ class TestTauTerm:
         assert canonical(member, "tau1") == w("a+")
         assert canonical(off, "tau1") != w("a+")
         assert satisfies(z2, Identity(member, off)).holds
+
+    def test_unknown_mode_and_negative_bound_are_refused(self):
+        f = mtau("lambda", "a+ta+")
+        with pytest.raises(ValueError, match="unknown mode"):
+            is_tau_term(f, tw("a+btb+", "lambda"), mode="exat")
+        with pytest.raises(ValueError, match="bound"):
+            is_tau_term(f, tw("a+btb+", "lambda"), mode="bounded", bound=-1)
+
+
+def grid_words():
+    """The tau-words of the words of at most 3 letters over ab and of the
+    paper's tau-term claims, under every congruence that takes them."""
+    plain = [""] + ["".join(c) for n in (1, 2, 3) for c in product("ab", repeat=n)]
+    paper = ["bta+b+", "a+b+", "ata+", "a+ta+", "a+btb+", "a+t", "ta+"]
+    return sorted({TauWord.make(w(text), tau) for tau in CONGRUENCES
+                   for text in plain + (paper if tau != "trivial" else [])},
+                  key=repr)
+
+
+@pytest.fixture
+def grid(monkeypatch):
+    """Monoids and tau-words for the differential grids, with one
+    evaluation automaton per monoid and alphabet shared by every call."""
+    built = {}
+
+    def shared(m, letters, **budgets):
+        key = (id(m), tuple(letters), tuple(sorted(budgets.items())))
+        if key not in built:
+            built[key] = rel_free_automaton(m, letters, **budgets)
+        return built[key]
+
+    monkeypatch.setattr(freeobj, "rel_free_automaton", shared)
+    monoids = [m for m in corpus_monoids().values() if m.size <= 12]
+    return [(m, u) for m in monoids + [SEMILATTICE, Z2] for u in grid_words()]
+
+
+def fields(v):
+    return (v.status, v.witness, v.bound, v.method, v.note, v.fresh_letter_used)
+
+
+class TestAgainstEnumeration:
+    def test_bounded_modes_match_the_oracle(self, grid):
+        # bound 5 where at most two letters are enumerated, 4 otherwise
+        for m, u in grid:
+            letters = len(content(u.word)) + (m.zero is None)
+            bound = 5 if letters <= 2 else 4
+            bounded = is_tau_term(m, u, mode="bounded", bound=bound)
+            assert fields(bounded) == \
+                fields(tau_term_by_enumeration(m, u, bound)), (m.labels, u)
+            fallback = is_tau_term(m, u, mode="auto", bound=bound, max_cells=0)
+            assert fields(fallback) == \
+                fields(tau_term_by_enumeration(m, u, bound, fallback=True)), \
+                (m.labels, u)
+
+    def test_exact_witnesses_are_the_first_enumerated(self, grid):
+        # a failure's witness is what enumeration finds once the bound
+        # admits both words; a tau-term survives enumeration to bound 6
+        for m, u in grid:
+            exact = is_tau_term(m, u, mode="exact")
+            if exact.fails:
+                bound = max(map(len, exact.witness))
+                oracle = tau_term_by_enumeration(m, u, bound)
+                assert oracle.witness == exact.witness, (m.labels, u)
+            else:
+                assert exact.holds
+                oracle = tau_term_by_enumeration(m, u, 6)
+                assert oracle.status == "holds-up-to-bound", (m.labels, u)
