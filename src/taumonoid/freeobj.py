@@ -264,7 +264,10 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
     parents = {root: None}
     member: dict = {}     # key -> first node whose tracker is u
     offender: dict = {}   # key -> first node whose tracker is not u
-    level, depth = [root], 0
+    # the rules only mark or merge, so no member is shorter than u, and a
+    # bound below len(u) reaches none: the search is skipped
+    level = [root] if bound is None or bound >= limit else []
+    depth = 0
     while level:
         nodes, level = level, []
         for node in nodes:

@@ -63,9 +63,6 @@ class Identity:
     def letters(self) -> list:
         return sorted(content(self.lhs) | content(self.rhs))
 
-    def reversed(self) -> "Identity":
-        return Identity(tuple(reversed(self.lhs)), tuple(reversed(self.rhs)))
-
     def __str__(self) -> str:
         return f"{print_word(self.lhs)}={print_word(self.rhs)}"
 
@@ -228,7 +225,7 @@ def _reduced(table, identity, ident: Identity, letters: list, chunk: int):
 
 
 def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
-              jobs: int = 1, chunk: int = 1 << 18) -> SatisfactionResult:
+              chunk: int = 1 << 18) -> SatisfactionResult:
     """Exhaustively check one identity against a monoid.
 
     Reports the lex-first violating substitution, evaluating at most
@@ -243,10 +240,6 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     on the monoid itself, but not those computing Im(B).  So when every
     factor holds, it is the sum of the factors' counts.  ``budget`` still
     refuses on |M|^k of the monoid given.
-
-    ``jobs`` is accepted so that existing callers keep working, and ignored:
-    with the reduction the costliest corpus identity takes well under a
-    second in one process, and a split scan would lose the lex-first witness.
     """
     letters = ident.letters()
     k = len(letters)

@@ -11,9 +11,14 @@ is represented by the unique marked word to which no rewriting rule applies:
 * three merge rules collapse the adjacent pairs ``a+a+``, ``aa+`` and ``a+a``
   to ``a+``.
 
-``canonical`` applies the rules with a deterministic strategy (single linear
-pass); order independence is covered by the property suite, which compares it
-against the rule-by-rule reducer below on exhaustively enumerated small words.
+``canonical`` reads a word once, left to right, and marks a letter whose
+base is markable: under ``tau1`` every base, under ``gamma`` one occurring
+twice (a plussed letter is written marked anyway), under ``lambda`` one
+already read.  Reversal swaps ``lambda`` and ``rho`` and permutes the merge
+rules, so ``rho`` is computed as the mirror of ``lambda``.  The rule-by-rule
+reducer below is the independent oracle: it keeps a ``rho`` rule of its
+own, and the property suite compares the two on exhaustively enumerated
+small words.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ RULE_PN = "plus-plain"
 
 def _check_tau(tau: str) -> None:
     if tau not in CONGRUENCES:
-        raise ValueError(f"unknown congruence {tau!r}")
+        raise ValueError(f"unknown congruence {tau!r}; choose from "
+                         + ", ".join(CONGRUENCES))
 
 
 def canonical(w: Word, tau: str) -> Word:
@@ -43,46 +49,44 @@ def canonical(w: Word, tau: str) -> Word:
     For the trivial congruence the word is returned unchanged; marked input
     is rejected there since plussed letters have no meaning without rules.
     """
-    _check_tau(tau)
-    if tau == "trivial":
+    if tau == "rho":
+        return _left_to_right(w[::-1], "lambda")[::-1]
+    return _left_to_right(w, tau)
+
+
+def _left_to_right(w: Word, tau: str) -> Word:
+    """``canonical`` for every congruence but ``rho``.
+
+    A letter of the same base as the last one written merges into it, and
+    any other is written marked when it is plussed or its base is in
+    ``marks``.  Adding each written base to ``marks`` gives ``lambda`` its
+    left context; under ``tau1`` every base is in already, and under
+    ``gamma`` a base left out occurs only once.
+    """
+    if tau == "lambda":
+        marks = set()
+    elif tau == "tau1":
+        marks = {b for b, _ in w}
+    elif tau == "gamma":
+        seen, marks = set(), set()
+        for b, _ in w:
+            if b in seen:
+                marks.add(b)
+            seen.add(b)
+    else:
+        _check_tau(tau)
         if not is_plain(w):
             raise ValueError("trivial congruence is defined on plain words only")
         return w
-    if tau == "gamma":
-        plain_counts: dict = {}
-        plussed = set()
-        for b, p in w:
-            if p:
-                plussed.add(b)
-            else:
-                plain_counts[b] = plain_counts.get(b, 0) + 1
-        markable = plussed | {b for b, c in plain_counts.items() if c >= 2}
     out: list = []
-    if tau == "rho":
-        ahead: dict = {}
-        for b, _ in w:
-            ahead[b] = ahead.get(b, 0) + 1
-        for b, p in w:
-            ahead[b] -= 1
-            newp = p or ahead[b] > 0
-            if out and out[-1][0] == b:
-                out[-1] = (b, True)
-            else:
-                out.append((b, newp))
-        return tuple(out)
-    seen = set()
+    last = None
     for b, p in w:
-        if tau == "tau1":
-            newp = True
-        elif tau == "gamma":
-            newp = p or b in markable
-        else:  # lambda
-            newp = p or b in seen
-        seen.add(b)
-        if out and out[-1][0] == b:
+        if b == last:
             out[-1] = (b, True)
         else:
-            out.append((b, newp))
+            out.append((b, p or b in marks))
+            marks.add(b)
+            last = b
     return tuple(out)
 
 
@@ -192,14 +196,13 @@ class TauWord:
     tau: str
 
     def __post_init__(self):
-        _check_tau(self.tau)
         if canonical(self.word, self.tau) != self.word:
             raise ValueError(
                 f"{print_word(self.word)!r} is not canonical under {self.tau}")
 
-    @staticmethod
-    def make(w: Word, tau: str) -> "TauWord":
-        return TauWord(canonical(w, tau), tau)
+    @classmethod
+    def make(cls, w: Word, tau: str) -> "TauWord":
+        return cls.of_canonical(canonical(w, tau), tau)
 
     @classmethod
     def of_canonical(cls, w: Word, tau: str) -> "TauWord":
@@ -238,7 +241,7 @@ def compose(u: TauWord, v: TauWord) -> TauWord:
     """``u  v`` followed by canonicalization (the product of tau-words)."""
     if u.tau != v.tau:
         raise ValueError(f"mismatched congruences: {u.tau} vs {v.tau}")
-    return TauWord(canonical(u.word + v.word, u.tau), u.tau)
+    return TauWord.of_canonical(canonical(u.word + v.word, u.tau), u.tau)
 
 
 def compose_words(u: Word, v: Word, tau: str) -> Word:

@@ -35,14 +35,6 @@ class WordSyntaxError(ValueError):
         return WordSyntaxError(self.message, self.position + offset)
 
 
-def letter(base: str, plussed: bool = False) -> Letter:
-    return (base, plussed)
-
-
-def word(*letters: Letter) -> Word:
-    return tuple(letters)
-
-
 def is_plain(w: Word) -> bool:
     return all(not p for _, p in w)
 

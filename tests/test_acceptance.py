@@ -163,7 +163,7 @@ def test_07_long_identity_family_up_to_four():
 @pytest.mark.slow
 def test_07_long_identity_benchmark_at_five():
     k = mtau("lambda", "bta+b+")
-    res = satisfies(k, long_identity(5), jobs=2)
+    res = satisfies(k, long_identity(5))
     assert res.holds
 
 

@@ -32,8 +32,14 @@ class TestWordCommands:
         assert "ta+b" in words and "a+t" not in words
 
     def test_unknown_congruence(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "canon", "zeta", "ab")
+        for argv in (("canon", "zeta", "ab"), ("compose", "zeta", "a", "b"),
+                     ("lower-set", "zeta", "ab"), ("build", "zeta", "ab"),
+                     ("tau-term", "zeta", "S1", "ab")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.splitlines() == [
+                "error: unknown congruence 'zeta'; choose from trivial, "
+                "tau1, gamma, lambda, rho"], argv
 
 
 class TestMonoidCommands:
@@ -259,7 +265,8 @@ def _joined(*pieces):
 
 SURFACES = {
     "words": st.tuples(
-        st.sampled_from(["canon trivial", "canon lambda", "canon rho"]),
+        st.sampled_from(["canon trivial", "canon lambda", "canon rho",
+                         "canon zeta"]),
         _joined("a", "b", "t+", "a2", "b^3", "^", "+", " ", "y1 ", "0", "(")),
     "identities": st.tuples(
         st.just("check A01 --budget 2000"),

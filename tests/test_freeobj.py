@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from taumonoid import freeobj
-from taumonoid.catalog import corpus_monoids, mtau, monoid_with_identity
+from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
+                              named_monoid)
 from taumonoid.freeobj import (RelFreeAutomaton, TauTermVerdict, is_isoterm,
                                is_tau_term, rel_free_automaton, _tracker_next,
                                _SINK)
@@ -382,6 +383,28 @@ class TestTauTerm:
         assert canonical(member, "tau1") == w("a+")
         assert canonical(off, "tau1") != w("a+")
         assert satisfies(z2, Identity(member, off)).holds
+
+    def test_bound_below_the_word_evaluates_nothing(self, monkeypatch):
+        # no class member is shorter than u, so none lies within bound 4
+        # of the 6-letter atba+sb+, and the fallback evaluates no vector
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _eval_batch(*args, **kwargs)
+
+        monkeypatch.setattr(freeobj, "_eval_batch", counting)
+        u = tw("atba+sb+", "lambda")
+        verdict = is_tau_term(named_monoid("S1"), u, mode="auto", bound=4,
+                              max_cells=0)
+        assert verdict == TauTermVerdict(
+            "holds-up-to-bound", u, witness=None, bound=4,
+            method="bounded-pairwise", fresh_letter_used=False,
+            note="no fresh letter: monoid has a zero, extra-letter witnesses "
+                 "require an everywhere-zero member (checked directly); "
+                 "exact budget exceeded, downgraded to bounded; "
+                 "no class member within bound")
+        assert calls == []
 
     def test_unknown_mode_and_negative_bound_are_refused(self):
         f = mtau("lambda", "a+ta+")

@@ -115,13 +115,13 @@ class TestSatisfies:
         assert [r.holds for r in results] == [True, False]
 
     def test_jobs_keyword_keeps_lex_first_witness(self):
-        # jobs is accepted for compatibility and ignored: the scan is the
-        # same single-process one, so the witness is the naive lex-first one
+        # the scan runs in one process, in chunks, and still reports the
+        # naive lex-first witness
         k = mtau("lambda", "bta+b+")
         ident = parse_identity("xytxsy=yxtxsy")
-        assert satisfies(k, ident, jobs=2, chunk=4096).holds
+        assert satisfies(k, ident, chunk=4096).holds
         bad = parse_identity("xtysxy=xtysyx")
-        res = satisfies(k, bad, jobs=2, chunk=4096)
+        res = satisfies(k, bad, chunk=4096)
         assert not res.holds
         # the reported witness must be sound
         lv = k.evaluate(bad.lhs, res.witness)

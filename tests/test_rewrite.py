@@ -112,8 +112,10 @@ class TestCanonical:
                 assert canonical(once, tau) == once
 
     def test_agrees_with_stepwise_reducer_exhaustively(self):
-        symbols = [("a", False), ("a", True), ("b", False), ("b", True)]
-        for n in range(5):
+        # the reducer keeps its own rho rule, so this also checks rho as the
+        # mirror of lambda
+        symbols = [(b, p) for b in "abc" for p in (False, True)]
+        for n in range(6):
             for combo in product(symbols, repeat=n):
                 word = tuple(combo)
                 for tau in NONTRIVIAL:
