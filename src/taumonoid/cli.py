@@ -95,8 +95,6 @@ def main(argv=None) -> int:
     p.add_argument("word")
     p.add_argument("--bound", type=_positive_int, default=10)
     p.add_argument("--mode", choices=("auto", "exact", "bounded"), default="auto")
-    p.add_argument("--max-states", type=_positive_int, default=60000,
-                   help="automaton state budget for the exact method")
 
     p = sub.add_parser("derive", help="bounded derivation search")
     p.add_argument("axioms", help="file with one identity per line")
@@ -200,8 +198,7 @@ def _dispatch(args) -> int:
     if cmd == "tau-term":
         m = _monoid_arg(args.monoid)
         u = TauWord.make(parse_word(args.word), args.tau)
-        v = is_tau_term(m, u, mode=args.mode, bound=args.bound,
-                        max_states=args.max_states)
+        v = is_tau_term(m, u, mode=args.mode, bound=args.bound)
         if v.fails:
             member, off = v.witness
             print(f"fails: {print_word(member)} and {print_word(off)} are "

@@ -110,10 +110,6 @@ class SatisfactionResult:
         return {b: m.labels[e] for b, e in self.witness.items()}
 
 
-def estimate_cost(m: FiniteMonoid, ident: Identity) -> int:
-    return m.size ** len(ident.letters())
-
-
 def _word_letter_indices(word: Word, letters: list) -> list:
     pos = {b: i for i, b in enumerate(letters)}
     return [pos[b] for b, _ in word]
@@ -306,7 +302,3 @@ def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
         return SatisfactionResult(ident, True, checked=checked)
     assignment, lv, rv = first
     return SatisfactionResult(ident, False, assignment, lv, rv, checked=checked)
-
-
-def satisfies_all(m: FiniteMonoid, idents, budget: int | None = None) -> list:
-    return [satisfies(m, i, budget=budget) for i in idents]

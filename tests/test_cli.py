@@ -227,13 +227,11 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv,option", [
         (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+", "--mode",
           "bounded", "--bound", "-1"], "--bound"),
-        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+",
-          "--max-states", "-3"], "--max-states"),
         (["derive", "axioms.txt", "x=x", "--max-len", "0"], "--max-len"),
         (["derive", "axioms.txt", "x=x", "--max-steps", "-5"], "--max-steps"),
         (["check", "A1", "x=x", "--budget", "0"], "--budget"),
         (["verify-paper", "--budget", "-2"], "--budget"),
-    ], ids=["tau-term-bound", "tau-term-max-states", "derive-max-len",
+    ], ids=["tau-term-bound", "derive-max-len",
             "derive-max-steps", "check-budget", "verify-paper-budget"])
     def test_work_sizes_must_be_positive(self, capsys, argv, option):
         with pytest.raises(SystemExit) as e:

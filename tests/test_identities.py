@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from taumonoid.catalog import monoid_with_identity, mtau, named_monoid
 from taumonoid.identities import (BudgetExceededError, Identity, _image,
-                                  estimate_cost, long_identity,
-                                  naive_satisfies, parse_identity,
-                                  parse_identity_file, satisfies,
-                                  satisfies_all)
+                                  long_identity, naive_satisfies,
+                                  parse_identity, parse_identity_file,
+                                  satisfies)
 from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
@@ -91,7 +90,6 @@ class TestSatisfies:
     def test_budget_refusal(self):
         k = mtau("lambda", "bta+b+")
         ident = parse_identity("xtysxy=xtysyx")
-        assert estimate_cost(k, ident) == 19 ** 4
         with pytest.raises(BudgetExceededError):
             satisfies(k, ident, budget=1000)
 
@@ -108,13 +106,7 @@ class TestSatisfies:
             assert tiny.holds == ref.holds
             assert tiny.witness == ref.witness
 
-    def test_satisfies_all(self):
-        m = monoid_with_identity("A0")
-        results = satisfies_all(m, [parse_identity("xtsx=xtxsx"),
-                                    parse_identity("xy=yx")])
-        assert [r.holds for r in results] == [True, False]
-
-    def test_jobs_keyword_keeps_lex_first_witness(self):
+    def test_chunked_scan_keeps_naive_lex_first_witness(self):
         # the scan runs in one process, in chunks, and still reports the
         # naive lex-first witness
         k = mtau("lambda", "bta+b+")
