@@ -75,8 +75,9 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("present", help="close a presentation (A, E, A0 or S)")
-    p.add_argument("name", help="named presentation or a file with one "
-                                "'gens; rel=rel; ...; 0=word,word' per line")
+    p.add_argument("name", help="named presentation, or a file of a 'gens: a b' "
+                   "line, then one 'u = v' (or 'u = v = w') relation per line "
+                   "and '0 = w, w' lines for zero words")
     p.add_argument("--adjoin-1", action="store_true")
     p.add_argument("--out")
 
@@ -192,8 +193,7 @@ def _dispatch(args) -> int:
         if rep.is_isoterm:
             print("isoterm")
             return 0
-        ce = print_word(rep.counterexample) if rep.counterexample else "?"
-        print(f"not an isoterm (equal-valued word: {ce})")
+        print(f"not an isoterm (equal-valued word: {print_word(rep.counterexample)})")
         return 1
     if cmd == "tau-term":
         m = _monoid_arg(args.monoid)

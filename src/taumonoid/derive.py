@@ -134,9 +134,9 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
     meet = None
     while fq and bq and meet is None:
         if len(fq) <= len(bq):
-            side, queue, this, other = "f", fq, fwd, bwd
+            queue, this, other = fq, fwd, bwd
         else:
-            side, queue, this, other = "b", bq, bwd, fwd
+            queue, this, other = bq, bwd, fwd
         for _ in range(len(queue)):
             cur = queue.popleft()
             expansions += 1

@@ -8,14 +8,14 @@ transition by a letter multiplies componentwise by that letter's vector.
 Two words evaluate equally under every substitution, i.e. form an identity
 of M, exactly when they reach the same state.
 
-``is_isoterm`` asks whether a word is alone in its state's language.
-``is_tau_term`` decides whether identities of M can move a word out of its
-congruence class, by one breadth-first search over pairs (value key,
-canonical-form tracker).  Exact mode keys by automaton state.  Bounded mode
-keys by a digest of the evaluation vector, whose successors are computed
-once per key from the word that first reached it, and cuts the search
-after a number of levels; it reports the witness the exact search would
-find, when it lies within the bound.
+One breadth-first search over pairs (value key, tracker) decides tau-terms
+and isoterms, an isoterm being a tau-term for the trivial congruence; the
+tracker runs on a table of the canonical forms of the prefixes of class
+members.  Exact mode keys by automaton state.  Bounded mode keys by a
+digest of the evaluation vector, whose successors are computed once per key
+from the word that first reached it, and cuts the search after a number of
+levels; it reports the witness the exact search would find, when it lies
+within the bound.
 
 One budget, ``max_cells``, bounds the int32 cells a search holds at once,
 each vector |M|^k cells long: the automaton holds its k generator columns
@@ -35,9 +35,8 @@ import numpy as np
 from .identities import BudgetExceededError, _blocks, _eval_batch
 from .monoid import FiniteMonoid
 from .rewrite import TauWord, canonical, compose_words
-from .words import Word, content
+from .words import Word, content, is_plain, print_word
 
-_SINK = ("#sink#",)
 MAX_CELLS = 2 ** 28      # 1 GiB of int32
 
 
@@ -123,47 +122,29 @@ class IsotermReport:
     counterexample: Word | None = None
 
 
-def _accepted_words(aut: RelFreeAutomaton, target: int, want: int = 2) -> list:
-    """The first ``want`` words in shortlex order that reach ``target``
-    (breadth-first, keeping up to ``want`` words per state)."""
-    k = len(aut.letters)
-    stored: dict = {aut.initial: [()]}
-    queue = deque([(aut.initial, ())])
-    while queue:
-        s, path = queue.popleft()
-        for i in range(k):
-            t = aut.transitions[s][i]
-            lst = stored.setdefault(t, [])
-            if len(lst) < want:
-                lst.append(path + (i,))
-                queue.append((t, path + (i,)))
-    return [tuple((aut.letters[i], False) for i in p)
-            for p in stored.get(target, [])]
-
-
 def is_isoterm(m: FiniteMonoid, w: Word) -> IsotermReport:
     """Whether M violates every nontrivial identity with ``w`` on one side.
 
-    Decided in the evaluation automaton over the content of ``w``, or over
-    one fresh letter ``z`` when ``w`` is empty: ``w`` is an isoterm exactly
-    when neither of the two shortlex-first words reaching its state differs
-    from ``w``, and the first one that does is the counterexample.
+    Decided by the search of ``is_tau_term`` under the trivial congruence,
+    where the class of ``w`` is ``{w}``, over the content of ``w`` or one
+    fresh letter ``z`` when ``w`` is empty: ``w`` is an isoterm exactly
+    when no other word reaches its state, and the shortlex-first one that
+    does is the counterexample.
 
     The alphabet loses no identity.  Take ``w`` nonempty and an identity
     ``w = v`` where ``v`` has letters outside the content of ``w``.  Setting
     those letters to 1 gives an identity ``w = v'`` over the content.  If
     ``v' = w``, setting them to a letter of ``w`` instead gives a longer
     word over the content.  For the empty word, an identity ``1 = v`` gives
-    ``1 = z^|v|``.  The search keeps the two shortlex-first words at each
-    state, and that loses none at the state of ``w``: if a word were not
-    among the first two at a state it passes through, the two earlier words
-    there, each extended the same way, would come before it.
+    ``1 = z^|v|``.
     """
+    if not is_plain(w):
+        raise ValueError(f"an isoterm is a plain word, got {print_word(w)}")
     letters = tuple(sorted(content(w))) or ("z",)
     aut = rel_free_automaton(m, letters)
-    accepted = _accepted_words(aut, aut.state_of_word(w))
-    counter = next((v for v in accepted if v != w), None)
-    return IsotermReport(w, counter is None, counter)
+    _, witness = _search(TauWord(w, "trivial"), letters, aut.initial,
+                         dict(enumerate(aut.transitions)), None, None)
+    return IsotermReport(w, witness is None, witness and witness[1])
 
 
 @dataclass(frozen=True)
@@ -195,11 +176,41 @@ def _fresh_base(bases) -> str:
     return f"z{i}"
 
 
-def _tracker_next(state, base: str, tau: str, limit: int):
-    if state is _SINK:
-        return _SINK
-    nxt = compose_words(state, ((base, False),), tau)
-    return nxt if len(nxt) <= limit else _SINK
+def _tracker_table(u: TauWord, letters) -> tuple:
+    """The tracker's states and transitions for the class of ``u``.
+
+    ``forms`` numbers the canonical forms of the prefixes of the capped
+    members of ``u`` (as ``construct._members`` lists them, every run at
+    most 2 long), the empty word 0; ``len(forms)`` is an absorbing sink.
+    ``steps[i]`` takes each form of a capped expansion of the first ``i``
+    letters of ``u`` to its forms one and, for ``a+``, two letters on; the
+    forms that lead to ``u``, each with its form one letter on, are the
+    states, found without listing the exponentially many members.
+    ``table[s][i]``, one ``compose_words`` each, is the form of ``s`` times
+    letter ``i`` if that is a state, else the sink.  No member enters the
+    sink: a prefix of a member is a window starting at 0, so by the
+    run-capping argument of ``construct._lower_words`` it has the form of a
+    prefix of a capped one.
+    """
+    steps, level = [], {()}
+    for b, plussed in u.word:
+        x = ((b, False),)
+        step = {f: [canonical(f + x, u.tau)] for f in level}
+        if plussed:
+            for succ in step.values():
+                succ.append(canonical(succ[0] + x, u.tau))
+        steps.append(step)
+        level = {g for succ in step.values() for g in succ}
+    good = level & {u.word}
+    prefixes = set(good)
+    for step in reversed(steps):
+        good = {f for f, succ in step.items() if good.intersection(succ)}
+        prefixes |= good | {step[f][0] for f in good}
+    forms = {f: s for s, f in enumerate(sorted(prefixes, key=lambda f: (len(f), f)))}
+    sink = len(forms)
+    table = [[forms.get(compose_words(f, ((b, False),), u.tau), sink)
+              for b in letters] for f in forms]
+    return forms, table + [[sink] * len(letters)]
 
 
 def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
@@ -210,8 +221,8 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
     identity ``U = v`` with ``U`` in the class of ``u`` and ``v`` outside it.
     One breadth-first search runs over nodes (value key, tracker); equal
     keys mean equal values under every substitution.  The tracker is the
-    canonical form of the word, or an absorbing sink past ``len(u)``
-    letters, which by length monotonicity class members never enter.  ``u``
+    word's state in ``_tracker_table``: its canonical form when that is the
+    form of a prefix of a member, else a sink that no member enters.  ``u``
     fails when some key is reached both by a member and by a word outside
     the class.
 
@@ -228,7 +239,8 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
     The search reaches each node first by its shortlex-least word, so the
     witness is the shortlex-first word outside the class whose key has a
     member, paired with the shortlex-first member of that key: the same
-    pair as enumerating every word in shortlex order, in every mode.
+    pair as enumerating every word in shortlex order, in every mode and for
+    any tracker that tells members apart.
 
     When the monoid has a zero, a witness cannot involve letters outside
     the content of ``u`` unless some member evaluates to zero under every
@@ -267,27 +279,52 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
         start, new_row = aut.initial, None
         rows = dict(enumerate(aut.transitions))
 
-    limit = len(u.word)
-    root = (start, ())
+    used = fresh is not None
+    first, witness = _search(u, letters, start, rows, new_row, bound)
+    # a word is zero everywhere only when 1 = 0, as the all-identity
+    # substitution sends it to 1; then every word has the key ``start``
+    if m.zero == m.identity and first is not None:
+        z = _fresh_base(content(first))
+        return TauTermVerdict("fails", u, (first, ((z, False),) + first),
+                              bound=bound, method=method, fresh_letter_used=True,
+                              note=note + "; member evaluates to zero everywhere")
+    if bound is not None and first is None:
+        note += "; no class member within bound"
+    if witness is not None:
+        assert canonical(witness[1], u.tau) != u.word
+        return TauTermVerdict("fails", u, witness, bound=bound, method=method,
+                              fresh_letter_used=used, note=note)
+    return TauTermVerdict("holds" if bound is None else "holds-up-to-bound", u,
+                          bound=bound, method=method, fresh_letter_used=used,
+                          note=note)
+
+
+def _search(u: TauWord, letters, start, rows: dict, new_row, bound) -> tuple:
+    """The search of ``is_tau_term``: its shortlex-first member and its
+    witness pair, each None when absent.  A key without a row in ``rows``
+    gets ``new_row`` of the word that first reached it."""
+    forms, table = _tracker_table(u, letters)
+    target = forms.get(u.word)
+    root = (start, 0)
     parents = {root: None}
     member: dict = {}     # key -> first node whose tracker is u
     offender: dict = {}   # key -> first node whose tracker is not u
     # the rules only mark or merge, so no member is shorter than u, and a
     # bound below len(u) reaches none: the search is skipped
-    level = [root] if bound is None or bound >= limit else []
+    level = [root] if bound is None or bound >= len(u.word) else []
     depth = 0
     while level:
         nodes, level = level, []
         for node in nodes:
             key, t = node
-            (member if t == u.word else offender).setdefault(key, node)
+            (member if t == target else offender).setdefault(key, node)
             if depth == bound:
                 continue
             row = rows.get(key)
             if row is None:
                 row = rows[key] = new_row(_path(parents, node))
-            for i, b in enumerate(letters):
-                nxt = (row[i], _tracker_next(t, b, u.tau, limit))
+            for i, s in enumerate(table[t]):
+                nxt = (row[i], s)
                 if nxt not in parents:
                     parents[nxt] = (node, i)
                     level.append(nxt)
@@ -296,27 +333,9 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",
     def word(node) -> Word:
         return tuple((letters[i], False) for i in _path(parents, node))
 
-    used = fresh is not None
-    # a word is zero everywhere only when 1 = 0, as the all-identity
-    # substitution sends it to 1; then every word has the key ``start``
-    if m.zero == m.identity and member:
-        first = word(member[start])
-        z = _fresh_base(content(first))
-        return TauTermVerdict("fails", u, (first, ((z, False),) + first),
-                              bound=bound, method=method, fresh_letter_used=True,
-                              note=note + "; member evaluates to zero everywhere")
-    if bound is not None and not member:
-        note += "; no class member within bound"
-    for key, node in offender.items():
-        if key in member:
-            off = word(node)
-            assert canonical(off, u.tau) != u.word or fresh in content(off)
-            return TauTermVerdict("fails", u, (word(member[key]), off),
-                                  bound=bound, method=method,
-                                  fresh_letter_used=used, note=note)
-    return TauTermVerdict("holds" if bound is None else "holds-up-to-bound", u,
-                          bound=bound, method=method, fresh_letter_used=used,
-                          note=note)
+    witness = next(((word(member[key]), word(node))
+                    for key, node in offender.items() if key in member), None)
+    return next(map(word, member.values()), None), witness
 
 
 def _path(parents: dict, node) -> tuple:

@@ -161,6 +161,11 @@ class TestRunClaim:
         assert res.verdict == "fail"
         assert res.actual.startswith("error:")
 
+    def test_isoterm_of_a_marked_word_is_an_error(self):
+        res = run_claim(make_claim("isoterm", "M[lambda](bta+b+) ; x+y", "yes"))
+        assert res.verdict == "fail"
+        assert res.actual == "error: ValueError: an isoterm is a plain word, got x+y"
+
     def test_derivable(self):
         res = run_claim(make_claim(
             "derivable", "xtx=xtxx ; xtysyx=xtysxyx", "yes"))

@@ -73,6 +73,18 @@ class TestMonoidCommands:
         code, out, _ = run(capsys, "present", str(path))
         assert code == 0 and out.strip() == want
 
+    def test_present_file_as_the_help_describes(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["present", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for form in ("'gens: a b' line", "'u = v' (or 'u = v = w') relation",
+                     "'0 = w, w' lines"):
+            assert form in help_text
+        path = tmp_path / "p.txt"
+        path.write_text("gens: a b\naa = a\nbb = b = bbb\n0 = ab, ba\n")
+        assert run(capsys, "present", str(path)) == \
+            (0, "3 elements: a, b, 0\n", "")
+
     @pytest.mark.parametrize("text", [
         "gens: a b\nab = ba\n",
         "gens: a b\naba = b\n",
@@ -122,6 +134,9 @@ class TestMonoidCommands:
     def test_isoterm_and_tau_term(self, capsys):
         code, out, _ = run(capsys, "isoterm", "M[lambda](bta+b+)", "xy")
         assert code == 0 and out.strip() == "isoterm"
+        # M() satisfies xy = 1, printed as the word 1
+        assert run(capsys, "isoterm", "M[lambda]()", "xy") == \
+            (1, "not an isoterm (equal-valued word: 1)\n", "")
         code, out, _ = run(capsys, "tau-term", "lambda",
                            "M[lambda](a+ta+)", "a+btb+")
         assert code == 1 and "fails" in out
@@ -203,6 +218,10 @@ class TestMalformedInput:
     def test_deep_nesting(self, capsys):
         expr = "dual(" * 2000 + "A1" + ")" * 2000
         self.assert_one_line_error(capsys, "jtrivial", expr)
+
+    def test_isoterm_refuses_a_marked_word(self, capsys):
+        assert run(capsys, "isoterm", "M[lambda](bta+b+)", "x+y") == \
+            (2, "", "error: an isoterm is a plain word, got x+y\n")
 
     def test_prod_arity(self, capsys):
         self.assert_one_line_error(capsys, "jtrivial", "prod(A1,E1,S1)")

@@ -1,4 +1,5 @@
 import time
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -8,13 +9,15 @@ import pytest
 from taumonoid import freeobj
 from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
                               named_monoid)
-from taumonoid.freeobj import (RelFreeAutomaton, TauTermVerdict, is_isoterm,
-                               is_tau_term, rel_free_automaton, _tracker_next,
-                               _SINK)
+from taumonoid.construct import _members
+from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton,
+                               TauTermVerdict, is_isoterm, is_tau_term,
+                               rel_free_automaton, _tracker_table)
 from taumonoid.identities import (BudgetExceededError, Identity, _eval_batch,
                                    satisfies)
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, class_members
+from taumonoid.rewrite import (CONGRUENCES, TauWord, canonical, class_members,
+                               compose_words)
 from taumonoid.words import (content, parse_word, print_word, projection,
                              simple_and_multiple)
 
@@ -111,6 +114,35 @@ def tau_term_by_enumeration(m, u, bound, fallback=False):
                           fresh_letter_used=fresh is not None, note=note)
 
 
+def isoterm_by_accepted_words(m, word):
+    """Isoterm report from the two shortlex-first words reaching the state
+    of ``word``: the oracle for ``is_isoterm``.
+
+    The automaton is built over the content of ``word``, or over ``z`` for
+    the empty word, as ``is_isoterm`` builds it.  A breadth-first search
+    keeps the two shortlex-first words at each state, and that loses none
+    at the state of ``word``: if a word were not among the first two at a
+    state it passes through, the two earlier words there, each extended the
+    same way, would come before it.  ``word`` is an isoterm exactly when
+    neither differs from it, and the first that does is the counterexample.
+    """
+    letters = tuple(sorted(content(word))) or ("z",)
+    aut = rel_free_automaton(m, letters)
+    stored = {aut.initial: [()]}
+    queue = deque([(aut.initial, ())])
+    while queue:
+        s, path = queue.popleft()
+        for i, t in enumerate(aut.transitions[s]):
+            lst = stored.setdefault(t, [])
+            if len(lst) < 2:
+                lst.append(path + (i,))
+                queue.append((t, path + (i,)))
+    accepted = [tuple((letters[i], False) for i in p)
+                for p in stored.get(aut.state_of_word(word), [])]
+    counter = next((v for v in accepted if v != word), None)
+    return IsotermReport(word, counter is None, counter)
+
+
 def tw(text, tau):
     return TauWord.make(w(text), tau)
 
@@ -182,6 +214,10 @@ class TestIsoterm:
         # the counterexample really is an identity of the monoid
         assert satisfies(SEMILATTICE, Identity(w("x"), rep.counterexample)).holds
 
+    def test_marked_word_is_refused(self):
+        with pytest.raises(ValueError, match=r"plain word, got x\+y"):
+            is_isoterm(mtau("lambda", "bta+b+"), w("x+y"))
+
     def test_counterexamples_are_sound(self):
         for m, word in [(mtau("tau1", "a+b+"), "xyx"),
                         (mtau("gamma", "a+t"), "xx"),
@@ -235,31 +271,82 @@ class TestIsoterm:
                 assert projection(v, sv) == projection(u0, s0)
 
 
-class TestTracker:
-    def test_tracker_matches_canonical_forms(self):
-        u = tw("bta+b+", "lambda")
-        limit = len(u.word)
-        from itertools import product as iproduct
-        for n in range(limit + 2):
-            for combo in iproduct("abt", repeat=n):
-                word = tuple((c, False) for c in combo)
-                state = ()
-                for b, _ in word:
-                    state = _tracker_next(state, b, "lambda", limit)
-                expect = canonical(word, "lambda")
-                if len(expect) <= limit:
-                    assert state == expect
-                else:
-                    assert state is _SINK
+def run_tracker(table, letters, word):
+    """The tracker states ``word`` passes through, from state 0."""
+    states = [0]
+    for b, _ in word:
+        states.append(table[states[-1]][letters.index(b)])
+    return states
 
+
+class TestTracker:
     def test_members_never_sink(self):
         u = tw("bta+b+", "lambda")
+        forms, table = _tracker_table(u, "abt")
         for member in class_members(u, 8):
-            state = ()
-            for b, _ in member:
-                state = _tracker_next(state, b, "lambda", len(u.word))
-                assert state is not _SINK
-            assert state == u.word
+            states = run_tracker(table, "abt", member)
+            assert len(forms) not in states, print_word(member)
+            assert states[-1] == forms[u.word]
+
+    def test_tracker_matches_canonical_forms(self):
+        # the capped members of bta+b+ have at most 8 letters, so the
+        # members of up to 8 letters have every prefix form
+        u = tw("bta+b+", "lambda")
+        prefix_forms = {canonical(m[:j], "lambda")
+                        for m in class_members(u, 8) for j in range(len(m) + 1)}
+        forms, table = _tracker_table(u, "abt")
+        assert set(forms) == prefix_forms
+        state_of = {s: f for f, s in forms.items()}
+        for n in range(len(u.word) + 2):
+            for combo in product("abt", repeat=n):
+                word = tuple((c, False) for c in combo)
+                end = run_tracker(table, "abt", word)[-1]
+                expect = canonical(word, "lambda")
+                if expect in prefix_forms:
+                    assert state_of[end] == expect, print_word(word)
+                else:
+                    assert end == len(forms), print_word(word)
+
+    def test_states_are_the_prefix_forms_of_the_capped_members(self):
+        words = grid_words() + [tw(text, tau) for tau in CONGRUENCES[1:]
+                                for text in ("a+ba+sb+t", "ba+sa+t+s+")]
+        for u in words:
+            forms, _ = _tracker_table(u, "ab")
+            assert set(forms) == {canonical(m[:j], u.tau)
+                                  for m in _members(u.word, u.tau)
+                                  for j in range(len(m) + 1)}, u
+            assert forms[()] == 0
+
+    def test_table_is_built_without_listing_the_members(self, monkeypatch):
+        # (a+b+)^12 has 2^24 capped expansions; the table canonicalises a
+        # few forms per letter of u instead
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(freeobj, "canonical", counting)
+        for tau in CONGRUENCES[1:]:
+            calls.clear()
+            u = tw("a+b+" * 12, tau)
+            forms, _ = _tracker_table(u, "ab")
+            assert u.word in forms and len(calls) <= len(u.word) ** 2, tau
+
+    def test_one_compose_per_state_and_letter(self, monkeypatch):
+        # the trivial class of xyxyxyxyxy has 11 prefixes and K has a zero,
+        # so the search runs over x and y alone
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compose_words(*args)
+
+        monkeypatch.setattr(freeobj, "compose_words", counting)
+        u = tw("xyxyxyxyxy", "trivial")
+        verdict = is_tau_term(mtau("lambda", "bta+b+"), u, mode="exact")
+        assert verdict.method == "exact"
+        assert len(calls) <= (len(u.word) + 1) * 2
 
 
 class TestTauTerm:
@@ -288,10 +375,10 @@ class TestTauTerm:
         assert is_tau_term(m, tw("a+b+", "tau1"), mode="exact").holds
 
     def test_trivial_congruence_matches_isoterm(self):
-        # two methods for one question: under the trivial congruence a word
-        # is a tau-term exactly when it is an isoterm.  The grid holds the
-        # empty word on Z2 (1 = zz) and on M() (1 = z), which need a letter
-        # outside the word
+        # under the trivial congruence a word is a tau-term exactly when it
+        # is an isoterm, and the isoterm report is the accepted-words
+        # oracle's.  The grid holds the empty word on Z2 (1 = zz) and on M()
+        # (1 = z), which need a letter outside the word
         monoids = [m for m in corpus_monoids().values() if m.size <= 12]
         monoids += [SEMILATTICE, Z2]
         words = [()] + [tuple((c, False) for c in combo)
@@ -299,6 +386,8 @@ class TestTauTerm:
         for m in monoids:
             for word in words:
                 rep = is_isoterm(m, word)
+                assert rep == isoterm_by_accepted_words(m, word), \
+                    (m.labels, word)
                 verdict = is_tau_term(m, TauWord(word, "trivial"), mode="exact")
                 assert rep.is_isoterm == verdict.holds, (m.labels, word)
                 assert rep.is_isoterm == (rep.counterexample is None)
