@@ -6,7 +6,7 @@ from taumonoid.claims import (Claim, ClaimReport, _inputs, parse_corpus,
 from taumonoid.cli import corpus_text
 from taumonoid.monoid import direct_product, dual, submonoid
 from taumonoid.rewrite import TauWord
-from test_freeobj import tau_term_by_enumeration
+from test_freeobj import isoterm_by_accepted_words, tau_term_by_enumeration
 
 
 def make_claim(kind, inputs, expected, id="t1"):
@@ -284,3 +284,11 @@ class TestCorpusAgainstOracles:
         oracle = tau_term_by_enumeration(m, TauWord.make(word, tau), 8)
         actual = run_claim(claim).actual
         assert oracle.fails == actual.startswith("fails"), (oracle, actual)
+
+    @pytest.mark.parametrize("claim", [
+        c for c in parse_corpus(corpus_text()) if c.kind == "isoterm"],
+        ids=lambda c: c.id)
+    def test_isoterm_claims_by_accepted_words(self, claim):
+        (m, word), _ = _inputs(claim)
+        oracle = isoterm_by_accepted_words(m, word)
+        assert run_claim(claim).actual == ("yes" if oracle.is_isoterm else "no")
