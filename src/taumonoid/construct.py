@@ -6,8 +6,10 @@ this holds exactly when some representative of ``v`` is a factor of some
 plain member of the class of ``u``: the factor order on which Perkins
 builds the quotients ``M(W)`` (J. Algebra 11, 1969).  The lower set of
 ``u`` is therefore the set of canonical forms of the windows (contiguous
-factors) of the members of its class, and finitely many members suffice
-(``_lower_words``).
+factors) of the members of its class.  ``_lower_words`` reads them along the
+prefix automaton of the class (``_tracker_table``), whose states are the
+forms of the member prefixes, without listing a member; ``freeobj`` tracks
+the class of a word with the same automaton.
 
 ``build_monoid`` materializes the Rees quotient: the elements are the lower
 set of a finite word set plus a fresh absorbing zero, and a product falls to
@@ -22,49 +24,88 @@ set.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .monoid import FiniteMonoid, cayley_table
 from .rewrite import TauWord, TauWordSet, canonical, compose_words
-from .words import EMPTY, Word, content, print_word
+from .words import EMPTY, content, print_word
 
 
-def _members(u: Word, tau: str) -> list:
-    """The plain members of the class of ``u`` with every run at most 2 long.
+def _tracker_table(u: TauWord, letters) -> tuple:
+    """The prefix automaton of the class of ``u``, and the state of ``u``.
 
-    A plain letter of ``u`` stands for one letter, a plussed ``a+`` for a
-    run of one or two ``a``; the combinations that canonicalize back to
-    ``u`` are kept (a single ``a`` stays ``a+`` only where it is marked).
+    The states number the canonical forms of the prefixes of the members of
+    ``u``, shortlex, so the empty word is 0; the last row is an absorbing
+    sink.  ``table[s][i]``, one ``compose_words`` each, is the form of ``s``
+    times letter ``i`` if that is a state, else the sink.
+
+    Capped members suffice.  A member is ``u`` with each letter replaced by
+    a maximal run of its base (the merge rules turn a run of two or more
+    into one plussed letter), and the form of a plain word depends on a run
+    only through whether its length is 1 or at least 2: merging needs
+    adjacency, and marking ``a`` needs ``a`` to occur twice (gamma), to its
+    left (lambda) or to its right (rho), which a run of 2 decides as any
+    longer run does.  So cutting the runs of a member and of its prefixes to
+    at most 2 keeps their forms.  ``steps[i]`` takes each form of a capped
+    expansion of the first ``i`` letters of ``u`` to its forms one and, for
+    ``a+``, two letters on; the forms that lead to ``u``, each with its form
+    one letter on, are the states, found without listing the 2^p capped
+    members.  Under the trivial congruence the class is ``{u}`` and the
+    states are the prefix lengths: letter ``i`` moves state ``j`` on exactly
+    when it is the ``j``-th letter of ``u``.
     """
-    if tau == "trivial":
-        return [u]
-    members = (tuple((b, False) for (b, _), r in zip(u, runs) for _ in range(r))
-               for runs in product(*[(1, 2) if p else (1,) for _, p in u]))
-    return [m for m in members if canonical(m, tau) == u]
+    if u.tau == "trivial":
+        n = len(u.word)
+        table = [[j + 1 if (b, False) == u.word[j] else n + 1 for b in letters]
+                 for j in range(n)]
+        return table + [[n + 1] * len(letters)] * 2, n
+    steps, level = [], {()}
+    for b, plussed in u.word:
+        x = ((b, False),)
+        step = {f: [canonical(f + x, u.tau)] for f in level}
+        if plussed:
+            for succ in step.values():
+                succ.append(canonical(succ[0] + x, u.tau))
+        steps.append(step)
+        level = {g for succ in step.values() for g in succ}
+    good = level & {u.word}
+    prefixes = set(good)
+    for step in reversed(steps):
+        good = {f for f, succ in step.items() if good.intersection(succ)}
+        prefixes |= good | {step[f][0] for f in good}
+    forms = {f: s for s, f in enumerate(sorted(prefixes, key=lambda f: (len(f), f)))}
+    sink = len(forms)
+    table = [[forms.get(compose_words(f, ((b, False),), u.tau), sink)
+              for b in letters] for f in forms]
+    return table + [[sink] * len(letters)], forms.get(u.word)
 
 
 @lru_cache(maxsize=1024)
 def _lower_words(u: tuple, tau: str) -> frozenset:
     """Canonical words below ``u`` in the factor order.
 
-    The canonical forms of the windows of the members from ``_members``.
-    This is exact.  Every member of the class of ``u`` is ``u`` with each
-    letter replaced by a maximal run of its base (the merge rules turn a
-    run of two or more into one plussed letter), and the canonical form of
-    a plain word depends on a run only through whether its length is 1 or
-    at least 2: merging needs adjacency, and marking an occurrence of ``a``
-    needs ``a`` to occur twice (gamma), to its left (lambda) or to its
-    right (rho), which a run of 2 decides as any longer run does.  So if
-    ``w`` is a window of a member ``m``, cutting every run of ``m`` down to
-    at most 2 gives a member ``m'`` still in the class, and cutting the runs
-    of ``w`` the same way (a run that ``w`` cuts off at one of its ends
-    keeps that end) gives a window ``w'`` of ``m'`` with the canonical form
-    of ``w``.  Under ``trivial`` runs are literal, and the only member is
-    ``u``.
+    The forms of the words read along the prefix automaton of ``u`` from any
+    state without entering the sink, found by one search over pairs (state,
+    form of the word read so far).  These are the forms of the windows of
+    the members of ``u``.  A window ``w`` of a member ``p w s`` is read from
+    the state of ``p``, as every prefix of ``p w`` is a member prefix.
+    Conversely, if ``w`` is read from the state of a member prefix ``p`` to
+    a state ``g``, then ``p w`` has the form ``g`` of some member prefix
+    ``q``, and if ``q s`` is a member then so is ``p w s``.
     """
-    windows = {m[i:j] for m in _members(u, tau)
-               for i in range(len(m)) for j in range(i + 1, len(m) + 1)}
-    return frozenset({EMPTY} | {canonical(w, tau) for w in windows})
+    letters = sorted(content(u))
+    table, _ = _tracker_table(TauWord.of_canonical(u, tau), letters)
+    sink = len(table) - 1
+    seen = {(s, EMPTY) for s in range(sink)}
+    stack = list(seen)
+    while stack:
+        s, f = stack.pop()
+        for b, t in zip(letters, table[s]):
+            if t != sink:
+                node = (t, compose_words(f, ((b, False),), tau))
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+    return frozenset(f for _, f in seen)
 
 
 def leq_tau(v: TauWord, u: TauWord) -> bool:
@@ -74,31 +115,6 @@ def leq_tau(v: TauWord, u: TauWord) -> bool:
     if len(v.word) > len(u.word) or not content(v.word) <= content(u.word):
         return False
     return v.word in _lower_words(u.word, u.tau)
-
-
-def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
-    """Brute-force oracle: try every canonical pair (p, s) directly.
-
-    A product is never shorter than either factor, so p and s range over the
-    canonical words over the content of ``u`` no longer than ``u``; each is
-    a product of plain letters, reached by appending one letter at a time.
-    """
-    if v.tau != u.tau:
-        raise ValueError("mismatched congruences")
-    letters = [((b, False),) for b in content(u.word)]
-    nodes, frontier = {EMPTY}, [EMPTY]
-    while frontier:
-        grown = {compose_words(x, l, u.tau) for x in frontier for l in letters}
-        frontier = [y for y in grown if len(y) <= len(u.word) and y not in nodes]
-        nodes.update(frontier)
-    for p in nodes:
-        pv = compose_words(p, v.word, u.tau)
-        if len(pv) > len(u.word):
-            continue
-        for s in nodes:
-            if compose_words(pv, s, u.tau) == u.word:
-                return True
-    return False
 
 
 def lower_set(ws: TauWordSet) -> set:

@@ -13,11 +13,11 @@ of longer words are mostly zero in a Rees quotient.
 
 One breadth-first search over pairs (state, tracker) decides tau-terms and
 isoterms, an isoterm being a tau-term for the trivial congruence; the
-tracker runs on a table of the canonical forms of the prefixes of class
-members.  Exact mode runs it on the whole automaton.  Bounded mode builds
-the automaton only as far as a number of levels and cuts the search there;
-it reports the witness the exact search would find, when it lies within
-the bound.
+tracker runs on the prefix automaton of the class, ``construct``'s table of
+the canonical forms of the prefixes of class members.  Exact mode runs it
+on the whole automaton.  Bounded mode builds the automaton only as far as a
+number of levels and cuts the search there; it reports the witness the
+exact search would find, when it lies within the bound.
 
 One budget, ``max_cells``, bounds the int32 cells an automaton holds: its
 k generator columns, each |M|^k cells long, and two cells, an index and a
@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construct import _tracker_table
 from .identities import BudgetExceededError, _blocks
 from .monoid import FiniteMonoid
-from .rewrite import TauWord, canonical, compose_words
+from .rewrite import TauWord, canonical
 from .words import Word, content, is_plain, print_word
 
 MAX_CELLS = 2 ** 28      # 1 GiB of int32
@@ -185,50 +186,6 @@ def _fresh_base(bases) -> str:
     while f"z{i}" in bases:
         i += 1
     return f"z{i}"
-
-
-def _tracker_table(u: TauWord, letters) -> tuple:
-    """The tracker's transitions for the class of ``u``, and the state of ``u``.
-
-    The states number the canonical forms of the prefixes of the capped
-    members of ``u`` (as ``construct._members`` lists them, every run at
-    most 2 long), shortlex, so the empty word is 0; the last row is an
-    absorbing sink.  ``steps[i]`` takes each form of a capped expansion of
-    the first ``i`` letters of ``u`` to its forms one and, for ``a+``, two
-    letters on; the forms that lead to ``u``, each with its form one letter
-    on, are the states, found without listing the exponentially many
-    members.  ``table[s][i]``, one ``compose_words`` each, is the form of
-    ``s`` times letter ``i`` if that is a state, else the sink.  No member
-    enters the sink: a prefix of a member is a window starting at 0, so by
-    the run-capping argument of ``construct._lower_words`` it has the form
-    of a prefix of a capped one.  Under the trivial congruence the class is
-    ``{u}`` and the states are the prefix lengths: letter ``i`` moves state
-    ``j`` on exactly when it is the ``j``-th letter of ``u``.
-    """
-    if u.tau == "trivial":
-        n = len(u.word)
-        table = [[j + 1 if (b, False) == u.word[j] else n + 1 for b in letters]
-                 for j in range(n)]
-        return table + [[n + 1] * len(letters)] * 2, n
-    steps, level = [], {()}
-    for b, plussed in u.word:
-        x = ((b, False),)
-        step = {f: [canonical(f + x, u.tau)] for f in level}
-        if plussed:
-            for succ in step.values():
-                succ.append(canonical(succ[0] + x, u.tau))
-        steps.append(step)
-        level = {g for succ in step.values() for g in succ}
-    good = level & {u.word}
-    prefixes = set(good)
-    for step in reversed(steps):
-        good = {f for f, succ in step.items() if good.intersection(succ)}
-        prefixes |= good | {step[f][0] for f in good}
-    forms = {f: s for s, f in enumerate(sorted(prefixes, key=lambda f: (len(f), f)))}
-    sink = len(forms)
-    table = [[forms.get(compose_words(f, ((b, False),), u.tau), sink)
-              for b in letters] for f in forms]
-    return table + [[sink] * len(letters)], forms.get(u.word)
 
 
 def is_tau_term(m: FiniteMonoid, u: TauWord, mode: str = "auto",

@@ -24,9 +24,8 @@ small words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .words import Word, content, is_plain, print_word
+from .words import Word, is_plain, print_word
 
 CONGRUENCES = ("trivial", "tau1", "gamma", "lambda", "rho")
 
@@ -256,23 +255,3 @@ def tau_equal(u: Word, v: Word, tau: str) -> bool:
     if not (is_plain(u) and is_plain(v)):
         raise ValueError("tau_equal compares plain words")
     return canonical(u, tau) == canonical(v, tau)
-
-
-def class_members(u: TauWord, max_len: int) -> set:
-    """All plain words of length <= max_len whose canonical form is ``u``.
-
-    Exhaustive enumeration over the content of ``u``; the congruence relates
-    plain words only, so members are always plain.
-    """
-    bases = sorted(content(u.word))
-    out = set()
-    if u.tau == "trivial":
-        if len(u.word) <= max_len:
-            out.add(u.word)
-        return out
-    for n in range(max_len + 1):
-        for combo in product(bases, repeat=n):
-            w = tuple((b, False) for b in combo)
-            if canonical(w, u.tau) == u.word:
-                out.add(w)
-    return out

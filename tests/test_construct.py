@@ -5,14 +5,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taumonoid import construct
 from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE, mtau
-from taumonoid.construct import (build_monoid, leq_tau,
-                                 leq_tau_by_factor_search, lower_set)
+from taumonoid.construct import _lower_words, build_monoid, leq_tau, lower_set
 from taumonoid.monoid import (FiniteMonoid, dual, find_isomorphism,
                               is_aperiodic, is_j_trivial)
 from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
                                compose_words)
 from taumonoid.words import EMPTY, content, parse_word, print_word
+
+from oracles import leq_tau_by_factor_search, lower_words_by_members
 
 # the lambda lower set of bta+b+, frozen after the factor-search oracle run
 K_LOWER = sorted(
@@ -179,8 +181,38 @@ class TestLowerSet:
 
     @pytest.mark.slow
     def test_agrees_with_reachability_up_to_length_6(self):
-        # re-proves the run-length cap of _lower_words on every small word
+        # re-proves on every small word that the windows read along the
+        # prefix automaton of the class are the whole lower set
         assert_agrees_with_reachability(6)
+
+    def test_agrees_with_the_capped_members_up_to_length_5(self):
+        # the windows of all 2^p capped members, listed, against the windows
+        # read along the prefix automaton
+        for tau in CONGRUENCES:
+            for u in [EMPTY] + canonical_words(tau, 5, "abt"):
+                assert _lower_words(u, tau) == lower_words_by_members(u, tau), \
+                    (tau, print_word(u))
+
+    def test_lower_set_is_found_without_listing_the_members(self, monkeypatch):
+        # (a+b+)^12 has 2^24 capped members; the search makes at most |u|^3
+        # calls, and the counter stops a listing as soon as it passes them
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args):
+                calls.append(args)
+                if len(calls) > 24 ** 3:
+                    raise AssertionError("more than |u|^3 calls")
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(construct, "canonical", counting(canonical))
+        monkeypatch.setattr(construct, "compose_words", counting(compose_words))
+        for tau in CONGRUENCES[1:]:
+            calls.clear()
+            _lower_words.cache_clear()
+            u = TauWord.make(parse_word("a+b+" * 12), tau)
+            assert u in lower_set(TauWordSet(tau, [u])), tau
 
     def test_empty_set(self):
         assert lower_set(TauWordSet("lambda", [])) == set()

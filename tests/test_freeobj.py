@@ -6,19 +6,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from taumonoid import freeobj
+from taumonoid import construct, freeobj
 from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
                               named_monoid)
-from taumonoid.construct import _members
+from taumonoid.construct import _tracker_table
 from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton,
                                TauTermVerdict, is_isoterm, is_tau_term,
-                               rel_free_automaton, _tracker_table)
+                               rel_free_automaton)
 from taumonoid.identities import BudgetExceededError, Identity, satisfies
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import (CONGRUENCES, TauWord, canonical, class_members,
-                               compose_words)
+from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, compose_words
 from taumonoid.words import (content, parse_word, print_word, projection,
                              simple_and_multiple)
+
+from oracles import capped_members, class_members
 
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
@@ -414,7 +415,7 @@ class TestTracker:
             forms = tracker_forms(u, table, letters)
             assert sorted(forms.values(), key=lambda f: (len(f), f)) == \
                 sorted({canonical(m[:j], u.tau)
-                        for m in _members(u.word, u.tau)
+                        for m in capped_members(u.word, u.tau)
                         for j in range(len(m) + 1)},
                        key=lambda f: (len(f), f)), u
             assert len(forms) == len(table) - 1 and forms[target] == u.word
@@ -428,7 +429,7 @@ class TestTracker:
             calls.append(args)
             return canonical(*args)
 
-        monkeypatch.setattr(freeobj, "canonical", counting)
+        monkeypatch.setattr(construct, "canonical", counting)
         for tau in CONGRUENCES[1:]:
             calls.clear()
             u = tw("a+b+" * 12, tau)
@@ -446,8 +447,8 @@ class TestTracker:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(freeobj, "canonical", counting(canonical))
-        monkeypatch.setattr(freeobj, "compose_words", counting(compose_words))
+        monkeypatch.setattr(construct, "canonical", counting(canonical))
+        monkeypatch.setattr(construct, "compose_words", counting(compose_words))
         u = TauWord(w("xy" * 2000), "trivial")
         table, target = _tracker_table(u, "xy")
         assert calls == []
@@ -465,9 +466,10 @@ class TestTracker:
             calls.append(args)
             return compose_words(*args)
 
-        monkeypatch.setattr(freeobj, "compose_words", counting)
+        k = mtau("lambda", "bta+b+")     # built before its compositions count
+        monkeypatch.setattr(construct, "compose_words", counting)
         u = tw("xyxyxyxyxy", "trivial")
-        verdict = is_tau_term(mtau("lambda", "bta+b+"), u, mode="exact")
+        verdict = is_tau_term(k, u, mode="exact")
         assert verdict.method == "exact"
         assert len(calls) <= (len(u.word) + 1) * 2
 
