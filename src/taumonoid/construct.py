@@ -85,7 +85,8 @@ def _lower_words(u: tuple, tau: str) -> frozenset:
 
     The forms of the words read along the prefix automaton of ``u`` from any
     state without entering the sink, found by one search over pairs (state,
-    form of the word read so far).  These are the forms of the windows of
+    form of the word read so far); each (form, letter) is composed once,
+    however many states reach it.  These are the forms of the windows of
     the members of ``u``.  A window ``w`` of a member ``p w s`` is read from
     the state of ``p``, as every prefix of ``p w`` is a member prefix.
     Conversely, if ``w`` is read from the state of a member prefix ``p`` to
@@ -97,11 +98,15 @@ def _lower_words(u: tuple, tau: str) -> frozenset:
     sink = len(table) - 1
     seen = {(s, EMPTY) for s in range(sink)}
     stack = list(seen)
+    step: dict = {}
     while stack:
         s, f = stack.pop()
         for b, t in zip(letters, table[s]):
             if t != sink:
-                node = (t, compose_words(f, ((b, False),), tau))
+                g = step.get((f, b))
+                if g is None:
+                    g = step[f, b] = compose_words(f, ((b, False),), tau)
+                node = (t, g)
                 if node not in seen:
                     seen.add(node)
                     stack.append(node)

@@ -1,12 +1,29 @@
 """Formal identities and exhaustive satisfaction checking.
 
-An identity is an ordered pair of plain words.  ``satisfies`` scans every
-substitution of monoid elements for the letters, in lex order over the
+An identity is an ordered pair of plain words.  ``satisfies`` scans the
+substitutions of monoid elements for the letters, in lex order over the
 sorted letter list, and reports the first violating substitution.  The scan
-is vectorized: the substitution space is split into chunks and each
-chunk is evaluated with batched table lookups, with early exit on the first
-violating chunk.  ``naive_satisfies`` is the independent reference evaluator
-(no vectorization, no early exit) used to cross-check the fast path.
+is vectorized: substitutions are evaluated in batches of at most ``chunk``
+rows with batched table lookups, with early exit on the first violating
+batch.  A space of at most ``_FLAT`` substitutions is evaluated in flat
+blocks; a larger one level by level, as below.  The independent reference
+evaluator that cross-checks it lives with the tests (``naive_satisfies`` in
+``tests/oracles.py``).
+
+Zero pruning: if a partial assignment of the first letters gives each side
+a factor whose letters are all assigned and whose value is the zero, both
+sides are the zero under every extension, so no violation lies below that
+prefix.  The scan assigns the letters in its own order, one level at a
+time, keeps the live prefixes of each level as numpy rows in lex order,
+and drops a row once each side has a run of assigned positions equal to
+the zero.  The zero is read off the table, declared or not; a monoid with
+no zero takes the same scan with nothing dropped.  At the last level the
+first row whose sides differ is the lex-first violation, since the dropped
+subtrees hold none.  On the 12-element S1, a six-letter instance of
+``xyxy=yxyx`` that holds (x = exr, y = fly) evaluates 62,880 rows of its
+12^6 = 2,985,984 substitutions.  Each level's prefixes are expanded in
+slices that start small and double, so a violation near the start of the
+space is found after a few small batches.
 
 Shared-block elimination: if ``u = u1 B u2`` and ``v = v1 B v2`` where B's
 letters occur nowhere in u1, u2, v1, v2, then B's letters feed only B's
@@ -14,11 +31,12 @@ value, which ranges over its image Im(B) in M independently of the other
 letters.  So ``u = v`` holds exactly when ``u1 z u2 = v1 z v2`` holds with a
 fresh z ranging over Im(B) (variable elimination, as in Dechter's bucket
 elimination).  On the 19-element K, Im(y1^2 ... y5^2) has 5 elements, so
-past its first block the n=6 long identity needs 19^2 * 5 evaluations
-instead of the rest of 19^7.  Im(B) itself is the set product of the
-images of B's maximal consecutive parts that share no letters (``_image``):
-for y1^2 ... y5^2, five scans of 19 values and four products of at most
-19 by 19.
+once the first ``_FLAT`` rows of its scan are clean the n=6 long identity
+needs 19^2 * 5 more evaluations, where the pruned scan of all 19^7
+substitutions would evaluate about 284,000 rows.  Im(B) itself is the set
+product of the images of B's maximal consecutive parts that share no
+letters (``_image``): for y1^2 ... y5^2, five scans of 19 values and four
+products of at most 19 by 19.
 
 Direct products: a product evaluates coordinate by coordinate, so an
 identity holds in A x B exactly when it holds in A and in B; this is the
@@ -35,8 +53,8 @@ the ordinary scan of the product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from math import prod
+from itertools import product
+from math import inf, prod
 
 import numpy as np
 
@@ -97,6 +115,11 @@ def long_identity(n: int) -> Identity:
 
 @dataclass(frozen=True)
 class SatisfactionResult:
+    """A verdict, with the lex-first violating substitution if any.
+
+    ``checked`` is the number of rows the scan evaluated (``satisfies``),
+    which zero pruning and block elimination keep below |M|^k.
+    """
     identity: Identity
     holds: bool
     witness: dict | None = None       # base -> element index
@@ -115,8 +138,8 @@ def _word_letter_indices(word: Word, letters: list) -> list:
     return [pos[b] for b, _ in word]
 
 
-def _blocks(domains: list, chunk: int, start: int = 0, stop: int | None = None):
-    """Blocks ``start`` to ``stop - 1`` of ``product(*domains)`` in lex order.
+def _blocks(domains: list, chunk: int):
+    """The blocks of ``product(*domains)`` in lex order.
 
     The last letters, as many as fit in ``chunk`` (at least one), vary inside
     a block as value columns; each outer letter is one scalar per block.
@@ -129,7 +152,7 @@ def _blocks(domains: list, chunk: int, start: int = 0, stop: int | None = None):
     for d in domains[-inner:]:
         inside //= len(d)
         cols.append(np.tile(np.repeat(d, inside), size // (len(d) * inside)))
-    for values in islice(product(*domains[:-inner]), start, stop):
+    for values in product(*domains[:-inner]):
         yield list(values) + cols
 
 
@@ -143,20 +166,157 @@ def _eval_batch(table: np.ndarray, identity: int, word_idx: list,
     return val
 
 
-def _first_violation(table, identity, lhs_idx, rhs_idx, blocks):
-    """``((values, lhs value, rhs value) or None, substitutions checked)``."""
-    checked = 0
-    for cols in blocks:
+def _flat_batches(table, identity, lhs_idx, rhs_idx, domains, chunk):
+    """``(rows, violation or None)`` for each block of ``_blocks``."""
+    for cols in _blocks(domains, chunk):
         size = len(cols[-1])
         lv = _eval_batch(table, identity, lhs_idx, cols, size)
         rv = _eval_batch(table, identity, rhs_idx, cols, size)
-        checked += size
         neq = lv != rv
         if neq.any():
             at = int(np.argmax(neq))
             values = [int(c[at]) if np.ndim(c) else int(c) for c in cols]
-            return (values, int(lv[at]), int(rv[at])), checked
-    return None, checked
+            yield size, (values, int(lv[at]), int(rv[at]))
+            return
+        yield size, None
+
+
+def _zero(table: np.ndarray) -> int | None:
+    """The two-sided zero of the table, or None.
+
+    A zero absorbs the product of all elements, so that product is the only
+    candidate; then its row and column are checked.
+    """
+    z = 0
+    for x in range(len(table)):
+        z = table.item(z, x)
+    if (table[z] == z).all() and (table[:, z] == z).all():
+        return z
+    return None
+
+
+def _new_runs(word_idx: list, level: int) -> list:
+    """The maximal runs of positions whose letters are all among the first
+    ``level + 1`` and that hold letter ``level``, as lists of letter indices.
+    """
+    runs, run = [], []
+    for li in word_idx + [level + 1]:
+        if li <= level:
+            run.append(li)
+            continue
+        if level in run:
+            runs.append(run)
+        run = []
+    return runs
+
+
+def _fold(offsets: np.ndarray, n: int, word_idx: list,
+          rows: np.ndarray) -> np.ndarray:
+    """``n`` times the value of a nonempty word on each column of ``rows``.
+
+    ``offsets`` is the table times ``n``, flattened: the product of ``a``
+    and ``b`` is then one ``take`` at ``n * a + b``.
+    """
+    val = rows[word_idx[0]] * n
+    for li in word_idx[1:]:
+        val = offsets.take(val + rows[li])
+    return val
+
+
+# a space of at most this many rows is evaluated in flat blocks: the
+# level-by-level scan would cost more numpy calls than it can prune
+_FLAT = 1 << 12
+# the first slice of a level expands to about this many rows
+_FIRST_ROWS = 256
+
+
+def _pruned_batches(table, identity, lhs_idx, rhs_idx, domains, chunk):
+    """``_flat_batches`` over ``product(*domains)``, depth first, pruned.
+
+    Level ``i`` holds the live prefixes of the first ``i`` letters as the
+    columns of an ``(i, rows)`` array, in lex order.  A slice of them is
+    expanded by the values of the next letter.  Below the last level, a
+    row is dropped when each side has a run of assigned positions that
+    evaluates to the zero (``_zero``); a flag per side and row carries that
+    down, so only the runs holding the new letter are evaluated.  At the
+    last level both sides are evaluated whole, and the rows are the
+    substitutions in lex order less the pruned ones, so the first row whose
+    sides differ is the lex-first violation.  The slices of a level start
+    at ``_FIRST_ROWS`` rows of expansion and double, up to ``chunk`` rows,
+    so a violation near the start is found after a few small batches.
+    """
+    k, n = len(domains), len(table)
+    offsets = (table * n).ravel()
+    zero = _zero(table)
+    runs = [([], []) if zero is None
+            else (_new_runs(lhs_idx, i), _new_runs(rhs_idx, i))
+            for i in range(k - 1)]
+    flags = np.zeros(1, dtype=bool)
+    # each level: [prefix columns, lhs zero flags, rhs zero flags, cursor]
+    stack = [[np.zeros((0, 1), dtype=np.int32), flags, flags, 0]]
+    size = [max(1, _FIRST_ROWS // len(d)) for d in domains]
+    while stack:
+        level = len(stack) - 1
+        top = stack[-1]
+        prefixes, lz, rz, at = top
+        if at == prefixes.shape[1]:
+            stack.pop()
+            continue
+        d = domains[level]
+        step = max(1, chunk // len(d))
+        q = min(size[level], step, prefixes.shape[1] - at)
+        size[level] = min(2 * size[level], step)
+        top[3] = at + q
+        rows = np.empty((level + 1, q, len(d)), dtype=np.int32)
+        rows[:level] = prefixes[:, at:at + q, None]
+        rows[level] = d
+        rows = rows.reshape(level + 1, -1)
+        expanded = rows.shape[1]
+        if level == k - 1:
+            lv, rv = (_fold(offsets, n, w, rows) if w
+                      else np.full(expanded, identity * n)
+                      for w in (lhs_idx, rhs_idx))
+            neq = lv != rv
+            if neq.any():
+                i = int(np.argmax(neq))
+                yield expanded, (rows[:, i].tolist(),
+                                 int(lv[i]) // n, int(rv[i]) // n)
+                return
+            yield expanded, None
+            continue
+        lrun, rrun = runs[level]
+        lz = np.repeat(lz[at:at + q], len(d))
+        rz = np.repeat(rz[at:at + q], len(d))
+        for run in lrun:
+            lz |= _fold(offsets, n, run, rows) == zero * n
+        for run in rrun:
+            rz |= _fold(offsets, n, run, rows) == zero * n
+        live = ~(lz & rz)
+        if not live.all():
+            rows, lz, rz = rows[:, live], lz[live], rz[live]
+        stack.append([rows, lz, rz, 0])
+        yield expanded, None
+
+
+def _scan(table, identity, lhs_idx, rhs_idx, domains, chunk):
+    """The batches of ``product(*domains)``: ``_flat_batches`` if the space
+    has at most ``_FLAT`` rows, else ``_pruned_batches``."""
+    batches = (_flat_batches if prod(map(len, domains)) <= _FLAT
+               else _pruned_batches)
+    return batches(table, identity, lhs_idx, rhs_idx, domains, chunk)
+
+
+def _first_violation(batches, limit: float = inf):
+    """``(violation or None, rows evaluated, whether the batches ran out)``,
+    taking batches until a violation, the end, or ``limit`` rows."""
+    checked = 0
+    for rows, found in batches:
+        checked += rows
+        if found is not None:
+            return found, checked, True
+        if checked >= limit:
+            return None, checked, False
+    return None, checked, True
 
 
 def _private_factor(lhs: Word, rhs: Word):
@@ -198,7 +358,7 @@ def _image(table, identity, w: Word, chunk: int) -> np.ndarray:
 
 
 def _reduced(table, identity, ident: Identity, letters: list, chunk: int):
-    """Sides and blocks of ``u1 z u2 = v1 z v2`` with z last, over Im(B).
+    """Sides and domains of ``u1 z u2 = v1 z v2`` with z last, over Im(B).
 
     None when no private factor B exists or Im(B) is the whole space of B.
     """
@@ -217,7 +377,7 @@ def _reduced(table, identity, ident: Identity, letters: list, chunk: int):
 
     full = np.arange(len(table), dtype=np.int32)
     return (collapse(ident.lhs, i), collapse(ident.rhs, p),
-            _blocks([full] * len(rest) + [image], chunk))
+            [full] * len(rest) + [image])
 
 
 def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
@@ -225,17 +385,20 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     """Exhaustively check one identity against a monoid.
 
     Reports the lex-first violating substitution, evaluating at most
-    ``chunk`` substitutions at a time.  A direct product is first checked
-    factor by factor (module docstring); if a factor is violated, the
-    product itself is scanned as below.  If the first block is clean and
-    more remain, a shared private factor B (module docstring) is collapsed:
-    when the reduced identity holds, so does this one; otherwise the
-    ordinary scan resumes, so the witness stays the lex-first one.
-    ``checked`` counts the substitutions evaluated on every identity and
-    monoid scanned: the factors', then the reduced and the given identity
-    on the monoid itself, but not those computing Im(B).  So when every
-    factor holds, it is the sum of the factors' counts.  ``budget`` still
-    refuses on |M|^k of the monoid given.
+    ``chunk`` rows at a time.  A direct product is first checked factor by
+    factor (module docstring); if a factor is violated, the product itself
+    is scanned as below.  The scan prunes the prefixes that send both sides
+    to the zero (module docstring).  If its first ``min(chunk, _FLAT)``
+    rows are clean and more remain, a shared private factor B (module
+    docstring) is collapsed: when the reduced identity holds, so does this
+    one; otherwise the scan resumes where it stopped, so the witness stays
+    the lex-first one.  ``checked`` counts the rows evaluated, not the
+    space: the substitutions of a flat block, and the expanded prefixes of
+    every level of a pruned scan, on every identity and monoid scanned (the
+    factors', then the given and the reduced identity on the monoid
+    itself), but not those computing Im(B).  So when every factor holds, it
+    is the sum of the factors' counts.  ``budget`` still refuses on |M|^k
+    of the monoid given, however few rows the scan would evaluate.
     """
     letters = ident.letters()
     k = len(letters)
@@ -258,18 +421,18 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    found, first = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
-                                    _blocks(domains, chunk, 0, 1))
+    batches = _scan(m.table, m.identity, lhs_idx, rhs_idx, domains, chunk)
+    found, first, done = _first_violation(batches, min(chunk, _FLAT))
     checked += first
-    if found is None and first < total:
+    if not done:
         reduced = _reduced(m.table, m.identity, ident, letters, chunk)
         if reduced is not None:
-            r_found, r_checked = _first_violation(m.table, m.identity, *reduced)
+            r_found, r_checked, _ = _first_violation(
+                _scan(m.table, m.identity, *reduced, chunk))
             checked += r_checked
             if r_found is None:
                 return SatisfactionResult(ident, True, checked=checked)
-        found, rest = _first_violation(m.table, m.identity, lhs_idx, rhs_idx,
-                                       _blocks(domains, chunk, 1))
+        found, rest, _ = _first_violation(batches)
         checked += rest
     if found is None:
         return SatisfactionResult(ident, True, checked=checked)
@@ -277,28 +440,3 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     return SatisfactionResult(ident, False, dict(zip(letters, values)),
                               lv, rv, checked=checked)
 
-
-def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
-    """Reference evaluator: plain nested loops, no early exit.
-
-    Products are looked up in a local list-of-lists copy of the table,
-    which Python indexes faster than the array.
-    """
-    letters = ident.letters()
-    table = m.table.tolist()
-    first = None
-    checked = 0
-    for values in product(range(m.size), repeat=len(letters)):
-        assignment = dict(zip(letters, values))
-        lv = rv = m.identity
-        for b, _ in ident.lhs:
-            lv = table[lv][assignment[b]]
-        for b, _ in ident.rhs:
-            rv = table[rv][assignment[b]]
-        checked += 1
-        if lv != rv and first is None:
-            first = (assignment, lv, rv)
-    if first is None:
-        return SatisfactionResult(ident, True, checked=checked)
-    assignment, lv, rv = first
-    return SatisfactionResult(ident, False, assignment, lv, rv, checked=checked)

@@ -1,13 +1,16 @@
-"""Brute-force oracles for the class and factor-order questions.
+"""Brute-force oracles for the class, factor-order and identity questions.
 
 Each lists or searches what the library computes without listing: the
-members of a class, the windows of those members, and the factorizations
-``u = p * v * s``.  They are exponential and serve only to cross-check
-``construct`` and ``freeobj`` on small words.
+members of a class, the windows of those members, the factorizations
+``u = p * v * s``, and every substitution of an identity.  They are
+exponential and serve only to cross-check ``construct``, ``freeobj`` and
+``identities`` on small inputs.
 """
 
 from itertools import product
 
+from taumonoid.identities import Identity, SatisfactionResult
+from taumonoid.monoid import FiniteMonoid
 from taumonoid.rewrite import TauWord, canonical, compose_words
 from taumonoid.words import EMPTY, Word, content
 
@@ -78,3 +81,34 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
             if compose_words(pv, s, u.tau) == u.word:
                 return True
     return False
+
+
+def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
+    """Reference evaluator for ``identities.satisfies``: plain nested loops,
+    no early exit.
+
+    It shares nothing with the library's scan: no blocks, no batching, no
+    pruning at the zero, no block elimination and no factor-by-factor
+    check of products; every substitution is evaluated letter by letter, in
+    lex order over the sorted letters, and the first violation is kept.
+    Products are looked up in a local list-of-lists copy of the table,
+    which Python indexes faster than the array.
+    """
+    letters = ident.letters()
+    table = m.table.tolist()
+    first = None
+    checked = 0
+    for values in product(range(m.size), repeat=len(letters)):
+        assignment = dict(zip(letters, values))
+        lv = rv = m.identity
+        for b, _ in ident.lhs:
+            lv = table[lv][assignment[b]]
+        for b, _ in ident.rhs:
+            rv = table[rv][assignment[b]]
+        checked += 1
+        if lv != rv and first is None:
+            first = (assignment, lv, rv)
+    if first is None:
+        return SatisfactionResult(ident, True, checked=checked)
+    assignment, lv, rv = first
+    return SatisfactionResult(ident, False, assignment, lv, rv, checked=checked)

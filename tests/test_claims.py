@@ -6,6 +6,7 @@ from taumonoid.claims import (Claim, ClaimReport, _inputs, parse_corpus,
 from taumonoid.cli import corpus_text
 from taumonoid.monoid import direct_product, dual, submonoid
 from taumonoid.rewrite import TauWord
+from oracles import naive_satisfies
 from test_freeobj import isoterm_by_accepted_words, tau_term_by_enumeration
 
 
@@ -272,6 +273,14 @@ class TestCorpusFile:
         assert seq.corpus_hash == par.corpus_hash
 
 
+# identity claims the naive scan does not recompute: li-5 (19^6
+# substitutions) and li-6 (19^7) are beyond it
+NOT_CROSS_CHECKED = ("li-5", "li-6")
+# those of 2.5M to 3.1M substitutions, recomputed under -m slow; the others
+# have at most 10^6
+NAIVE_SCAN_SLOW = ("li-4", "sat-AE-1", "sat-AE-2")
+
+
 class TestCorpusAgainstOracles:
     """Each corpus claim recomputed by its kind's independent method."""
 
@@ -292,3 +301,24 @@ class TestCorpusAgainstOracles:
         (m, word), _ = _inputs(claim)
         oracle = isoterm_by_accepted_words(m, word)
         assert run_claim(claim).actual == ("yes" if oracle.is_isoterm else "no")
+
+    @pytest.mark.parametrize("claim", [
+        pytest.param(c, marks=[pytest.mark.slow]
+                     if c.id in NAIVE_SCAN_SLOW else [])
+        for c in parse_corpus(corpus_text())
+        if c.kind in ("satisfies", "violates")
+        and c.id not in NOT_CROSS_CHECKED],
+        ids=lambda c: c.id)
+    def test_identity_claims_by_naive_scan(self, claim):
+        (m, ident), _ = _inputs(claim)
+        if claim.id not in NAIVE_SCAN_SLOW:
+            assert m.size ** len(ident.letters()) <= 10 ** 6
+        ref = naive_satisfies(m, ident)
+        if ref.holds:
+            expected = "holds"
+        else:
+            wit = ",".join(f"{b}={m.labels[e]}"
+                           for b, e in sorted(ref.witness.items()))
+            expected = (f"violated@{wit}->"
+                        f"{m.labels[ref.lhs_value]},{m.labels[ref.rhs_value]}")
+        assert run_claim(claim).actual == expected

@@ -1,18 +1,21 @@
 from dataclasses import replace
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from taumonoid import identities
 from taumonoid.catalog import monoid_with_identity, mtau, named_monoid
 from taumonoid.identities import (BudgetExceededError, Identity, _image,
-                                  long_identity, naive_satisfies,
-                                  parse_identity, parse_identity_file,
-                                  satisfies)
+                                  long_identity, parse_identity,
+                                  parse_identity_file, satisfies)
 from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
+
+from oracles import naive_satisfies
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
@@ -279,13 +282,102 @@ class TestDirectProducts:
             assert satisfies(twice, ident) == full
             assert replace(satisfies(p, ident), checked=full.checked) == full
             if holds:
-                assert full.checked == 42 ** 4
+                # more rows than the two factor scans: the product itself
+                # was scanned, with the prefixes that send both sides to
+                # its zero pruned
+                assert full.checked > 7 ** 4 + 6 ** 4
+                assert full.checked == 2_366_070
 
     def test_budget_refuses_on_the_product(self):
         p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
         with pytest.raises(BudgetExceededError) as e:
             satisfies(p, parse_identity("xtyxsy=xtyxysy"), budget=1000)
         assert e.value.needed == 42 ** 4
+
+
+REES_POOL = [
+    mtau("trivial", "xy"), mtau("gamma", "a+t"), mtau("tau1", "a+b+"),
+    mtau("lambda", "a+ta+"), mtau("rho", "ta+"), named_monoid("E1"),
+]
+
+
+@st.composite
+def _zero_identities(draw):
+    """Sides over xyz, or a right side over the last letter z only, which
+    no prefix of x and y can send to the zero, so only the left side is
+    ever flagged and nothing is pruned."""
+    lhs = draw(_word_over("xyz").filter(len))
+    if draw(st.booleans()):
+        return Identity(lhs, draw(_word_over("z")))
+    return Identity(lhs, draw(_word_over("xyz")))
+
+
+def _agree(fast, slow):
+    assert fast.holds == slow.holds
+    assert fast.witness == slow.witness
+    assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
+
+
+class TestZeroPruning:
+    """The level-by-level scan drops prefixes that send both sides to the
+    zero (module docstring); the naive scan prunes nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(REES_POOL), _zero_identities(),
+           st.sampled_from([7, 4096, 1 << 18]))
+    def test_agrees_with_naive(self, m, ident, chunk):
+        # with no flat batches even these small spaces, which the oracle
+        # scans quickly, take the pruned scan
+        with patch.object(identities, "_FLAT", 0):
+            fast = satisfies(m, ident, chunk=chunk)
+        _agree(fast, naive_satisfies(m, ident))
+
+    def test_declared_and_undeclared_zero_alike(self):
+        m = mtau("lambda", "a+ta+")
+        bare = FiniteMonoid(table=m.table, labels=m.labels, identity=m.identity)
+        assert m.zero is not None and bare.zero is None
+        for text in ("xytxy=yxtxy", "xyxy=yxyx", "xtyxy=xtyyx"):
+            ident = parse_identity(text)
+            assert satisfies(bare, ident) == satisfies(m, ident)
+            assert satisfies(m, ident).checked < m.size ** 5
+
+    def test_nothing_is_pruned_without_a_zero(self):
+        # the cyclic group of order 5 has no zero: every level is expanded
+        # in full, and the abelian identity holds after 5 + 5^2 + ... + 5^6
+        # rows
+        z5 = FiniteMonoid(table=[[(a + b) % 5 for b in range(5)]
+                                 for a in range(5)],
+                          labels=tuple("01234"), identity=0)
+        ident = parse_identity("xyzstu=utszyx")
+        res = satisfies(z5, ident)
+        assert res.holds
+        assert res.checked == sum(5 ** i for i in range(1, 7))
+        bad = parse_identity("xyzstu=uxyzst")
+        _agree(satisfies(z5, bad), naive_satisfies(z5, bad))
+
+    def test_s1_instance_scans_a_fraction_of_its_space(self):
+        # xyxy=yxyx holds in S1; its instance with x = exr, y = fly has
+        # six letters and 12^6 substitutions
+        s1 = named_monoid("S1")
+        res = satisfies(s1, parse_identity("exrflyexrfly=flyexrflyexr"))
+        assert res.holds
+        assert res.checked < 12 ** 6
+
+    def test_witness_after_a_pruned_subtree(self):
+        # in M(xy), b = x sends the run bba (and bb) to the zero, so the
+        # prefix a = 1, b = x is dropped; the violation needs a = x, b = 1,
+        # c = y, later in lex order
+        m = mtau("trivial", "xy")
+        one, x, y, _, zero = range(m.size)
+        assert m.labels[zero] == "0" and (m.labels[x], m.labels[y]) == ("x", "y")
+        ident = parse_identity("bbacdef=bbcadef")
+        for rest in product(range(m.size), repeat=4):
+            sub = dict(zip("acdef", (one,) + rest), b=x)
+            assert m.evaluate(ident.lhs, sub) == m.evaluate(ident.rhs, sub) == zero
+        res = satisfies(m, ident)
+        assert res.witness == dict(a=x, b=one, c=y, d=one, e=one, f=one)
+        assert m.size ** 6 > 4096 and res.checked < m.size ** 6
+        _agree(res, naive_satisfies(m, ident))
 
 
 class TestWitnessReporting:
