@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import _tracker_table
-from .identities import BudgetExceededError, _blocks
+from .identities import BudgetExceededError
 from .monoid import FiniteMonoid
 from .rewrite import TauWord, canonical
 from .words import Word, content, is_plain, print_word
@@ -88,7 +88,7 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_cells: int = MAX_CELLS,
     support = np.arange(n if m.identity != zero else 0, dtype=np.int32)
     cells = k * n + 2 * len(support)
     _check_cells(cells, max_cells)
-    gen = next(_blocks([np.arange(m.size, dtype=np.int32)] * k, n))
+    gen = np.indices((m.size,) * k, dtype=np.int32).reshape(k, n)
     init = np.concatenate((support, np.full_like(support, m.identity))).tobytes()
     index = {init: 0}
     states = [_views(init)]

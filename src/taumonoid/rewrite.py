@@ -15,10 +15,10 @@ is represented by the unique marked word to which no rewriting rule applies:
 base is markable: under ``tau1`` every base, under ``gamma`` one occurring
 twice (a plussed letter is written marked anyway), under ``lambda`` one
 already read.  Reversal swaps ``lambda`` and ``rho`` and permutes the merge
-rules, so ``rho`` is computed as the mirror of ``lambda``.  The rule-by-rule
-reducer below is the independent oracle: it keeps a ``rho`` rule of its
-own, and the property suite compares the two on exhaustively enumerated
-small words.
+rules, so ``rho`` is computed as the mirror of ``lambda``.  The independent
+oracle is the rule-by-rule reducer in ``tests/oracles.py``: it keeps a
+``rho`` rule of its own, and the property suite compares the two on
+exhaustively enumerated small words.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ from dataclasses import dataclass
 from .words import Word, is_plain, print_word
 
 CONGRUENCES = ("trivial", "tau1", "gamma", "lambda", "rho")
-
-# rule identifiers, in listing order
-RULE_MARK = "mark"
-RULE_PP = "plus-plus"
-RULE_NP = "plain-plus"
-RULE_PN = "plus-plain"
 
 
 def _check_tau(tau: str) -> None:
@@ -87,100 +81,6 @@ def _left_to_right(w: Word, tau: str) -> Word:
             marks.add(b)
             last = b
     return tuple(out)
-
-
-def applicable_rules(w: Word, tau: str) -> list:
-    """All ``(rule id, position)`` pairs applicable to ``w``.
-
-    Positions are 0-based letter indices; for merge rules the position is the
-    left letter of the pair.  Results come position-first, then in rule
-    listing order, which is also the deterministic application order used by
-    the step-by-step reducer.
-    """
-    _check_tau(tau)
-    if tau == "trivial":
-        raise ValueError("the trivial congruence has no rewriting rules")
-    if tau == "gamma":
-        plain_counts: dict = {}
-        plussed = set()
-        for b, p in w:
-            if p:
-                plussed.add(b)
-            else:
-                plain_counts[b] = plain_counts.get(b, 0) + 1
-        markable = plussed | {b for b, c in plain_counts.items() if c >= 2}
-    elif tau == "rho":
-        remaining: dict = {}
-        for b, _ in w:
-            remaining[b] = remaining.get(b, 0) + 1
-    seen: set = set()
-    res = []
-    for i, (b, p) in enumerate(w):
-        if tau == "rho":
-            remaining[b] -= 1
-        if not p:
-            if tau == "tau1":
-                ok = True
-            elif tau == "gamma":
-                ok = b in markable
-            elif tau == "lambda":
-                ok = b in seen
-            else:  # rho
-                ok = remaining[b] > 0
-            if ok:
-                res.append((RULE_MARK, i))
-        seen.add(b)
-        if i + 1 < len(w):
-            b2, p2 = w[i + 1]
-            if b == b2:
-                if p and p2:
-                    res.append((RULE_PP, i))
-                elif not p and p2:
-                    res.append((RULE_NP, i))
-                elif p and not p2:
-                    res.append((RULE_PN, i))
-    return res
-
-
-def apply_rule(w: Word, rule: tuple) -> Word:
-    kind, i = rule
-    if kind == RULE_MARK:
-        return w[:i] + ((w[i][0], True),) + w[i + 1:]
-    return w[:i] + ((w[i][0], True),) + w[i + 2:]
-
-
-def canonical_stepwise(w: Word, tau: str) -> Word:
-    """Reference reducer: repeatedly apply the first applicable rule."""
-    while True:
-        rules = applicable_rules(w, tau)
-        if not rules:
-            return w
-        w = apply_rule(w, rules[0])
-
-
-def normal_forms_all_orders(w: Word, tau: str, cap: int = 5000) -> frozenset:
-    """Every normal form reachable by any application order (for testing).
-
-    Explores the full rewriting graph under ``w``; raises if more than
-    ``cap`` distinct words are encountered.
-    """
-    seen = {w}
-    stack = [w]
-    forms = set()
-    while stack:
-        x = stack.pop()
-        rules = applicable_rules(x, tau)
-        if not rules:
-            forms.add(x)
-            continue
-        for r in rules:
-            y = apply_rule(x, r)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError("rewriting graph exceeded exploration cap")
-                seen.add(y)
-                stack.append(y)
-    return frozenset(forms)
 
 
 @dataclass(frozen=True)

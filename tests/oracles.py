@@ -1,18 +1,27 @@
-"""Brute-force oracles for the class, factor-order and identity questions.
+"""Brute-force oracles for the rewriting, class, factor-order and identity
+questions.
 
 Each lists or searches what the library computes without listing: the
-members of a class, the windows of those members, the factorizations
-``u = p * v * s``, and every substitution of an identity.  They are
-exponential and serve only to cross-check ``construct``, ``freeobj`` and
-``identities`` on small inputs.
+rewriting steps of a word one rule at a time, the members of a class, the
+windows of those members, the factorizations ``u = p * v * s``, every
+window of an identity's side, and every substitution of an identity.  They
+are slow and serve only to cross-check ``rewrite``, ``construct``,
+``freeobj`` and ``identities`` on small inputs.
 """
 
 from itertools import product
 
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import TauWord, canonical, compose_words
+from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, compose_words
 from taumonoid.words import EMPTY, Word, content
+
+
+# rule identifiers, in listing order
+RULE_MARK = "mark"
+RULE_PP = "plus-plus"
+RULE_NP = "plain-plus"
+RULE_PN = "plus-plain"
 
 
 def capped_members(u: Word, tau: str) -> list:
@@ -112,3 +121,127 @@ def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
         return SatisfactionResult(ident, True, checked=checked)
     assignment, lv, rv = first
     return SatisfactionResult(ident, False, assignment, lv, rv, checked=checked)
+
+
+def private_factor_by_windows(lhs: Word, rhs: Word):
+    """Reference for ``identities._private_factor``: every window of
+    ``lhs`` with its content and letter counts recomputed from scratch.
+
+    ``(i, j, p, letters)`` with ``B = lhs[i:j] = rhs[p:p+j-i]`` holding every
+    occurrence of its letters in both sides; the first B with most letters,
+    or None.
+    """
+    best = None
+    for i in range(len(lhs)):
+        for j in range(i + 1, len(lhs) + 1):
+            bases = content(lhs[i:j])
+            if best is not None and len(bases) <= len(best[3]):
+                continue
+            if sum(b in bases for b, _ in lhs) != j - i:
+                continue
+            at = [p for p, (b, _) in enumerate(rhs) if b in bases]
+            if at and rhs[at[0]:at[-1] + 1] == lhs[i:j]:
+                best = (i, j, at[0], bases)
+    return best
+
+
+def applicable_rules(w: Word, tau: str) -> list:
+    """All ``(rule id, position)`` pairs applicable to ``w``.
+
+    Positions are 0-based letter indices; for merge rules the position is the
+    left letter of the pair.  Results come position-first, then in rule
+    listing order, which is also the deterministic application order used by
+    the step-by-step reducer.
+    """
+    if tau not in CONGRUENCES:
+        raise ValueError(f"unknown congruence {tau!r}")
+    if tau == "trivial":
+        raise ValueError("the trivial congruence has no rewriting rules")
+    if tau == "gamma":
+        plain_counts: dict = {}
+        plussed = set()
+        for b, p in w:
+            if p:
+                plussed.add(b)
+            else:
+                plain_counts[b] = plain_counts.get(b, 0) + 1
+        markable = plussed | {b for b, c in plain_counts.items() if c >= 2}
+    elif tau == "rho":
+        remaining: dict = {}
+        for b, _ in w:
+            remaining[b] = remaining.get(b, 0) + 1
+    seen: set = set()
+    res = []
+    for i, (b, p) in enumerate(w):
+        if tau == "rho":
+            remaining[b] -= 1
+        if not p:
+            if tau == "tau1":
+                ok = True
+            elif tau == "gamma":
+                ok = b in markable
+            elif tau == "lambda":
+                ok = b in seen
+            else:  # rho
+                ok = remaining[b] > 0
+            if ok:
+                res.append((RULE_MARK, i))
+        seen.add(b)
+        if i + 1 < len(w):
+            b2, p2 = w[i + 1]
+            if b == b2:
+                if p and p2:
+                    res.append((RULE_PP, i))
+                elif not p and p2:
+                    res.append((RULE_NP, i))
+                elif p and not p2:
+                    res.append((RULE_PN, i))
+    return res
+
+
+def apply_rule(w: Word, rule: tuple) -> Word:
+    kind, i = rule
+    if kind == RULE_MARK:
+        return w[:i] + ((w[i][0], True),) + w[i + 1:]
+    return w[:i] + ((w[i][0], True),) + w[i + 2:]
+
+
+def canonical_stepwise(w: Word, tau: str) -> Word:
+    """Reference reducer for ``rewrite.canonical``: repeatedly apply the
+    first applicable rule.
+
+    It shares nothing with the library's one left-to-right pass: each rule
+    is read off the word as defined, ``rho`` has a rule of its own instead
+    of being the mirror of ``lambda``, and the word is rewritten one step
+    at a time.
+    """
+    while True:
+        rules = applicable_rules(w, tau)
+        if not rules:
+            return w
+        w = apply_rule(w, rules[0])
+
+
+def normal_forms_all_orders(w: Word, tau: str, cap: int = 5000) -> frozenset:
+    """Every normal form reachable by any application order (for testing).
+
+    Explores the full rewriting graph under ``w``; raises if more than
+    ``cap`` distinct words are encountered.
+    """
+    seen = {w}
+    stack = [w]
+    forms = set()
+    while stack:
+        x = stack.pop()
+        rules = applicable_rules(x, tau)
+        if not rules:
+            forms.add(x)
+            continue
+        for r in rules:
+            y = apply_rule(x, r)
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise RuntimeError("rewriting graph exceeded exploration cap")
+                seen.add(y)
+                stack.append(y)
+    return frozenset(forms)

@@ -4,10 +4,14 @@ from taumonoid import catalog
 from taumonoid.claims import (Claim, ClaimReport, _inputs, parse_corpus,
                               parse_monoid_expr, run_claim, verify_corpus)
 from taumonoid.cli import corpus_text
-from taumonoid.monoid import direct_product, dual, submonoid
-from taumonoid.rewrite import TauWord
+from taumonoid.monoid import adjoin_identity, direct_product, dual, submonoid
+from taumonoid.rewrite import TauWord, TauWordSet
+from taumonoid.words import parse_word
 from oracles import naive_satisfies
+from test_construct import build_monoid_by_compose, lower_set_by_reachability
 from test_freeobj import isoterm_by_accepted_words, tau_term_by_enumeration
+from test_monoid import (find_isomorphism_by_refinement,
+                         from_presentation_by_products)
 
 
 def make_claim(kind, inputs, expected, id="t1"):
@@ -16,27 +20,31 @@ def make_claim(kind, inputs, expected, id="t1"):
 
 # -- the former prefix-matching reader, kept as the oracle for the new one ---
 
-def oracle_parse_monoid_expr(text):
+def oracle_parse_monoid_expr(text, named=catalog.named_monoid,
+                             mtau=catalog.mtau):
+    """The monoid of an expression, its leaves built by ``named`` (a name)
+    and ``mtau`` (a congruence and comma-separated words)."""
     text = text.strip()
     if text in ("A1", "E1", "A01", "S1", "dualA1"):
-        return catalog.named_monoid(text)
+        return named(text)
     if text.startswith("M["):
         tau, close, words = text[2:].partition("]")
         if not (close and words.startswith("(") and words.endswith(")")):
             raise ValueError(f"malformed monoid expression {text!r}")
-        return catalog.mtau(tau, words[1:-1])
+        return mtau(tau, words[1:-1])
     if text.startswith("dual(") and text.endswith(")"):
-        return dual(oracle_parse_monoid_expr(text[5:-1]))
+        return dual(oracle_parse_monoid_expr(text[5:-1], named, mtau))
     if text.startswith("prod(") and text.endswith(")"):
         factors = oracle_fields(text[5:-1], ",")
         if len(factors) != 2:
             raise ValueError(f"prod takes two monoids, got {len(factors)}: "
                              f"{text!r}")
-        return direct_product(*map(oracle_parse_monoid_expr, factors))
+        return direct_product(*(oracle_parse_monoid_expr(f, named, mtau)
+                                for f in factors))
     if text.startswith("sub(") and text.endswith(")"):
         inner = text[4:-1]
         expr, labels = oracle_split_top(inner, ";")
-        m = oracle_parse_monoid_expr(expr)
+        m = oracle_parse_monoid_expr(expr, named, mtau)
         gens = []
         for lab in labels.split(","):
             lab = lab.strip()
@@ -281,8 +289,49 @@ NOT_CROSS_CHECKED = ("li-5", "li-6")
 NAIVE_SCAN_SLOW = ("li-4", "sat-AE-1", "sat-AE-2")
 
 
+def named_by_products(name):
+    """A named monoid, its presentation closed by the products oracle:
+    ``X1`` is the presentation ``X`` with an identity adjoined."""
+    if name == "dualA1":
+        return dual(named_by_products("A1"))
+    return adjoin_identity(from_presentation_by_products(
+        catalog.PRESENTATIONS[name[:-1]]))
+
+
+def mtau_by_compose(tau, words):
+    """``M_tau(W)`` composed entry by entry over the reachability lower set."""
+    ws = TauWordSet(tau, [parse_word(w) for w in words.split(",") if w])
+    low = set().union(*(lower_set_by_reachability(TauWord(w, tau))
+                        for w in ws.words))
+    return build_monoid_by_compose(ws, low)
+
+
 class TestCorpusAgainstOracles:
-    """Each corpus claim recomputed by its kind's independent method."""
+    """Each corpus claim recomputed by its kind's independent method.
+
+    ``derivable`` claims are not recomputed here: ``run_claim`` already
+    replays each derivation it finds with ``check_trace``.
+    """
+
+    @pytest.mark.parametrize("claim", [
+        c for text in (corpus_text(), corpus_text(disputed=True))
+        for c in parse_corpus(text)
+        if c.kind in ("element-set", "monoid-size", "isomorphic")],
+        ids=lambda c: c.id)
+    def test_monoid_claims_by_compose_and_refinement(self, claim):
+        # every monoid rebuilt by the oracles, from its lower set or its
+        # presentation up
+        ms = [oracle_parse_monoid_expr(part, named_by_products,
+                                       mtau_by_compose)
+              for part in oracle_fields(claim.inputs)]
+        if claim.kind == "monoid-size":
+            expected = str(ms[0].size)
+        elif claim.kind == "element-set":
+            expected = ",".join(sorted(ms[0].labels))
+        else:
+            iso = find_isomorphism_by_refinement(*ms)
+            expected = "yes" if iso is not None else "no"
+        assert run_claim(claim).actual == expected
 
     @pytest.mark.parametrize("claim", [
         c for c in parse_corpus(corpus_text())

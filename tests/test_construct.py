@@ -287,13 +287,15 @@ class TestBuildMonoid:
             assert find_isomorphism(left, right) is not None, text
 
 
-def build_monoid_by_compose(ws: TauWordSet) -> FiniteMonoid:
+def build_monoid_by_compose(ws: TauWordSet, low: set | None = None
+                            ) -> FiniteMonoid:
     """Oracle: the Rees quotient with every one of the n^2 products composed.
 
     Same elements, label order, identity and zero as ``build_monoid``; each
     entry is the canonical product when it stays in the lower set, else zero.
+    The lower set ``low`` (tau-words) defaults to ``lower_set(ws)``.
     """
-    low = sorted((w.word for w in lower_set(ws)),
+    low = sorted((w.word for w in (lower_set(ws) if low is None else low)),
                  key=lambda w: (len(w), print_word(w)))
     if not low:
         return FiniteMonoid(table=((0,),), labels=("0",), identity=0, zero=0)

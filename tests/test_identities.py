@@ -1,21 +1,20 @@
 from dataclasses import replace
 from itertools import product
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from taumonoid import identities
 from taumonoid.catalog import monoid_with_identity, mtau, named_monoid
 from taumonoid.identities import (BudgetExceededError, Identity, _image,
-                                  long_identity, parse_identity,
-                                  parse_identity_file, satisfies)
+                                  _private_factor, long_identity,
+                                  parse_identity, parse_identity_file,
+                                  satisfies)
 from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
 
-from oracles import naive_satisfies
+from oracles import naive_satisfies, private_factor_by_windows
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
@@ -143,8 +142,8 @@ class TestSatisfies:
             assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
 
 
-def _word_over(letters):
-    return st.lists(st.sampled_from(letters), max_size=3).map(
+def _word_over(letters, max_size=3):
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(
         lambda cs: tuple((c, False) for c in cs))
 
 
@@ -167,6 +166,13 @@ class TestBlockElimination:
         assert fast.witness == slow.witness
         assert (fast.lhs_value, fast.rhs_value) == (slow.lhs_value, slow.rhs_value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_private_factor_identities()
+           | st.builds(Identity, *[_word_over("abxy", max_size=10)] * 2))
+    def test_private_factor_agrees_with_every_window(self, ident):
+        assert _private_factor(ident.lhs, ident.rhs) == \
+            private_factor_by_windows(ident.lhs, ident.rhs)
+
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(SMALL_POOL + [mtau("lambda", "bta+b+")]),
@@ -180,7 +186,7 @@ class TestBlockElimination:
         brute = {m.evaluate(block, dict(zip(bases, values)))
                  for values in product(range(m.size), repeat=len(bases))}
         table = np.asarray(m.table, dtype=np.int32)
-        got = _image(table, m.identity, block, chunk)
+        got = _image(table, block, chunk)
         assert got.tolist() == sorted(brute)
 
 
@@ -259,14 +265,21 @@ class TestDirectProducts:
 
     def test_holds_counts_only_the_factor_scans(self):
         p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
-        res = satisfies(p, parse_identity("xtyxsy=xtyxysy"))
+        ident = parse_identity("xtyxsy=xtyxysy")
+        res = satisfies(p, ident)
         assert res.holds
-        assert res.checked == 7 ** 4 + 6 ** 4
+        assert res.checked == sum(satisfies(f, ident).checked
+                                  for f in p.factors)
+        assert res.checked == 2011
 
     def test_nested_holds_counts_every_leaf(self):
         p = direct_product(direct_product(Z2, SEMILATTICE), SEMILATTICE)
-        res = satisfies(p, parse_identity("xy=yx"))
-        assert res.holds and res.checked == 3 * 2 ** 2
+        ident = parse_identity("xy=yx")
+        res = satisfies(p, ident)
+        assert res.holds
+        assert res.checked == sum(satisfies(f, ident).checked
+                                  for f in p.factors)
+        assert res.checked == 14
 
     def test_without_factors_the_product_is_scanned(self):
         # a product read back from its text, or dualised twice, has no
@@ -326,11 +339,7 @@ class TestZeroPruning:
     @given(st.sampled_from(REES_POOL), _zero_identities(),
            st.sampled_from([7, 4096, 1 << 18]))
     def test_agrees_with_naive(self, m, ident, chunk):
-        # with no flat batches even these small spaces, which the oracle
-        # scans quickly, take the pruned scan
-        with patch.object(identities, "_FLAT", 0):
-            fast = satisfies(m, ident, chunk=chunk)
-        _agree(fast, naive_satisfies(m, ident))
+        _agree(satisfies(m, ident, chunk=chunk), naive_satisfies(m, ident))
 
     def test_declared_and_undeclared_zero_alike(self):
         m = mtau("lambda", "a+ta+")
