@@ -8,12 +8,23 @@ side.  ``derive_bounded`` searches for a chain from one side of the goal to
 the other by bidirectional breadth-first search over words up to a length
 cap; a returned trace is replayed step by step by an independent checker.
 Absence of a trace within the bounds never claims underivability.
+
+Most instances of an axiom replace a block by the same block: in
+``xtxs=xtxsx`` every instance with ``x`` bound to the empty word does.  For
+each axiom direction the sets of letters whose erasure makes the two sides
+one word (its collapse sets) are known up front, and the matcher cuts a
+branch as soon as the letters it has bound to the empty word cover one.
+Every instance below such a branch leaves the word unchanged and was never
+a neighbour, and the instances that remain are met in the order they always
+were, so the breadth-first order, and with it every trace, is that of
+matching every binding.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .identities import Identity
 from .words import Word, print_word
@@ -46,32 +57,58 @@ class DerivationTrace:
         return len(self.steps)
 
 
-def _match_pattern(pattern: Word, word: Word, start: int):
-    """All substitutions mapping ``pattern`` onto a block of ``word`` at start.
+class _CollapseTable(dict):
+    """Bit mask over the letters of ``src`` -> whether deleting those
+    letters and the letters of ``dst`` missing from ``src`` leaves both
+    sides one word (the set is then a collapse set of ``src -> dst``).
 
-    Yields ``(binding, end)`` pairs; letters may bind any plain word
-    including the empty one.  Repeated letters must bind consistently.
+    Entries are computed on first use, so an axiom with many letters costs
+    only the masks that a search meets.
     """
-    n = len(word)
 
-    def go(pi: int, wi: int, binding: dict):
-        if pi == len(pattern):
-            yield dict(binding), wi
-            return
-        base = pattern[pi][0]
-        if base in binding:
-            piece = binding[base]
-            end = wi + len(piece)
-            if end <= n and word[wi:end] == piece:
-                yield from go(pi + 1, end, binding)
-            return
-        # no lower length bound: letters may bind the empty word
-        for end in range(wi, n + 1):
-            binding[base] = word[wi:end]
-            yield from go(pi + 1, end, binding)
-            del binding[base]
+    def __init__(self, src: Word, dst: Word, letters: list):
+        super().__init__()
+        self.src, self.dst, self.letters = src, dst, letters
+        self.dst_only = {b for b, _ in dst} - set(letters)
 
-    yield from go(0, start, {})
+    def __missing__(self, mask: int) -> bool:
+        gone = self.dst_only | {b for k, b in enumerate(self.letters)
+                                if mask >> k & 1}
+        self[mask] = dead = ([b for b, _ in self.src if b not in gone]
+                             == [b for b, _ in self.dst if b not in gone])
+        return dead
+
+
+@lru_cache(maxsize=256)
+def _match_plan(src: Word, dst: Word) -> tuple:
+    """How ``rewrites`` matches ``src``, and which of its branches are no-ops.
+
+    Returns ``(steps, dead)``.  ``steps`` has one entry per distinct letter
+    of ``src``, in order of first occurrence: ``(letter, repeats, mult,
+    fixed)``.  The letter is bound to a piece there.  ``repeats`` are
+    the letters after it in ``src`` up to the next new letter; all are
+    bound by then, so their pieces are checked at once.  From the letter
+    on, ``src`` holds ``mult`` copies of it and the letters ``fixed`` bound
+    before it (with repeats), which caps the length of its piece.  ``dead``
+    is the ``_CollapseTable`` of the direction, the k-th letter of
+    ``steps`` taking bit k of its masks.  Deleting more letters
+    keeps equal words equal, so once the letters bound to the empty word
+    cover a collapse set, every completion of the binding replaces a block
+    by itself.
+    """
+    groups = []
+    for b, _ in src:
+        if any(b == letter for letter, _ in groups):
+            groups[-1][1].append(b)
+        else:
+            groups.append((b, []))
+    steps = []
+    for k, (b, repeats) in enumerate(groups):
+        rest = [x for _, r in groups[k:] for x in r]
+        earlier = {x for x, _ in groups[:k]}
+        steps.append((b, tuple(repeats), 1 + rest.count(b),
+                      tuple(x for x in rest if x in earlier)))
+    return tuple(steps), _CollapseTable(src, dst, [b for b, _ in groups])
 
 
 def _substitute(pattern: Word, binding: dict) -> Word:
@@ -81,25 +118,69 @@ def _substitute(pattern: Word, binding: dict) -> Word:
     return tuple(out)
 
 
-def rewrites(word: Word, src: Word, dst: Word, max_len: int):
+def rewrites(word: Word, src: Word, dst: Word, max_len: int) -> list:
     """All one-step rewrites of ``word`` replacing an instance of src by dst.
 
-    Letters occurring only in ``dst`` are bound to the empty word; the search
-    is bounded anyway, and a binding introducing fresh material would blow up
-    the branching without being needed for erasure-style derivations.
+    Returns ``(new, start, binding)`` triples in the order of the instances:
+    by start, then depth first over the letters of ``src``, each new letter
+    taking its pieces shortest first; a word already listed, one longer
+    than ``max_len`` and the word itself are left out.  Letters occurring
+    only in ``dst`` are bound to the empty word; the search is bounded
+    anyway, and a binding introducing fresh material would blow up the
+    branching without being needed for erasure-style derivations.
+
+    Only instances that can change the word are matched: a branch whose
+    letters bound to the empty word cover a collapse set (``_match_plan``)
+    is cut, and so are a piece too long for the rest of ``src`` to fit and
+    a piece that the pieces of the repeated letters after it do not
+    follow.  The cuts drop only instances that would be left out or do not
+    exist, and none reorders the rest, so the list is the one that
+    matching every binding gives (``rewrites_by_all_bindings`` in the
+    test oracles).
     """
+    steps, dead = _match_plan(src, dst)
+    if dead[0]:
+        return []
+    last = len(steps)
+    n = len(word)
+    # the live binding: an entry left from an abandoned branch is bound
+    # again before it is read; the destination-only letters stay ()
+    binding = {b: () for b, _ in dst}
     seen = set()
-    dst_only = [b for b in {b for b, _ in dst} if b not in {b for b, _ in src}]
-    for start in range(len(word) + 1):
-        for binding, end in _match_pattern(src, word, start):
-            for b in dst_only:
-                binding[b] = ()
+    found = []
+
+    def match(k: int, start: int, wi: int, empty: int):
+        if k == last:
+            # an instance word[start:wi]; keep it if it changes the word
             replacement = _substitute(dst, binding)
-            new = word[:start] + replacement + word[end:]
-            if len(new) > max_len or new == word or new in seen:
-                continue
-            seen.add(new)
-            yield new, start, binding
+            if replacement == word[start:wi]:
+                return
+            new = word[:start] + replacement + word[wi:]
+            if len(new) <= max_len and new not in seen:
+                seen.add(new)
+                found.append((new, start, dict(binding)))
+            return
+        base, repeats, mult, fixed = steps[k]
+        room = n - wi
+        for b in fixed:
+            room -= len(binding[b])
+        # ``empty`` covers no collapse set, so only the empty piece can
+        # complete one
+        lo = wi + 1 if dead[empty | 1 << k] else wi
+        for end in range(lo, wi + room // mult + 1):
+            binding[base] = word[wi:end]
+            at = end
+            for b in repeats:
+                piece = binding[b]
+                if word[at:at + len(piece)] != piece:
+                    break
+                at += len(piece)
+            else:
+                match(k + 1, start, at, empty if end > wi else empty | 1 << k)
+
+    for start in range(n + 1):
+        match(0, start, start, 0)
+    return found
 
 
 def _neighbors(word: Word, axioms, max_len: int):
@@ -202,6 +283,8 @@ def check_trace(axioms, trace: DerivationTrace, goal: Identity):
         inst_src = _substitute(src, binding)
         inst_dst = _substitute(dst, binding)
         p = step.position
+        if not 0 <= p <= len(step.before):
+            return False, f"step {k} position {p} lies outside its word"
         if step.before[p:p + len(inst_src)] != inst_src:
             return False, f"step {k} source instance not found at its position"
         rebuilt = step.before[:p] + inst_dst + step.before[p + len(inst_src):]

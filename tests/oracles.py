@@ -1,12 +1,13 @@
-"""Brute-force oracles for the rewriting, class, factor-order and identity
-questions.
+"""Brute-force oracles for the rewriting, class, factor-order, identity and
+derivation questions.
 
 Each lists or searches what the library computes without listing: the
 rewriting steps of a word one rule at a time, the members of a class, the
 windows of those members, the factorizations ``u = p * v * s``, every
-window of an identity's side, and every substitution of an identity.  They
-are slow and serve only to cross-check ``rewrite``, ``construct``,
-``freeobj`` and ``identities`` on small inputs.
+window of an identity's side, every substitution of an identity, and every
+binding of an axiom side to a block of a word.  They are slow and serve
+only to cross-check ``rewrite``, ``construct``, ``freeobj``, ``identities``
+and ``derive`` on small inputs.
 """
 
 from itertools import product
@@ -245,3 +246,52 @@ def normal_forms_all_orders(w: Word, tau: str, cap: int = 5000) -> frozenset:
                 seen.add(y)
                 stack.append(y)
     return frozenset(forms)
+
+
+def _match_all_bindings(pattern: Word, word: Word, start: int):
+    """All substitutions mapping ``pattern`` onto a block of ``word`` at start.
+
+    Yields ``(binding, end)`` pairs; letters may bind any plain word
+    including the empty one.  Repeated letters must bind consistently.
+    """
+    n = len(word)
+
+    def go(pi: int, wi: int, binding: dict):
+        if pi == len(pattern):
+            yield dict(binding), wi
+            return
+        base = pattern[pi][0]
+        if base in binding:
+            piece = binding[base]
+            end = wi + len(piece)
+            if end <= n and word[wi:end] == piece:
+                yield from go(pi + 1, end, binding)
+            return
+        # no lower length bound: letters may bind the empty word
+        for end in range(wi, n + 1):
+            binding[base] = word[wi:end]
+            yield from go(pi + 1, end, binding)
+            del binding[base]
+
+    yield from go(0, start, {})
+
+
+def rewrites_by_all_bindings(word: Word, src: Word, dst: Word, max_len: int):
+    """Reference for ``derive.rewrites``: every binding of ``src`` to a
+    block of ``word`` is matched, the no-ops included, and each rewrite
+    that is new, changes the word and fits ``max_len`` is yielded as
+    ``(new, start, binding)``.  Letters occurring only in ``dst`` are bound
+    to the empty word.
+    """
+    seen = set()
+    dst_only = [b for b in {b for b, _ in dst} if b not in {b for b, _ in src}]
+    for start in range(len(word) + 1):
+        for binding, end in _match_all_bindings(src, word, start):
+            for b in dst_only:
+                binding[b] = ()
+            replacement = tuple(x for b, _ in dst for x in binding[b])
+            new = word[:start] + replacement + word[end:]
+            if len(new) > max_len or new == word or new in seen:
+                continue
+            seen.add(new)
+            yield new, start, binding

@@ -1,9 +1,24 @@
-import pytest
+from dataclasses import replace
 
-from taumonoid.derive import (DerivationStep, check_trace, derive_bounded,
-                              rewrites)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from taumonoid import derive
+from taumonoid.claims import _inputs, parse_corpus
+from taumonoid.cli import corpus_text
+from taumonoid.derive import (DerivationStep, DerivationTrace, check_trace,
+                              derive_bounded, rewrites)
 from taumonoid.identities import parse_identity
 from taumonoid.words import parse_word
+
+from oracles import rewrites_by_all_bindings
+
+# collapse sets ({x}; {x}, {y}; ...), destination-only letters, sides
+# equal to 1, and letters that both sides hold the same number of times
+ORACLE_AXIOMS = [
+    "x=xx", "xy=yx", "xtx=xtxx", "xyxy=yxyx", "xtxs=xtxsx", "xtsx=xtxsx",
+    "xxyy=yyxx", "xtx=1", "x=xyx", "x=xy", "xy=1", "xyt=tyx",
+]
 
 
 def ids(*texts):
@@ -22,6 +37,17 @@ class TestRewrites:
         axiom = parse_identity("xtx=xtxx")
         assert all(len(new) <= 4 for new, _, _ in
                    rewrites(parse_word("xtx"), axiom.lhs, axiom.rhs, 4))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text("xyt", max_size=10), st.sampled_from(ORACLE_AXIOMS),
+           st.booleans(), st.integers(0, 14))
+    def test_agrees_with_all_bindings(self, text, axiom, forward, max_len):
+        # same rewrites, starts and bindings, in the same order
+        ax = parse_identity(axiom)
+        src, dst = (ax.lhs, ax.rhs) if forward else (ax.rhs, ax.lhs)
+        word = parse_word(text)
+        assert (list(rewrites(word, src, dst, max_len))
+                == list(rewrites_by_all_bindings(word, src, dst, max_len)))
 
 
 class TestDeriveBounded:
@@ -66,6 +92,35 @@ class TestDeriveBounded:
         assert derive_bounded(axioms, goal, max_len=7) is None
         assert derive_bounded(axioms, goal, max_steps=1) is None
 
+    def test_corpus_traces_match_all_bindings(self, monkeypatch):
+        # the cut matcher leaves the breadth-first order, hence every trace,
+        # as the exhaustive one has it
+        runs = [_inputs(c) for c in parse_corpus(corpus_text())
+                if c.kind == "derivable"]
+        assert len(runs) == 13
+        fast = [derive_bounded(axioms, goal, **opts).steps
+                for (goal, axioms), opts in runs]
+        monkeypatch.setattr(derive, "rewrites", rewrites_by_all_bindings)
+        slow = [derive_bounded(axioms, goal, **opts).steps
+                for (goal, axioms), opts in runs]
+        assert fast == slow
+
+    def test_matches_few_instances(self, monkeypatch):
+        # der-var-eq1: matching every binding substitutes 21,231 instances,
+        # nearly all of them no-ops; the collapse-set cut leaves about 3,000
+        count = [0]
+        substitute = derive._substitute
+
+        def counting(pattern, binding):
+            count[0] += 1
+            return substitute(pattern, binding)
+
+        monkeypatch.setattr(derive, "_substitute", counting)
+        trace = derive_bounded(ids("xtxs=xtxsx", "xyxy=yxyx"),
+                               parse_identity("xxyy=yyxx"), max_steps=200_000)
+        assert trace is not None
+        assert count[0] <= 6_000
+
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError):
             derive_bounded(ids("xtx=xtxx"), parse_identity("xtx=xtxx"), max_len=0)
@@ -88,6 +143,18 @@ class TestCheckTrace:
         trace = derive_bounded(axioms, parse_identity("xtx=xtxx"))
         ok, msg = check_trace(axioms, trace, parse_identity("xtx=xxtx"))
         assert not ok and "endpoint" in msg
+
+    def test_rejects_position_outside_the_word(self):
+        # a negative slice start counts from the end of the word
+        axioms = ids("x=xx")
+        step = DerivationStep(parse_word("ab"), parse_word("aab"), 0, True,
+                              -2, (("x", parse_word("a")),))
+        trace = DerivationTrace(step.before, step.after, (step,))
+        ok, msg = check_trace(axioms, trace, parse_identity("ab=aab"))
+        assert not ok and "outside" in msg
+        trace = DerivationTrace(step.before, step.after,
+                                (replace(step, position=0),))
+        assert check_trace(axioms, trace, parse_identity("ab=aab")) == (True, "ok")
 
     def test_step_description_mentions_axiom(self):
         axioms = ids("xtx=xtxx")
