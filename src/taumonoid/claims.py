@@ -19,7 +19,6 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from . import catalog
 from .derive import check_trace, derive_bounded
@@ -314,24 +313,13 @@ def _matches(claim: Claim, actual: str, args: list) -> bool:
 
 
 def verify_corpus(text: str, id_filter: str | None = None,
-                  include_slow: bool = False, budget: int | None = None,
-                  jobs: int = 1) -> ClaimReport:
-    """Run every claim of a corpus text; failures are recorded, not raised.
-
-    With ``jobs > 1`` the executed claims run in worker processes.  Results
-    come back in corpus order, so the report stays deterministic.
-    """
+                  include_slow: bool = False,
+                  budget: int | None = None) -> ClaimReport:
+    """Run every claim of a corpus text in corpus order; failures are
+    recorded, not raised."""
     selected = [c for c in parse_corpus(text)
                 if id_filter is None or c.id.startswith(id_filter)]
-    todo = [c for c in selected if include_slow or not c.slow]
-    if jobs > 1 and len(todo) > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            done = list(ex.map(partial(run_claim, budget=budget), todo))
-    else:
-        done = [run_claim(c, budget=budget) for c in todo]
-    ran = dict(zip(todo, done))
-    results = [ran[c] if c in ran else
+    results = [run_claim(c, budget=budget) if include_slow or not c.slow else
                ClaimResult(c, "skipped", "slow (enable with --slow)", 0)
                for c in selected]
     return ClaimReport(results, hashlib.sha256(text.encode()).hexdigest())

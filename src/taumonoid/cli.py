@@ -122,8 +122,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-paper", help="run the claim corpus")
     p.add_argument("--filter", default=None, help="run claims with this id prefix")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="run the claims in this many worker processes")
     p.add_argument("--slow", action="store_true", help="include slow claims")
     p.add_argument("--disputed", action="store_true",
                    help="also run the disputed source-text claims")
@@ -287,8 +285,7 @@ def _verify_paper(args) -> int:
         if args.disputed:
             text += "\n" + corpus_text(disputed=True)
     report = verify_corpus(text, id_filter=args.filter,
-                           include_slow=args.slow, budget=args.budget,
-                           jobs=args.jobs)
+                           include_slow=args.slow, budget=args.budget)
     out = "\n".join(report.lines()) + "\n" + report.summary() + "\n"
     sys.stdout.write(out)
     if args.report:

@@ -16,14 +16,15 @@ sides are the zero under every extension, so no violation lies below that
 prefix.  The scan assigns the letters in its own order, one level at a
 time, keeps the live prefixes of each level as numpy rows in lex order,
 and drops a row once each side has a run of assigned positions equal to
-the zero.  The zero is read off the table, declared or not; a monoid with
-no zero takes the same scan with nothing dropped.  At the last level the
-first row whose sides differ is the lex-first violation, since the dropped
-subtrees hold none.  On the 12-element S1, a six-letter instance of
-``xyxy=yxyx`` that holds (x = exr, y = fly) evaluates 62,880 rows of its
-12^6 = 2,985,984 substitutions.  Each level's prefixes are expanded in
-slices that start small and double, so a violation near the start of the
-space is found after a few small batches.
+the zero.  The zero is the declared one, or else the one
+``monoid._zero_of`` finds in the table: the product of all elements, if it
+absorbs.  A monoid with no zero takes the same scan with nothing dropped.
+At the last level the first row whose sides differ is the lex-first
+violation, since the dropped subtrees hold none.  On the 12-element S1, a
+six-letter instance of ``xyxy=yxyx`` that holds (x = exr, y = fly)
+evaluates 62,880 rows of its 12^6 = 2,985,984 substitutions.  Each level's
+prefixes are expanded in slices that start small and double, so a
+violation near the start of the space is found after a few small batches.
 
 Shared-block elimination: if ``u = u1 B u2`` and ``v = v1 B v2`` where B's
 letters occur nowhere in u1, u2, v1, v2, then B's letters feed only B's
@@ -59,7 +60,7 @@ from math import inf
 
 import numpy as np
 
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, _zero_of
 from .words import Word, content, is_plain, parse_word, print_word
 
 
@@ -138,20 +139,6 @@ class SatisfactionResult:
 def _word_letter_indices(word: Word, letters: list) -> list:
     pos = {b: i for i, b in enumerate(letters)}
     return [pos[b] for b, _ in word]
-
-
-def _zero(table: np.ndarray) -> int | None:
-    """The two-sided zero of the table, or None.
-
-    A zero absorbs the product of all elements, so that product is the only
-    candidate; then its row and column are checked.
-    """
-    z = 0
-    for x in range(len(table)):
-        z = table.item(z, x)
-    if (table[z] == z).all() and (table[:, z] == z).all():
-        return z
-    return None
 
 
 def _new_runs(word_idx: list, level: int) -> list:
@@ -321,20 +308,21 @@ def _image(table, w: Word, chunk: int) -> np.ndarray:
     evaluated on every substitution of its letters, from ``_levels`` with
     no zero.
     """
+    n = len(table)
+    seen = np.zeros(n, dtype=bool)
     for cut in range(1, len(w)):
         if not content(w[:cut]) & content(w[cut:]):
-            left = _image(table, w[:cut], chunk)
-            right = _image(table, w[cut:], chunk)
-            return np.unique(table[left[:, None], right[None, :]])
-    bases = sorted(content(w))
-    n = len(table)
-    offsets = (table * n).ravel()
-    idx = _word_letter_indices(w, bases)
-    seen = np.zeros(n, dtype=bool)
-    domains = [np.arange(n, dtype=np.int32)] * len(bases)
-    for _, rows in _levels(offsets, n, domains, chunk):
-        if rows is not None:
-            seen[_fold(offsets, n, idx, rows) // n] = True
+            seen[table[np.ix_(_image(table, w[:cut], chunk),
+                              _image(table, w[cut:], chunk))]] = True
+            break
+    else:
+        bases = sorted(content(w))
+        offsets = (table * n).ravel()
+        idx = _word_letter_indices(w, bases)
+        domains = [np.arange(n, dtype=np.int32)] * len(bases)
+        for _, rows in _levels(offsets, n, domains, chunk):
+            if rows is not None:
+                seen[_fold(offsets, n, idx, rows) // n] = True
     return np.flatnonzero(seen).astype(np.int32)
 
 
@@ -403,8 +391,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    # a declared zero was checked absorbing when the monoid was built
-    zero = m.zero if m.zero is not None else _zero(m.table)
+    zero = _zero_of(m)
     batches = _scan(m.table, m.identity, zero, lhs_idx, rhs_idx, domains,
                     chunk)
     found, first, done = _first_violation(batches,

@@ -5,8 +5,10 @@ factor); the constructor turns any square nested sequence into that array,
 and no other module knows how it is stored.  The ``FiniteMonoid`` wrapper
 carries the identity index, an optional two-sided zero, and printable
 labels; construction verifies the entry range, the identity and zero laws
-and associativity, exactly at every size (Light's test over a generating
-set above 55 elements).  The structural predicates are array expressions.
+and associativity, exactly at every size by Light's test over a generating
+set.  A zero that is not declared is found from the table (``_zero_of``),
+for the identity scans and the isomorphism search.  The structural
+predicates are array expressions.
 
 Every generated monoid gets its table one way, ``cayley_table``: from the
 right action of the generators on the elements, each column is gathered
@@ -87,23 +89,25 @@ def _generators(t: np.ndarray, among=None) -> tuple:
     return gens, np.array(inside, dtype=bool)
 
 
+# the most cells (x, g, y) Light's test compares at once: 4 MB a side
+_LIGHT_CELLS = 1 << 20
+
+
 def _check_associative(t: np.ndarray) -> None:
     """Raise at the lex-first triple (a,b,c) with (ab)c != a(bc), if any.
 
-    Up to 55 elements the whole cube is compared.  Above, Light's test
-    (Clifford-Preston, vol. 1, section 1.2) checks (xg)y = x(gy) for the
-    generators g of ``_generators`` only: the b with (xb)y = x(by) for all
-    x, y are closed under products, since
-    (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y), so they are
+    Light's test (Clifford-Preston, vol. 1, section 1.2) checks
+    (xg)y = x(gy) for the generators g of ``_generators`` only, at every
+    size: the b with (xb)y = x(by) for all x, y are closed under products,
+    since (x(bc))y = ((xb)c)y = (xb)(cy) = x(b(cy)) = x((bc)y), so they are
     everything once they hold a set whose products, even taken left to
-    right only, reach every element.
+    right only, reach every element.  The generators are compared in
+    groups of at most ``_LIGHT_CELLS`` cells, one array expression each.
     """
-    if len(t) <= 55:
-        ok = (t[t] == t[:, t]).all()
-    else:
-        ok = all((t[t[:, g]] == np.take(t, t[g], axis=1)).all()
-                 for g in _generators(t)[0])
-    if ok:
+    gens = _generators(t)[0]
+    step = max(1, _LIGHT_CELLS // max(1, t.size))
+    if all((t[t[:, g]] == np.take(t, t[g], axis=1)).all()
+           for g in (gens[i:i + step] for i in range(0, len(gens), step))):
         return
     for a in range(len(t)):
         bad = np.argwhere(t[t[a]] != t[a, t])
@@ -117,6 +121,22 @@ def _fixes(t: np.ndarray, x: int, image) -> bool:
     if not 0 <= x < len(t):
         return False
     return bool((t[x] == image).all() and (t[:, x] == image).all())
+
+
+def _zero_of(m: Semigroup) -> int | None:
+    """The two-sided zero of ``m``, declared or not, or None.
+
+    A declared zero was checked absorbing when ``m`` was built.  Otherwise
+    a zero absorbs the product of all elements, so that product is the
+    only candidate.
+    """
+    if m.zero is not None:
+        return m.zero
+    t = m.table
+    z = 0
+    for x in range(len(t)):
+        z = t.item(z, x)
+    return z if _fixes(t, z, z) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,9 +522,15 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
 # -- isomorphism search ----------------------------------------------------
 
 def _classes(rows: np.ndarray) -> np.ndarray:
-    """Equal rows of a C-contiguous array get equal numbers, from 0 up."""
-    whole = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    return np.unique(whole.ravel(), return_inverse=True)[1].ravel()
+    """Equal rows of a 2-d array get equal numbers, from 0 up, in the
+    lexicographic order of the rows: each sorted row that differs from the
+    one before it opens a new number."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    opens = np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    classes = np.empty_like(order)
+    classes[order] = np.cumsum(opens)
+    return classes
 
 
 def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
@@ -553,14 +579,6 @@ def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
         colors = finer
 
 
-def _absorbing_element(m: Semigroup):
-    # structural, independent of the declared zero field
-    every = np.arange(m.size)
-    absorbing = ((m.table == every[:, None]).all(axis=1)
-                 & (m.table == every).all(axis=0))
-    return int(np.argmax(absorbing)) if absorbing.any() else None
-
-
 def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     """A multiplication-preserving bijection m -> n, or None.
 
@@ -568,8 +586,8 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     (``_generators``), since f(u*g) = f(u)*f(g).  The search backtracks
     over the images of G in index order, each tried in ascending order
     among the elements of n with the same colour (``_joint_colors``; the
-    identity and the absorbing element, derived from the table, get
-    colours of their own).  After each choice the map is extended from the
+    identity and the zero, declared or found by ``_zero_of``, get colours
+    of their own).  After each choice the map is extended from the
     identity along the right Cayley graph of the generators chosen so far;
     a product whose image conflicts, repeats an image or changes colour
     rejects the choice at once.  Colours are kept by every isomorphism, so
@@ -580,7 +598,7 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     """
     if m.size != n.size:
         return None
-    mz, nz = _absorbing_element(m), _absorbing_element(n)
+    mz, nz = _zero_of(m), _zero_of(n)
     if (mz is None) != (nz is None):
         return None
     size = m.size

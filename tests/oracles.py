@@ -1,16 +1,19 @@
-"""Brute-force oracles for the rewriting, class, factor-order, identity and
-derivation questions.
+"""Brute-force oracles for the rewriting, class, factor-order, identity,
+associativity and derivation questions.
 
 Each lists or searches what the library computes without listing: the
 rewriting steps of a word one rule at a time, the members of a class, the
 windows of those members, the factorizations ``u = p * v * s``, every
-window of an identity's side, every substitution of an identity, and every
-binding of an axiom side to a block of a word.  They are slow and serve
-only to cross-check ``rewrite``, ``construct``, ``freeobj``, ``identities``
-and ``derive`` on small inputs.
+window of an identity's side, every substitution of an identity, every
+triple of a table, and every binding of an axiom side to a block of a
+word.  They are slow and serve only to cross-check ``rewrite``,
+``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
+small inputs.
 """
 
 from itertools import product
+
+import numpy as np
 
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
@@ -122,6 +125,59 @@ def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
         return SatisfactionResult(ident, True, checked=checked)
     assignment, lv, rv = first
     return SatisfactionResult(ident, False, assignment, lv, rv, checked=checked)
+
+
+def satisfies_by_depth_first(m: FiniteMonoid, ident: Identity):
+    """Reference for the zero pruning of ``identities.satisfies``: a
+    violating substitution (base -> element index), or None if the
+    identity holds.
+
+    A recursive search assigns the letters in their order of first
+    occurrence in ``lhs`` then ``rhs``, each to every element in turn.
+    Each side carries the value of its longest assigned prefix, up to its
+    first unassigned letter; a branch is cut when both of those values are
+    the zero, found here by testing every element against its row and
+    column.  The violation reported is the first in this search order,
+    not necessarily the lex-first one.
+    """
+    table = m.table.tolist()
+    size = len(table)
+    zero = next((z for z in range(size) if all(
+        table[z][x] == z == table[x][z] for x in range(size))), None)
+    sides = [b for b, _ in ident.lhs], [b for b, _ in ident.rhs]
+    order = list(dict.fromkeys(sides[0] + sides[1]))
+    value: dict = {}
+
+    def advance(side, at, acc):
+        while at < len(side) and side[at] in value:
+            acc = table[acc][value[side[at]]]
+            at += 1
+        return at, acc
+
+    def search(i, left, right):
+        if i == len(order):
+            return None if left[1] == right[1] else dict(value)
+        if left[1] == right[1] == zero:
+            return None
+        for x in range(size):
+            value[order[i]] = x
+            found = search(i + 1, advance(sides[0], *left),
+                           advance(sides[1], *right))
+            if found is not None:
+                return found
+        del value[order[i]]
+        return None
+
+    return search(0, (0, m.identity), (0, m.identity))
+
+
+def associativity_by_cube(table) -> tuple | None:
+    """Reference for ``monoid._check_associative``: (ab)c against a(bc)
+    over the whole cube of triples; the lex-first failing ``(a, b, c)``,
+    or None when the table is associative."""
+    t = np.asarray(table)
+    bad = np.argwhere(t[t] != t[:, t])
+    return tuple(bad[0].tolist()) if len(bad) else None
 
 
 def private_factor_by_windows(lhs: Word, rhs: Word):

@@ -7,7 +7,7 @@ from taumonoid.cli import corpus_text
 from taumonoid.monoid import adjoin_identity, direct_product, dual, submonoid
 from taumonoid.rewrite import TauWord, TauWordSet
 from taumonoid.words import parse_word
-from oracles import naive_satisfies
+from oracles import naive_satisfies, satisfies_by_depth_first
 from test_construct import build_monoid_by_compose, lower_set_by_reachability
 from test_freeobj import isoterm_by_accepted_words, tau_term_by_enumeration
 from test_monoid import (find_isomorphism_by_refinement,
@@ -272,21 +272,13 @@ class TestCorpusFile:
         assert res.verdict == "skipped"
         assert res.actual.startswith("budget:")
 
-    def test_parallel_report_matches_sequential(self):
-        text = corpus_text()
-        seq = verify_corpus(text, id_filter="sat-")
-        par = verify_corpus(text, id_filter="sat-", jobs=3)
-        strip = lambda rep: [l.rsplit("\t", 1)[0] for l in rep.lines()]
-        assert strip(seq) == strip(par)   # identical up to timing
-        assert seq.corpus_hash == par.corpus_hash
 
-
-# identity claims the naive scan does not recompute: li-5 (19^6
-# substitutions) and li-6 (19^7) are beyond it
-NOT_CROSS_CHECKED = ("li-5", "li-6")
-# those of 2.5M to 3.1M substitutions, recomputed under -m slow; the others
-# have at most 10^6
-NAIVE_SCAN_SLOW = ("li-4", "sat-AE-1", "sat-AE-2")
+# identity claims beyond the naive scan, li-4 (19^5 substitutions) to li-6
+# (19^7), recomputed by the depth-first search that cuts at the zero
+BY_DEPTH_FIRST = ("li-4", "li-5", "li-6")
+# those of 3.1M substitutions, recomputed under -m slow; the others have at
+# most 10^6
+NAIVE_SCAN_SLOW = ("sat-AE-1", "sat-AE-2")
 
 
 def named_by_products(name):
@@ -356,7 +348,7 @@ class TestCorpusAgainstOracles:
                      if c.id in NAIVE_SCAN_SLOW else [])
         for c in parse_corpus(corpus_text())
         if c.kind in ("satisfies", "violates")
-        and c.id not in NOT_CROSS_CHECKED],
+        and c.id not in BY_DEPTH_FIRST],
         ids=lambda c: c.id)
     def test_identity_claims_by_naive_scan(self, claim):
         (m, ident), _ = _inputs(claim)
@@ -371,3 +363,20 @@ class TestCorpusAgainstOracles:
             expected = (f"violated@{wit}->"
                         f"{m.labels[ref.lhs_value]},{m.labels[ref.rhs_value]}")
         assert run_claim(claim).actual == expected
+
+    @pytest.mark.parametrize("claim", [
+        pytest.param(c, marks=[pytest.mark.slow]
+                     if c.id in NAIVE_SCAN_SLOW else [])
+        for c in parse_corpus(corpus_text())
+        if c.kind in ("satisfies", "violates")], ids=lambda c: c.id)
+    def test_identity_claims_by_depth_first_search(self, claim):
+        # the violated claims, vio-K among them, show that the cut at the
+        # zero keeps a violation in the search; one that cut where either
+        # side is the zero would miss vio-N's
+        (m, ident), _ = _inputs(claim)
+        found = satisfies_by_depth_first(m, ident)
+        if found is not None:
+            assert m.evaluate(ident.lhs, found) != m.evaluate(ident.rhs,
+                                                              found)
+        actual = run_claim(claim).actual
+        assert actual.startswith("holds" if found is None else "violated@")

@@ -348,10 +348,10 @@ class TestVerifyPaper:
         assert code == 1
         assert out.count("\tfail\t") == 3
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_must_be_positive(self, capsys, jobs):
+    def test_jobs_is_refused(self, capsys):
+        # the claims run in one process, in corpus order
         with pytest.raises(SystemExit) as e:
-            main(["verify-paper", "--jobs", jobs])
+            main(["verify-paper", "--jobs", "2"])
         assert e.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--jobs" in err.splitlines()[-1]

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from itertools import product
 
@@ -14,7 +17,9 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               from_presentation, idempotents,
                               idempotents_commute, is_aperiodic, is_j_trivial,
                               parse_monoid, submonoid)
-from taumonoid.monoid import _complete, _orient, _reduce
+from taumonoid.monoid import (_check_associative, _classes, _complete,
+                              _orient, _reduce, _zero_of)
+from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
@@ -511,6 +516,37 @@ class TestIsomorphism:
         assert time.monotonic() - start < 1.0
 
 
+class TestClasses:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
+           st.integers(1, 8), st.integers(1, 4))
+    def test_numbers_rows_as_unique_does(self, seed, n, width, values):
+        rows = np.random.default_rng(seed).integers(-1, values, (n, width))
+        expected = np.unique(rows, axis=0, return_inverse=True)[1]
+        assert _classes(rows).tolist() == expected.ravel().tolist()
+
+
+def test_scan_and_isomorphism_leave_masked_arrays_unloaded():
+    # the first np.unique of a process imports numpy.ma, about 16 ms
+    script = """
+import sys
+from taumonoid.catalog import mtau
+from taumonoid.identities import long_identity, satisfies
+from taumonoid.monoid import find_isomorphism
+k = mtau("lambda", "bta+b+")
+# the scan of 19^4 substitutions passes the elimination threshold, and
+# Im(y1 y1 y2 y2) is the product of the images of its two parts
+assert satisfies(k, long_identity(3)).holds
+assert find_isomorphism(k, k) is not None
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(
+        sys.modules[FiniteMonoid.__module__].__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
 def assert_isomorphism(m: FiniteMonoid, n: FiniteMonoid, mapping) -> None:
     assert mapping is not None
     assert sorted(mapping) == list(range(m.size))
@@ -617,7 +653,7 @@ class TestTableChecks:
         # the left-zero table x*y = x with 1*2 := 0 is associative except
         # where 1 and 2 meet; above 64 elements associativity used to be
         # sampled, which accepted n = 100 and reported (1,12,2) at n = 65;
-        # Light's test takes over from the cube above 55 elements
+        # Light's test now checks every size
         rows = [[x] * n for x in range(n)]
         rows[1][2] = 0
         with pytest.raises(ValueError, match=r"at \(1,0,2\)$"):
@@ -639,6 +675,116 @@ class TestTableChecks:
         p = direct_product(k, monoid_with_identity("S"))
         assert p.size == 228
         assert is_j_trivial(p)[0]
+
+    def test_zero_found_with_or_without_declaring_it(self):
+        for m in [*corpus_monoids().values(), Z2, TRIVIAL,
+                  direct_product(Z2, named_monoid("A1"))]:
+            bare = Semigroup(table=m.table, labels=m.labels)
+            assert _zero_of(m) == _zero_of(bare) == \
+                absorbing_element(m.table.tolist())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_light_test_agrees_with_the_cube(self, data):
+        # tables of 1 to 80 elements, across the 55 at which the cube
+        # used to give way to Light's test
+        table = data.draw(tables())
+        triple = associativity_by_cube(table)
+        if triple is None:
+            _check_associative(table)
+        else:
+            with pytest.raises(ValueError,
+                               match=r"at \(%d,%d,%d\)$" % triple):
+                _check_associative(table)
+
+
+def transformations(degree: int, maps: list, cap: int = 80) -> tuple:
+    """The maps of ``range(degree)`` that ``maps`` generate, and their
+    table, with x*y the map x then y.
+
+    While they generate more than ``cap`` elements and more than one map
+    is left, the last map is dropped.
+    """
+    while True:
+        elements = list(dict.fromkeys(maps))
+        seen = set(elements)
+        for x in elements:
+            for g in maps:
+                y = tuple(g[p] for p in x)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+            if len(elements) > cap:
+                break
+        if len(elements) <= cap or len(maps) == 1:
+            break
+        maps = maps[:-1]
+    index = {x: i for i, x in enumerate(elements)}
+    return elements, np.array(
+        [[index[tuple(y[p] for p in x)] for y in elements] for x in elements],
+        dtype=np.int32)
+
+
+def rees_quotient(elements: list, table: np.ndarray, rank: int) -> np.ndarray:
+    """The Rees quotient of a transformation semigroup by its ideal of the
+    maps with at most ``rank`` values, the ideal's element last."""
+    low = np.array([len(set(x)) <= rank for x in elements])
+    if not low.any():
+        return table
+    keep = np.flatnonzero(~low)
+    index = np.full(len(table), len(keep), dtype=np.int32)
+    index[keep] = np.arange(len(keep))
+    rows = np.r_[keep, np.flatnonzero(low)[0]]
+    return index[table[np.ix_(rows, rows)]]
+
+
+@st.composite
+def tables(draw) -> np.ndarray:
+    """Square tables of 1 to 80 elements: random; or transformation
+    semigroups, their Rees quotients, products of two, and rectangular
+    bands, with the elements shuffled; each with one entry changed half
+    of the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def maps(points):
+        degree = int(rng.integers(1, points + 1))
+        return degree, [tuple(rng.integers(0, degree, degree).tolist())
+                        for _ in range(int(rng.integers(1, 4)))]
+
+    kind = draw(st.sampled_from(["random", "transformations", "rees",
+                                 "product", "band"]))
+    if kind == "random":
+        n = draw(st.integers(1, 80))
+        table = rng.integers(0, n, (n, n), dtype=np.int32)
+    else:
+        if kind == "transformations":
+            table = transformations(*maps(5))[1]
+        elif kind == "rees":
+            table = rees_quotient(*transformations(*maps(5)),
+                                  draw(st.integers(1, 4)))
+        elif kind == "product":
+            # one map of at most 5 points generates at most 6 elements, and
+            # of at most 3 points at most 3, so the product has at most 80
+            a = transformations(*maps(5), cap=26)[1]
+            b = transformations(*maps(3), cap=80 // len(a))[1]
+            table = (a[:, None, :, None] * len(b)
+                     + b[None, :, None, :]).reshape(len(a) * len(b), -1)
+        else:
+            # (i, j)(k, l) = (i, l) on p x q, as the index i * q + j
+            p = int(rng.integers(1, 11))
+            q = int(rng.integers(1, 80 // p + 1))
+            every = np.arange(p * q)
+            table = (every[:, None] // q * q + every % q).astype(np.int32)
+        shuffle = rng.permutation(len(table)).astype(np.int32)
+        shuffled = np.empty_like(table)
+        shuffled[np.ix_(shuffle, shuffle)] = shuffle[table]
+        table = shuffled
+    if draw(st.booleans()):
+        n = len(table)
+        table = table.copy()
+        table[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.integers(0, n - 1))
+    return table
 
 
 # -- the loop versions of the structural checks, kept as oracles -----------
