@@ -348,6 +348,15 @@ class TestVerifyPaper:
         assert code == 1
         assert out.count("\tfail\t") == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        # --jobs is gone, so the values it used to reject are refused too
+        with pytest.raises(SystemExit) as e:
+            main(["verify-paper", "--jobs", jobs])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--jobs" in err.splitlines()[-1]
+
     def test_jobs_is_refused(self, capsys):
         # the claims run in one process, in corpus order
         with pytest.raises(SystemExit) as e:
