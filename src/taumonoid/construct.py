@@ -16,9 +16,10 @@ set of a finite word set plus a fresh absorbing zero, and a product falls to
 zero exactly when the composed word escapes the lower set.  The table comes
 from the right Cayley graph through ``monoid.cayley_table``, as for every
 generated monoid: only the n * |A| products of an element by a letter are
-composed, and the search from the identity reaches every element, since each
-prefix of a plain member of ``v`` is a factor of it and so stays in the lower
-set.
+formed, each by ``rewrite.append_letter`` without rewriting the element, and
+the search from the identity reaches every element, since each prefix of a
+plain member of ``v`` is a factor of it and so stays in the lower set.  The
+prefix automaton takes its steps with the same kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .monoid import FiniteMonoid, cayley_table
-from .rewrite import TauWord, TauWordSet, canonical, compose_words
+from .rewrite import TauWord, TauWordSet, append_letter
 from .words import EMPTY, content, print_word
 
 
@@ -35,7 +36,7 @@ def _tracker_table(u: TauWord, letters) -> tuple:
 
     The states number the canonical forms of the prefixes of the members of
     ``u``, shortlex, so the empty word is 0; the last row is an absorbing
-    sink.  ``table[s][i]``, one ``compose_words`` each, is the form of ``s``
+    sink.  ``table[s][i]``, one ``append_letter`` each, is the form of ``s``
     times letter ``i`` if that is a state, else the sink.
 
     Capped members suffice.  A member is ``u`` with each letter replaced by
@@ -60,11 +61,10 @@ def _tracker_table(u: TauWord, letters) -> tuple:
         return table + [[n + 1] * len(letters)] * 2, n
     steps, level = [], {()}
     for b, plussed in u.word:
-        x = ((b, False),)
-        step = {f: [canonical(f + x, u.tau)] for f in level}
+        step = {f: [append_letter(f, b, u.tau)] for f in level}
         if plussed:
             for succ in step.values():
-                succ.append(canonical(succ[0] + x, u.tau))
+                succ.append(append_letter(succ[0], b, u.tau))
         steps.append(step)
         level = {g for succ in step.values() for g in succ}
     good = level & {u.word}
@@ -74,8 +74,8 @@ def _tracker_table(u: TauWord, letters) -> tuple:
         prefixes |= good | {step[f][0] for f in good}
     forms = {f: s for s, f in enumerate(sorted(prefixes, key=lambda f: (len(f), f)))}
     sink = len(forms)
-    table = [[forms.get(compose_words(f, ((b, False),), u.tau), sink)
-              for b in letters] for f in forms]
+    table = [[forms.get(append_letter(f, b, u.tau), sink) for b in letters]
+             for f in forms]
     return table + [[sink] * len(letters)], forms.get(u.word)
 
 
@@ -85,7 +85,7 @@ def _lower_words(u: tuple, tau: str) -> frozenset:
 
     The forms of the words read along the prefix automaton of ``u`` from any
     state without entering the sink, found by one search over pairs (state,
-    form of the word read so far); each (form, letter) is composed once,
+    form of the word read so far); each (form, letter) is appended once,
     however many states reach it.  These are the forms of the windows of
     the members of ``u``.  A window ``w`` of a member ``p w s`` is read from
     the state of ``p``, as every prefix of ``p w`` is a member prefix.
@@ -105,7 +105,7 @@ def _lower_words(u: tuple, tau: str) -> frozenset:
             if t != sink:
                 g = step.get((f, b))
                 if g is None:
-                    g = step[f, b] = compose_words(f, ((b, False),), tau)
+                    g = step[f, b] = append_letter(f, b, tau)
                 node = (t, g)
                 if node not in seen:
                     seen.add(node)
@@ -145,7 +145,7 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
 
     The table is read off the right Cayley graph by ``cayley_table``: the
     right action ``right[u][x]`` of each letter ``x`` of the content on each
-    element ``u`` is composed directly, n * |A| compositions for an alphabet
+    element ``u`` is one ``append_letter``, n * |A| of them for an alphabet
     A with the zero row fixed at zero, and the search starts at the
     identity, whose column is every element.  It reaches every element: with
     ``x1 ... xk`` a plain member of ``v``, every prefix ``x1 ... xi`` is a
@@ -159,8 +159,8 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
         return FiniteMonoid(table=table, labels=("0",), identity=0, zero=0)
     index = {w: i for i, w in enumerate(low)}
     zero = len(low)
-    letters = sorted({(b, False) for w in ws.words for b, _ in w})
-    right = [[index.get(compose_words(w, (x,), ws.tau), zero) for x in letters]
+    letters = sorted({b for w in ws.words for b, _ in w})
+    right = [[index.get(append_letter(w, b, ws.tau), zero) for b in letters]
              for w in low] + [[zero] * len(letters)]
     one = index[EMPTY]
     labels = tuple(label[w] for w in low) + ("0",)

@@ -28,11 +28,11 @@ normal form is long enough to pump, the construction fails loudly; a
 finished table is verified against every input relation.
 
 One right Cayley graph search, ``_generators``, grows a generating set
-greedily; it gives Light's test its generators, ``submonoid`` its closure,
-and ``find_isomorphism`` the elements whose images it searches for.  That
-search extends the map along the right Cayley graph as each image is chosen,
-and takes its candidate images from one colour refinement of both tables
-together, whose rounds are array sorts.
+greedily; it gives Light's test its generators, which the monoid keeps as
+``generators``, and ``submonoid`` its closure.  ``find_isomorphism`` searches
+for the images of the kept generators: it extends the map along the right
+Cayley graph as each image is chosen, and takes its candidate images from
+one colour refinement of both tables together, whose rounds are array sorts.
 """
 
 from __future__ import annotations
@@ -93,8 +93,9 @@ def _generators(t: np.ndarray, among=None) -> tuple:
 _LIGHT_CELLS = 1 << 20
 
 
-def _check_associative(t: np.ndarray) -> None:
-    """Raise at the lex-first triple (a,b,c) with (ab)c != a(bc), if any.
+def _check_associative(t: np.ndarray) -> list:
+    """Raise at the lex-first triple (a,b,c) with (ab)c != a(bc), if any;
+    else return the generators the test used.
 
     Light's test (Clifford-Preston, vol. 1, section 1.2) checks
     (xg)y = x(gy) for the generators g of ``_generators`` only, at every
@@ -108,7 +109,7 @@ def _check_associative(t: np.ndarray) -> None:
     step = max(1, _LIGHT_CELLS // max(1, t.size))
     if all((t[t[:, g]] == np.take(t, t[g], axis=1)).all()
            for g in (gens[i:i + step] for i in range(0, len(gens), step))):
-        return
+        return gens
     for a in range(len(t)):
         bad = np.argwhere(t[t[a]] != t[a, t])
         if len(bad):
@@ -146,6 +147,9 @@ class Semigroup:
     table: np.ndarray
     labels: tuple
     zero: int | None = None
+    # the generators of ``_generators``, found by the associativity check
+    # and read by ``find_isomorphism``; no part of equality or the text format
+    generators: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -162,7 +166,7 @@ class Semigroup:
         table = table.astype(np.int32, copy=False)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        _check_associative(table)
+        object.__setattr__(self, "generators", tuple(_check_associative(table)))
         if self.zero is not None and not _fixes(table, self.zero, self.zero):
             raise ValueError("declared zero is not absorbing")
 
@@ -583,12 +587,13 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     """A multiplication-preserving bijection m -> n, or None.
 
     A homomorphism is fixed by its images of a generating set G of m
-    (``_generators``), since f(u*g) = f(u)*f(g).  The search backtracks
-    over the images of G in index order, each tried in ascending order
-    among the elements of n with the same colour (``_joint_colors``; the
-    identity and the zero, declared or found by ``_zero_of``, get colours
-    of their own).  After each choice the map is extended from the
-    identity along the right Cayley graph of the generators chosen so far;
+    (``m.generators``, found by ``_generators`` when m was built), since
+    f(u*g) = f(u)*f(g).  The search backtracks over the images of G in
+    index order, each tried in ascending order among the elements of n
+    with the same colour (``_joint_colors``; the identity and the zero,
+    declared or found by ``_zero_of``, get colours of their own).  After
+    each choice the map is extended from the identity along the right
+    Cayley graph of the generators chosen so far;
     a product whose image conflicts, repeats an image or changes colour
     rejects the choice at once.  Colours are kept by every isomorphism, so
     the search is exhaustive over the images of G: ``None`` means
@@ -609,7 +614,7 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     cm, cn = _joint_colors(m, n, extra)
     if not np.array_equal(np.sort(cm), np.sort(cn)):
         return None
-    gens = _generators(m.table)[0]
+    gens = m.generators
     gen_cols = [m.table[:, g].tolist() for g in gens]
     image_cols: dict = {}     # y -> column y of n, read on first use
     candidates = [np.flatnonzero(cn == cm[g]).tolist() for g in gens]

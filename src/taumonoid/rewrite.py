@@ -19,6 +19,12 @@ rules, so ``rho`` is computed as the mirror of ``lambda``.  The independent
 oracle is the rule-by-rule reducer in ``tests/oracles.py``: it keeps a
 ``rho`` rule of its own, and the property suite compares the two on
 exhaustively enumerated small words.
+
+``append_letter`` is the product of a canonical word by one plain letter,
+which is all the right Cayley graph and the prefix automaton of
+``construct`` need.  It reads only the end of the word and the letters of
+the new base, since at most one earlier letter changes, and is tested
+against ``canonical`` of the concatenation.
 """
 
 from __future__ import annotations
@@ -143,11 +149,37 @@ def compose(u: TauWord, v: TauWord) -> TauWord:
     return TauWord.of_canonical(canonical(u.word + v.word, u.tau), u.tau)
 
 
-def compose_words(u: Word, v: Word, tau: str) -> Word:
-    """Product of two canonical words.  Under ``trivial`` canonical words are
-    plain, so their concatenation needs no rewriting and no plainness check.
+def append_letter(w: Word, b: str, tau: str) -> Word:
+    """``canonical(w + ((b, False),), tau)`` for a canonical ``w``, read off
+    the end of ``w`` and the two letters of base ``b`` (the product of ``w``
+    by one plain letter; the right Cayley graph needs nothing more).
+
+    A last letter of base ``b`` absorbs the new one and is plussed.
+    Otherwise at most one earlier letter changes: under ``gamma`` and
+    ``rho`` a plain ``b`` of ``w`` (under ``gamma`` the only ``b``, under
+    ``rho`` the last one) is marked, as ``b`` now occurs twice, or again to
+    its right.  The new letter is marked under ``tau1``, under ``lambda``
+    when ``b`` is in ``w`` and under ``gamma`` when a ``b+`` is in ``w`` or
+    was just marked.  Under ``trivial`` it is appended as it is.
     """
-    return u + v if tau == "trivial" else canonical(u + v, tau)
+    if tau == "trivial":
+        return w + ((b, False),)
+    if tau not in CONGRUENCES:
+        _check_tau(tau)
+    if w and w[-1][0] == b:
+        return w if w[-1][1] else w[:-1] + ((b, True),)
+    if tau == "tau1":
+        return w + ((b, True),)
+    plain, plussed = (b, False), (b, True)
+    if tau == "lambda":
+        return w + ((b, plain in w or plussed in w),)
+    if tau == "gamma" and plussed in w:
+        return w + (plussed,)
+    if plain not in w:
+        return w + (plain,)
+    i = w.index(plain)
+    marked = w[:i] + (plussed,) + w[i + 1:]
+    return marked + ((plussed,) if tau == "gamma" else (plain,))
 
 
 def tau_equal(u: Word, v: Word, tau: str) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, compose_words
+from taumonoid.rewrite import CONGRUENCES, TauWord, canonical
 from taumonoid.words import EMPTY, Word, content
 
 
@@ -83,15 +83,15 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
     letters = [((b, False),) for b in content(u.word)]
     nodes, frontier = {EMPTY}, [EMPTY]
     while frontier:
-        grown = {compose_words(x, l, u.tau) for x in frontier for l in letters}
+        grown = {canonical(x + l, u.tau) for x in frontier for l in letters}
         frontier = [y for y in grown if len(y) <= len(u.word) and y not in nodes]
         nodes.update(frontier)
     for p in nodes:
-        pv = compose_words(p, v.word, u.tau)
+        pv = canonical(p + v.word, u.tau)
         if len(pv) > len(u.word):
             continue
         for s in nodes:
-            if compose_words(pv, s, u.tau) == u.word:
+            if canonical(pv + s, u.tau) == u.word:
                 return True
     return False
 

@@ -10,8 +10,8 @@ from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE, mtau
 from taumonoid.construct import _lower_words, build_monoid, leq_tau, lower_set
 from taumonoid.monoid import (FiniteMonoid, dual, find_isomorphism,
                               is_aperiodic, is_j_trivial)
-from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
-                               compose_words)
+from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet,
+                               append_letter, canonical)
 from taumonoid.words import EMPTY, content, parse_word, print_word
 
 from oracles import leq_tau_by_factor_search, lower_words_by_members
@@ -92,8 +92,8 @@ def _reverse_graph(bases: tuple, max_len: int, tau: str):
     while queue:
         x = queue.popleft()
         for l in letters:
-            for y, into in ((compose_words(x, l, tau), into_right),
-                            (compose_words(l, x, tau), into_left)):
+            for y, into in ((canonical(x + l, tau), into_right),
+                            (canonical(l + x, tau), into_left)):
                 if len(y) <= max_len:
                     into.setdefault(y, []).append(x)
                     if y not in nodes:
@@ -206,8 +206,7 @@ class TestLowerSet:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(construct, "canonical", counting(canonical))
-        monkeypatch.setattr(construct, "compose_words", counting(compose_words))
+        monkeypatch.setattr(construct, "append_letter", counting(append_letter))
         for tau in CONGRUENCES[1:]:
             calls.clear()
             _lower_words.cache_clear()
@@ -301,7 +300,7 @@ def build_monoid_by_compose(ws: TauWordSet, low: set | None = None
         return FiniteMonoid(table=((0,),), labels=("0",), identity=0, zero=0)
     index = {w: i for i, w in enumerate(low)}
     zero = len(low)
-    rows = [tuple(index.get(compose_words(x, y, ws.tau), zero) for y in low)
+    rows = [tuple(index.get(canonical(x + y, ws.tau), zero) for y in low)
             + (zero,) for x in low]
     rows.append((zero,) * (zero + 1))
     labels = tuple(print_word(w) for w in low) + ("0",)

@@ -15,7 +15,7 @@ from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton,
                                rel_free_automaton)
 from taumonoid.identities import BudgetExceededError, Identity, satisfies
 from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import CONGRUENCES, TauWord, canonical, compose_words
+from taumonoid.rewrite import CONGRUENCES, TauWord, append_letter, canonical
 from taumonoid.words import (content, parse_word, print_word, projection,
                              simple_and_multiple)
 
@@ -421,15 +421,15 @@ class TestTracker:
             assert len(forms) == len(table) - 1 and forms[target] == u.word
 
     def test_table_is_built_without_listing_the_members(self, monkeypatch):
-        # (a+b+)^12 has 2^24 capped expansions; the table canonicalises a
-        # few forms per letter of u instead
+        # (a+b+)^12 has 2^24 capped expansions; the table appends a letter
+        # to a few forms per letter of u instead
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return canonical(*args)
+            return append_letter(*args)
 
-        monkeypatch.setattr(construct, "canonical", counting)
+        monkeypatch.setattr(construct, "append_letter", counting)
         for tau in CONGRUENCES[1:]:
             calls.clear()
             u = tw("a+b+" * 12, tau)
@@ -437,7 +437,7 @@ class TestTracker:
             assert target is not None and len(calls) <= len(u.word) ** 2, tau
 
     def test_trivial_table_is_the_prefix_lengths(self, monkeypatch):
-        # under the trivial congruence no word is canonicalised or composed:
+        # under the trivial congruence no letter is appended to a form:
         # letter i moves prefix length j on exactly when it is u[j]
         calls = []
 
@@ -447,8 +447,7 @@ class TestTracker:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(construct, "canonical", counting(canonical))
-        monkeypatch.setattr(construct, "compose_words", counting(compose_words))
+        monkeypatch.setattr(construct, "append_letter", counting(append_letter))
         u = TauWord(w("xy" * 2000), "trivial")
         table, target = _tracker_table(u, "xy")
         assert calls == []
@@ -464,10 +463,10 @@ class TestTracker:
 
         def counting(*args):
             calls.append(args)
-            return compose_words(*args)
+            return append_letter(*args)
 
-        k = mtau("lambda", "bta+b+")     # built before its compositions count
-        monkeypatch.setattr(construct, "compose_words", counting)
+        k = mtau("lambda", "bta+b+")     # built before its products count
+        monkeypatch.setattr(construct, "append_letter", counting)
         u = tw("xyxyxyxyxy", "trivial")
         verdict = is_tau_term(k, u, mode="exact")
         assert verdict.method == "exact"

@@ -17,8 +17,9 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               from_presentation, idempotents,
                               idempotents_commute, is_aperiodic, is_j_trivial,
                               parse_monoid, submonoid)
+from taumonoid import monoid
 from taumonoid.monoid import (_check_associative, _classes, _complete,
-                              _orient, _reduce, _zero_of)
+                              _generators, _orient, _reduce, _zero_of)
 from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
 
@@ -270,6 +271,15 @@ class TestDualAndProduct:
         assert "factors" not in repr(p)
         assert format_monoid(p) == format_monoid(plain)
 
+    def test_generators_are_kept_and_invisible(self):
+        # the generating set of the associativity check is kept on the
+        # monoid, and equality, repr and the text format ignore it
+        for name, m in corpus_monoids().items():
+            assert m.generators == tuple(_generators(m.table)[0]), name
+            assert "generators" not in repr(m), name
+            back = parse_monoid(format_monoid(m))
+            assert back == m and back.generators == m.generators, name
+
     def test_product_text_unchanged(self):
         # sha256 of the .mon text written for prod(dualA1,E1) before the
         # product recorded its factors
@@ -487,6 +497,17 @@ class TestIsomorphism:
         # the colours cannot tell them apart, so the search is exhausted
         assert find_isomorphism_by_refinement(HEXAGON, TWO_TRIANGLES) is None
         assert find_isomorphism(HEXAGON, TWO_TRIANGLES) is None
+
+    def test_search_reads_the_kept_generators(self, monkeypatch):
+        # the search takes the generators found when m was built
+        pairs = [(m, dual(m)) for m in corpus_monoids().values()]
+        expected = [find_isomorphism(m, d) for m, d in pairs]
+
+        def refuse(*args):
+            raise AssertionError("generators searched again")
+
+        monkeypatch.setattr(monoid, "_generators", refuse)
+        assert [find_isomorphism(m, d) for m, d in pairs] == expected
 
     def test_self_map_is_the_identity(self):
         # generator images are tried in ascending order, and every element

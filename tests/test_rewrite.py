@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet, canonical,
-                               compose, compose_words, tau_equal)
+from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet,
+                               append_letter, canonical, compose, tau_equal)
 from taumonoid.words import content, is_two_island_limited, parse_word, print_word
 
 from oracles import (RULE_MARK, applicable_rules, canonical_stepwise,
@@ -184,6 +184,54 @@ class TestCompose:
                         assert compose(compose(x, y), z) == compose(x, compose(y, z))
 
 
+# multi-character bases, and one ("z") that the words never contain
+BASES = ["a", "b", "ab", "x1"]
+
+
+class TestAppendLetter:
+    def test_agrees_with_canonical_exhaustively(self):
+        # the form of every word of up to 7 letters over abc, times each of
+        # abcd: 3280 words, 4 letters and 5 congruences make 65,600 cases
+        words = [tuple((b, False) for b in bs)
+                 for n in range(8) for bs in product("abc", repeat=n)]
+        cases = 0
+        for tau in CONGRUENCES:
+            for word in words:
+                u = canonical(word, tau)
+                for b in "abcd":
+                    assert append_letter(u, b, tau) == \
+                        canonical(u + ((b, False),), tau), (tau, print_word(u), b)
+                    cases += 1
+        assert cases == 65_600
+
+    @settings(max_examples=500)
+    @given(marked_words(BASES, 10), st.sampled_from(BASES + ["z"]),
+           st.sampled_from(NONTRIVIAL))
+    def test_agrees_with_canonical_on_marked_input(self, word, base, tau):
+        u = canonical(word, tau)
+        assert append_letter(u, base, tau) == canonical(u + ((base, False),), tau)
+
+    @settings(max_examples=200)
+    @given(plain_words(BASES, 10), st.sampled_from(BASES + ["z"]))
+    def test_trivial_appends_the_letter(self, word, base):
+        assert append_letter(word, base, "trivial") == \
+            canonical(word + ((base, False),), "trivial")
+
+    def test_worked_examples(self):
+        for tau, before, base, after in [
+                ("lambda", "bta+", "b", "bta+b+"), ("lambda", "bta+", "s", "bta+s"),
+                ("rho", "ab", "a", "a+ba"), ("rho", "a+ba", "b", "a+b+ab"),
+                ("gamma", "ab", "a", "a+ba+"), ("gamma", "a+b", "a", "a+ba+"),
+                ("tau1", "a+", "a", "a+"), ("tau1", "a+", "b", "a+b+"),
+                ("lambda", "ab", "b", "ab+"), ("trivial", "ab", "b", "abb")]:
+            assert append_letter(w(before), base, tau) == w(after), (tau, before)
+
+    def test_unknown_congruence(self):
+        for word in ("1", "a"):
+            with pytest.raises(ValueError, match="unknown congruence"):
+                append_letter(w(word), "a", "sigma")
+
+
 class TestTauEqual:
     def test_examples(self):
         assert tau_equal(w("a"), w("aa"), "tau1")
@@ -227,8 +275,8 @@ class TestProperties:
     def test_length_monotonicity(self, word, base, tau):
         u = canonical(word, tau)
         letter = ((base, False),)
-        assert len(compose_words(u, letter, tau)) >= len(u)
-        assert len(compose_words(letter, u, tau)) >= len(u)
+        assert len(canonical(u + letter, tau)) >= len(u)
+        assert len(canonical(letter + u, tau)) >= len(u)
 
     @settings(max_examples=400)
     @given(marked_words("abc", 9))
@@ -241,7 +289,7 @@ class TestProperties:
     def test_generated_by_letters(self, word, tau):
         acc = ()
         for letter in word:
-            acc = compose_words(acc, (letter,), tau)
+            acc = canonical(acc + (letter,), tau)
         assert acc == canonical(word, tau)
 
 
