@@ -6,20 +6,24 @@ this holds exactly when some representative of ``v`` is a factor of some
 plain member of the class of ``u``: the factor order on which Perkins
 builds the quotients ``M(W)`` (J. Algebra 11, 1969).  The lower set of
 ``u`` is therefore the set of canonical forms of the windows (contiguous
-factors) of the members of its class.  ``_lower_words`` reads them along the
-prefix automaton of the class (``_tracker_table``), whose states are the
-forms of the member prefixes, without listing a member; ``freeobj`` tracks
-the class of a word with the same automaton.
+factors) of the members of its class.  ``_lower_graph`` reads them along
+the prefix automaton of the class (``_tracker_table``), whose states are the
+forms of the member prefixes, without listing a member, and keeps every
+product of a form by a letter that it forms on the way: the right Cayley
+graph of the lower set.  ``freeobj`` tracks the class of a word with the
+same automaton.
 
 ``build_monoid`` materializes the Rees quotient: the elements are the lower
 set of a finite word set plus a fresh absorbing zero, and a product falls to
 zero exactly when the composed word escapes the lower set.  The table comes
 from the right Cayley graph through ``monoid.cayley_table``, as for every
-generated monoid: only the n * |A| products of an element by a letter are
-formed, each by ``rewrite.append_letter`` without rewriting the element, and
-the search from the identity reaches every element, since each prefix of a
-plain member of ``v`` is a factor of it and so stays in the lower set.  The
-prefix automaton takes its steps with the same kernel.
+generated monoid.  The graph is the union of the graphs the lower-set search
+returns for the words of the set, so no product of an element by a letter
+is formed again, and the search from the identity reaches every element,
+since each prefix of a plain member of ``v`` is a factor of it and so stays
+in the lower set.  Every product by one letter, in the search and in the
+prefix automaton, is one ``rewrite.append_letter``, which does not rewrite
+the element.
 """
 
 from __future__ import annotations
@@ -79,38 +83,58 @@ def _tracker_table(u: TauWord, letters) -> tuple:
     return table + [[sink] * len(letters)], forms.get(u.word)
 
 
-@lru_cache(maxsize=1024)
-def _lower_words(u: tuple, tau: str) -> frozenset:
-    """Canonical words below ``u`` in the factor order.
+def _lower_graph(u: tuple, tau: str) -> dict:
+    """The right Cayley graph of the lower set of ``u``.
 
-    The forms of the words read along the prefix automaton of ``u`` from any
-    state without entering the sink, found by one search over pairs (state,
-    form of the word read so far); each (form, letter) is appended once,
-    however many states reach it.  These are the forms of the windows of
-    the members of ``u``.  A window ``w`` of a member ``p w s`` is read from
-    the state of ``p``, as every prefix of ``p w`` is a member prefix.
-    Conversely, if ``w`` is read from the state of a member prefix ``p`` to
-    a state ``g``, then ``p w`` has the form ``g`` of some member prefix
-    ``q``, and if ``q s`` is a member then so is ``p w s``.
+    ``graph[f][b]`` is the form of ``f`` times the letter ``b`` for every
+    form ``f`` below ``u`` and every base ``b`` whose product with ``f``
+    stays below ``u``; the keys are the lower set.  The forms are those of
+    the words read along the prefix automaton of ``u`` from any state
+    without entering the sink, found by one search over pairs (state, form
+    of the word read so far); each (form, letter) is appended once, however
+    many states reach it.  These are the forms of the windows of the members
+    of ``u``.  A window ``w`` of a member ``p w s`` is read from the state of
+    ``p``, as every prefix of ``p w`` is a member prefix.  Conversely, if
+    ``w`` is read from the state of a member prefix ``p`` to a state ``g``,
+    then ``p w`` has the form ``g`` of some member prefix ``q``, and if
+    ``q s`` is a member then so is ``p w s``.
+
+    The graph is exact: ``f * b`` is below ``u`` exactly when the search
+    meets a node ``(s, f)`` with ``table[s][b]`` not the sink.  If it does,
+    the word read to ``f`` goes on to ``f * b``, which is then a form read
+    along the automaton.  Conversely, if ``f * b`` is the form of a window
+    ``w'`` of a member ``p w' s``, then ``p (w b) s`` is a member for every
+    plain ``w`` in the class of ``f``, as tau is a congruence; so ``w`` is
+    read from the state of ``p`` to a node ``(t, f)``, and ``b`` leads on
+    from ``t`` as ``p w b`` is a member prefix.
     """
     letters = sorted(content(u))
     table, _ = _tracker_table(TauWord.of_canonical(u, tau), letters)
     sink = len(table) - 1
     seen = {(s, EMPTY) for s in range(sink)}
     stack = list(seen)
-    step: dict = {}
+    graph: dict = {EMPTY: {}}
     while stack:
         s, f = stack.pop()
+        out = graph[f]
         for b, t in zip(letters, table[s]):
             if t != sink:
-                g = step.get((f, b))
+                g = out.get(b)
                 if g is None:
-                    g = step[f, b] = append_letter(f, b, tau)
+                    g = out[b] = append_letter(f, b, tau)
+                    graph.setdefault(g, {})
                 node = (t, g)
                 if node not in seen:
                     seen.add(node)
                     stack.append(node)
-    return frozenset(f for _, f in seen)
+    return graph
+
+
+@lru_cache(maxsize=1024)
+def _lower_words(u: tuple, tau: str) -> frozenset:
+    """Canonical words below ``u`` in the factor order: the keys of
+    ``_lower_graph``."""
+    return frozenset(_lower_graph(u, tau))
 
 
 def leq_tau(v: TauWord, u: TauWord) -> bool:
@@ -143,26 +167,32 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
     otherwise.  An empty word set yields the one-element monoid in which the
     identity and the zero coincide.
 
-    The table is read off the right Cayley graph by ``cayley_table``: the
-    right action ``right[u][x]`` of each letter ``x`` of the content on each
-    element ``u`` is one ``append_letter``, n * |A| of them for an alphabet
-    A with the zero row fixed at zero, and the search starts at the
-    identity, whose column is every element.  It reaches every element: with
-    ``x1 ... xk`` a plain member of ``v``, every prefix ``x1 ... xi`` is a
-    factor of that member, so its canonical form lies below ``v`` and in the
-    lower set, and the path ``1, x1, x1 x2, ..., v`` never falls to zero.
+    The table is read off the right Cayley graph by ``cayley_table``.  The
+    graph is the union of the graphs ``_lower_graph`` of the words, so no
+    product is formed twice: if ``f * x`` lies below some word ``u`` of the
+    set, so does its factor ``f``, and ``u``'s graph holds the edge.  Every
+    pair missing from the union goes to zero, and the zero row is fixed at
+    zero.  The search starts at the identity, whose column is every element,
+    and reaches every element: with ``x1 ... xk`` a plain member of ``v``,
+    every prefix ``x1 ... xi`` is a factor of that member, so its canonical
+    form lies below ``v`` and in the lower set, and the path ``1, x1,
+    x1 x2, ..., v`` never falls to zero.
     """
-    label = {t.word: print_word(t.word) for t in lower_set(ws)}
-    low = sorted(label, key=lambda w: (len(w), label[w]))
-    if not low:
+    right: dict = {}
+    for w in ws.words:
+        for f, out in _lower_graph(w, ws.tau).items():
+            right.setdefault(f, {}).update(out)
+    if not right:
         table = ((0,),)
         return FiniteMonoid(table=table, labels=("0",), identity=0, zero=0)
+    label = {w: print_word(w) for w in right}
+    low = sorted(label, key=lambda w: (len(w), label[w]))
     index = {w: i for i, w in enumerate(low)}
     zero = len(low)
     letters = sorted({b for w in ws.words for b, _ in w})
-    right = [[index.get(append_letter(w, b, ws.tau), zero) for b in letters]
-             for w in low] + [[zero] * len(letters)]
+    rows = [[index.get(right[w].get(b), zero) for b in letters]
+            for w in low] + [[zero] * len(letters)]
     one = index[EMPTY]
     labels = tuple(label[w] for w in low) + ("0",)
-    return FiniteMonoid(table=cayley_table(right, {one: range(zero + 1)}, zero),
+    return FiniteMonoid(table=cayley_table(rows, {one: range(zero + 1)}, zero),
                         labels=labels, identity=one, zero=zero)

@@ -1,4 +1,4 @@
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import product
 
@@ -236,6 +236,56 @@ class TestLowerSet:
         assert {t.word for t in small} <= {t.word for t in big}
 
 
+def forms_of_plain_words(tau: str, max_len: int, bases: str = "abt") -> list:
+    """The canonical forms of every plain word over ``bases`` of length
+    0..max_len."""
+    return sorted({canonical(tuple((b, False) for b in combo), tau)
+                   for n in range(max_len + 1)
+                   for combo in product(bases, repeat=n)},
+                  key=lambda w: (len(w), w))
+
+
+class TestLowerGraph:
+    def test_graph_is_the_right_action_on_the_lower_set(self):
+        # every form f below u has an entry f -> b exactly when f * b is
+        # below u, and the entry is that product; letters outside the
+        # content of u have none
+        count = 0
+        for tau in CONGRUENCES:
+            for u in forms_of_plain_words(tau, 6):
+                graph = construct._lower_graph(u, tau)
+                low = set(graph)
+                assert low == _lower_words(u, tau), (tau, print_word(u))
+                for f, out in graph.items():
+                    want = {b: g for b in "abt"
+                            if (g := append_letter(f, b, tau)) in low}
+                    assert out == want, (tau, print_word(u), print_word(f))
+                count += 1
+        assert count == 2714
+
+    def test_build_forms_only_the_products_of_the_search(self, monkeypatch):
+        # build_monoid reads its right action off the searches' graphs: it
+        # makes exactly their append_letter calls and fills no lower-set cache
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return append_letter(*args)
+
+        monkeypatch.setattr(construct, "append_letter", counting)
+        for name, tau, words in FIG_LATTICE + EXTRA_GENERATORS:
+            ws = TauWordSet(tau, [parse_word(w) for w in words.split(",") if w])
+            _lower_words.cache_clear()
+            calls.clear()
+            build_monoid(ws)
+            built = Counter(calls)
+            assert _lower_words.cache_info().currsize == 0, name
+            calls.clear()
+            for w in ws.words:
+                construct._lower_graph(w, tau)
+            assert built == Counter(calls), name
+
+
 class TestBuildMonoid:
     def test_single_plain_word(self):
         m = mtau("trivial", "x")
@@ -325,7 +375,9 @@ class TestCayleyBuildAgainstCompose:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_drawn_word_sets(self, tau, data):
-        pool = _canonical_up_to_5(tau)
+        # the graphs are keyed by base, so multi-character bases are drawn too
+        bases = data.draw(st.sampled_from(["abc", ("x1", "x2", "t")]))
+        pool = _canonical_up_to_5(tau, bases)
         words = data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                    max_size=3))
         ws = TauWordSet(tau, words)
@@ -333,5 +385,5 @@ class TestCayleyBuildAgainstCompose:
 
 
 @lru_cache(maxsize=None)
-def _canonical_up_to_5(tau: str) -> list:
-    return canonical_words(tau, 5)
+def _canonical_up_to_5(tau: str, bases) -> list:
+    return canonical_words(tau, 5, bases)
