@@ -186,8 +186,8 @@ _INPUTS = {
     "j-trivial": ((parse_monoid_expr,), {}),
     "aperiodic": ((parse_monoid_expr,), {}),
     "idempotents-commute": ((parse_monoid_expr,), {}),
-    "tau-term": ((str, parse_monoid_expr, parse_word), {"mode": str, "bound": int}),
-    "not-tau-term": ((str, parse_monoid_expr, parse_word), {"mode": str, "bound": int}),
+    "tau-term": ((str, parse_monoid_expr, parse_word), {"bound": int}),
+    "not-tau-term": ((str, parse_monoid_expr, parse_word), {"bound": int}),
     "isoterm": ((parse_monoid_expr, parse_word), {}),
     "derivable": ((parse_identity, _axioms), {"max_len": int, "max_steps": int}),
     "two-island-limited": ((parse_word,), {}),

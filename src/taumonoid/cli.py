@@ -94,8 +94,8 @@ def main(argv=None) -> int:
     p.add_argument("tau")
     p.add_argument("monoid")
     p.add_argument("word")
-    p.add_argument("--bound", type=_positive_int, default=10)
-    p.add_argument("--mode", choices=("auto", "exact", "bounded"), default="auto")
+    p.add_argument("--bound", type=_positive_int, default=None,
+                   help="search words up to this length only (default: exact)")
 
     p = sub.add_parser("derive", help="bounded derivation search")
     p.add_argument("axioms", help="file with one identity per line")
@@ -123,11 +123,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-paper", help="run the claim corpus")
     p.add_argument("--filter", default=None, help="run claims with this id prefix")
     p.add_argument("--slow", action="store_true", help="include slow claims")
-    p.add_argument("--disputed", action="store_true",
-                   help="also run the disputed source-text claims")
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--report", default=None, help="write the report to a file")
-    p.add_argument("--corpus", default=None, help="alternative corpus file")
+    corpus = p.add_mutually_exclusive_group()
+    corpus.add_argument("--disputed", action="store_true",
+                        help="also run the disputed source-text claims")
+    corpus.add_argument("--corpus", default=None, help="alternative corpus file")
 
     p = sub.add_parser("lattice-dot", help="emit the subvariety lattice as DOT")
     p.add_argument("--out")
@@ -196,7 +197,7 @@ def _dispatch(args) -> int:
     if cmd == "tau-term":
         m = _monoid_arg(args.monoid)
         u = TauWord.make(parse_word(args.word), args.tau)
-        v = is_tau_term(m, u, mode=args.mode, bound=args.bound)
+        v = is_tau_term(m, u, bound=args.bound)
         if v.fails:
             member, off = v.witness
             print(f"fails: {print_word(member)} and {print_word(off)} are "

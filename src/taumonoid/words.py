@@ -97,6 +97,8 @@ def _parse_token(tok: str, offset: int) -> tuple:
     base = tok[:i]
     if not base:
         raise WordSyntaxError(f"missing base symbol in token {tok!r}", offset)
+    if not base[0].isalpha():
+        raise WordSyntaxError(f"unexpected character {base[0]!r}", offset)
     plussed = False
     if i < len(tok) and tok[i] == "+":
         plussed = True
@@ -136,7 +138,8 @@ def parse_word(text: str) -> Word:
     Single-character bases may be written back to back (``bta+b+``), with an
     optional ``+`` suffix and an exponent written ``^k`` or, after a
     single-character base, as a bare digit run (``ab2a5ba3``).  Multi-character
-    bases (``y1``) must be whitespace-separated, one token per letter.
+    bases (``y1``) must be whitespace-separated, one token per letter.  A
+    base starts with a letter in either format.
     ``1`` on its own denotes the empty word.  Words longer than
     ``MAX_WORD_LENGTH`` are refused before they are built.
     """

@@ -208,8 +208,7 @@ def test_10_tau_term_and_isoterm_suite():
     assert satisfies(f, Identity(member, off)).holds
     assert canonical(off, "lambda") != parse_word("a+btb+")
 
-    verdict = is_tau_term(k, TauWord.make(parse_word("bta+b+"), "lambda"),
-                          mode="auto", bound=10)
+    verdict = is_tau_term(k, TauWord.make(parse_word("bta+b+"), "lambda"))
     assert verdict.status in ("holds", "holds-up-to-bound")
     if verdict.status == "holds-up-to-bound":
         assert verdict.bound >= 10
@@ -227,8 +226,8 @@ def test_10_tau_term_and_isoterm_suite():
     ]
     for tau, m, text in instances:
         u = TauWord.make(parse_word(text), tau)
-        exact = is_tau_term(m, u, mode="exact")
-        bounded = is_tau_term(m, u, mode="bounded", bound=10)
+        exact = is_tau_term(m, u)
+        bounded = is_tau_term(m, u, bound=10)
         if exact.fails:
             assert bounded.fails, (tau, text)
         else:

@@ -186,8 +186,8 @@ class TestRunClaim:
             "derivable", "xtx=xtxx ; xtysyx=xtysxyx ; max_len=3", "yes"))
         assert res.actual == "not-found-within-bounds"
         res = run_claim(make_claim(
-            "tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; mode=bounded ; "
-            "bound=6", "holds-up-to-bound"))
+            "tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; bound=6",
+            "holds-up-to-bound"))
         assert res.actual == "holds-up-to-bound"
 
     @pytest.mark.parametrize("kind, inputs", [
@@ -198,8 +198,7 @@ class TestRunClaim:
         ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; mode=exat"),
         # a+btb+ is not a tau-term here (ntt-F), so an empty search must not
         # pass for one
-        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+btb+ ; mode=bounded ; "
-         "bound=-1"),
+        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+btb+ ; bound=-1"),
         ("satisfies", "A01 ; xtsx=xtxsx ; mode=exact"),
         ("satisfies", "A01"),
     ])

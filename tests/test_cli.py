@@ -1,5 +1,8 @@
 import contextlib
 import io
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -141,9 +144,11 @@ class TestMonoidCommands:
                            "M[lambda](a+ta+)", "a+btb+")
         assert code == 1 and "fails" in out
         code, out, _ = run(capsys, "tau-term", "lambda",
-                           "M[lambda](a+ta+)", "a+ta+",
-                           "--mode", "bounded", "--bound", "6")
-        assert code == 0 and "bound 6" in out
+                           "M[lambda](a+ta+)", "a+ta+", "--bound", "6")
+        assert (code, out) == (0, "holds-up-to-bound (bound 6)\n")
+        code, out, _ = run(capsys, "tau-term", "lambda",
+                           "M[lambda](a+ta+)", "a+ta+")
+        assert (code, out) == (0, "holds\n")
 
     def test_check_budget_refusal(self, capsys):
         code, out, err = run(capsys, "check", "M[lambda](bta+b+)",
@@ -219,6 +224,11 @@ class TestMalformedInput:
         expr = "dual(" * 2000 + "A1" + ")" * 2000
         self.assert_one_line_error(capsys, "jtrivial", expr)
 
+    def test_spaced_base_must_start_with_a_letter(self, capsys):
+        # 1 is the empty word alone, never a letter of a spaced word
+        assert run(capsys, "check", "A01", "x 1=x") == \
+            (2, "", "error: unexpected character '1' (at position 2)\n")
+
     def test_isoterm_refuses_a_marked_word(self, capsys):
         assert run(capsys, "isoterm", "M[lambda](bta+b+)", "x+y") == \
             (2, "", "error: an isoterm is a plain word, got x+y\n")
@@ -244,8 +254,8 @@ class TestMalformedInput:
         self.assert_one_line_error(capsys, "jtrivial", str(path))
 
     @pytest.mark.parametrize("argv,option", [
-        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+", "--mode",
-          "bounded", "--bound", "-1"], "--bound"),
+        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+", "--bound",
+          "-1"], "--bound"),
         (["derive", "axioms.txt", "x=x", "--max-len", "0"], "--max-len"),
         (["derive", "axioms.txt", "x=x", "--max-steps", "-5"], "--max-steps"),
         (["check", "A1", "x=x", "--budget", "0"], "--budget"),
@@ -348,6 +358,18 @@ class TestVerifyPaper:
         assert code == 1
         assert out.count("\tfail\t") == 3
 
+    def test_corpus_and_disputed_exclude_each_other(self, capsys, tmp_path):
+        # --disputed adds to the packaged corpus, which --corpus replaces
+        path = tmp_path / "one.txt"
+        path.write_text("size-A1 | monoid-size | A1 | 7 | DERIVED | here\n")
+        assert run(capsys, "verify-paper", "--corpus", str(path))[0] == 0
+        with pytest.raises(SystemExit) as e:
+            main(["verify-paper", "--corpus", str(path), "--disputed"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "not allowed with argument" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_must_be_positive(self, capsys, jobs):
         # --jobs is gone, so the values it used to reject are refused too
@@ -369,3 +391,39 @@ class TestVerifyPaper:
         with pytest.raises(SystemExit) as e:
             main(["no-such-command"])
         assert e.value.code != 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The README's command-line examples, in order: each line of the block
+    under "Command line" but the synopses, whose optional parts are in
+    brackets, as (arguments, the stdout a ``# -> X`` comment gives or
+    None)."""
+    block = README.read_text().split("## Command line\n\n```\n")[1]
+    out = []
+    for line in block.split("\n```")[0].splitlines():
+        argv = shlex.split(line, comments=True)
+        if any(a.startswith("[") for a in argv):
+            continue
+        assert argv[0] == "taumonoid", line
+        expect = re.search(r"#\s*->\s*(.*)$", line)
+        out.append((argv[1:], expect and expect.group(1).strip()))
+    return out
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, capsys, tmp_path, monkeypatch):
+        # in order, so the table built to k.mon is the one checked
+        monkeypatch.chdir(tmp_path)
+        # der-hfb's axioms, from which the derive line's goal takes 3 steps
+        (tmp_path / "axioms.txt").write_text("xtx=xtxx\nxyytx=xyyxtx\n")
+        commands = readme_commands()
+        assert any(argv[0] == "tau-term" and "--bound" in argv
+                   for argv, _ in commands)
+        for argv, expect in commands:
+            code, out, err = run(capsys, *argv)
+            assert code != 2, (argv, err)
+            if expect is not None:
+                assert out.strip() == expect, argv

@@ -41,6 +41,15 @@ class TestParsePrint:
         assert [b for b, _ in word] == ["x", "y1", "y1", "x"]
         assert print_word(word) == "x y1 y1 x"
 
+    @pytest.mark.parametrize("text,position", [
+        ("x 1", 2), ("1 x", 0), ("x  2a", 3), ("y1 1^2", 3), ("x +1", 2),
+        ("x _a", 2)])
+    def test_spaced_base_starts_with_a_letter(self, text, position):
+        # as in the compact format, where 1x is refused at the 1
+        with pytest.raises(WordSyntaxError) as e:
+            w(text)
+        assert e.value.position == position
+
     def test_plus_and_exponent_in_token(self):
         assert w("a+^3") == (("a", True),) * 3
 
