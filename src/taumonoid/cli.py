@@ -4,7 +4,7 @@ Monoid arguments accept either a path to a saved table or an inline
 construction expression such as ``M[lambda](bta+b+)``, ``S1`` or
 ``sub(M[lambda](bta+b+); a+,b,ta+)``.  Boolean subcommands exit 0 when the
 checked property holds and 1 otherwise; ``verify-paper`` exits 0 only if
-every executed claim passes.
+every executed claim passes, and 2 if it selects no claim.
 """
 
 from __future__ import annotations
@@ -287,6 +287,9 @@ def _verify_paper(args) -> int:
             text += "\n" + corpus_text(disputed=True)
     report = verify_corpus(text, id_filter=args.filter,
                            include_slow=args.slow, budget=args.budget)
+    if not report.results:
+        raise ValueError("the corpus holds no claims" if args.filter is None
+                         else f"no claim id starts with {args.filter!r}")
     out = "\n".join(report.lines()) + "\n" + report.summary() + "\n"
     sys.stdout.write(out)
     if args.report:

@@ -212,8 +212,7 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
     bwd = {end: None}
     fq, bq = deque([start]), deque([end])
     expansions = 0
-    meet = None
-    while fq and bq and meet is None:
+    while fq and bq:
         if len(fq) <= len(bq):
             queue, this, other = fq, fwd, bwd
         else:
@@ -229,14 +228,13 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
                 this[new] = (cur, move)
                 queue.append(new)
                 if new in other:
-                    meet = new
-                    break
-            if meet is not None:
-                break
-        if meet is None and not queue:
-            return None
-    if meet is None:
-        return None
+                    return _trace_through(axioms, goal, fwd, bwd, new)
+    return None
+
+
+def _trace_through(axioms, goal: Identity, fwd: dict, bwd: dict, meet):
+    """The derivation of ``goal`` along the forward search's path to
+    ``meet`` and the backward search's path from it, checked."""
 
     def unwind(tree, node):
         chain = []
@@ -260,7 +258,7 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
         steps.append(DerivationStep(
             after, before, idx, not forward, pos,
             tuple(sorted(binding.items()))))
-    trace = DerivationTrace(start, end, tuple(steps))
+    trace = DerivationTrace(goal.lhs, goal.rhs, tuple(steps))
     ok, msg = check_trace(axioms, trace, goal)
     if not ok:
         raise AssertionError(f"internal error: produced an invalid trace: {msg}")

@@ -32,7 +32,9 @@ greedily; it gives Light's test its generators, which the monoid keeps as
 ``generators``, and ``submonoid`` its closure.  ``find_isomorphism`` searches
 for the images of the kept generators: it extends the map along the right
 Cayley graph as each image is chosen, and takes its candidate images from
-one colour refinement of both tables together, whose rounds are array sorts.
+one colour refinement of both tables together.  The refinement starts from
+the identity and the zero and reads nothing but products; its rounds are
+array sorts.
 """
 
 from __future__ import annotations
@@ -526,15 +528,11 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
 # -- isomorphism search ----------------------------------------------------
 
 def _classes(rows: np.ndarray) -> np.ndarray:
-    """Equal rows of a 2-d array get equal numbers, from 0 up, in the
-    lexicographic order of the rows: each sorted row that differs from the
-    one before it opens a new number."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    opens = np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    classes = np.empty_like(order)
-    classes[order] = np.cumsum(opens)
-    return classes
+    """Equal rows of a 2-d array get equal numbers, dense from 0, in the
+    order in which each distinct row first occurs."""
+    first: dict = {}
+    return np.array([first.setdefault(row.tobytes(), len(first))
+                     for row in rows])
 
 
 def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
@@ -542,29 +540,16 @@ def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
 
     Both tables are coloured together, so a colour is one class across m
     and n, and an isomorphism keeps every element's colour.  Element x of
-    n is numbered ``size + x``.  The first colours are whether x is
-    idempotent, the index and period of x, and ``extra``.  Each round then
-    colours x by its colour and the sorted row of (c[y], c[xy], c[yx]) over
-    the y of its own monoid, until the number of classes stops growing.
-    Returns the colours of m and n as the two rows of one array.
+    n is numbered ``size + x``.  The first colours are ``extra``, which
+    tells the identity and the zero apart.  Each round then colours x by
+    its colour and the sorted row of (c[y], c[xy], c[yx]) over the y of its
+    own monoid, until the number of classes stops growing.  Returns the
+    colours of m and n as the two rows of one array.
     """
     s = m.size
     right = np.concatenate([m.table, n.table + s])
     left = np.concatenate([m.table.T, n.table.T + s])
-    every = np.arange(2 * s)
-    # x^1 .. x^(s+1), or up to the first power at which every x repeats its
-    # last one: the last power lies on the cycle of x, so the period is the
-    # distance back to its last repeat, and the index what precedes the cycle
-    powers = [every]
-    while len(powers) <= s:
-        powers.append(right[powers[-1], every % s])
-        if (powers[-1] == powers[-2]).all():
-            break
-    powers = np.array(powers)
-    period = np.argmax(powers[-2::-1] == powers[-1], axis=0) + 1
-    distinct = 1 + (np.diff(np.sort(powers, axis=0), axis=0) != 0).sum(axis=0)
-    colors = _classes(np.column_stack(
-        [powers[1] == every, distinct - period, period, extra]))
+    colors = _classes(extra[:, None])
     # row x: c[x], then the keys over the y of x's own monoid, in place
     keys = np.empty((2, s, s + 1), dtype=np.int64)
     body = keys[:, :, 1:]
@@ -590,8 +575,9 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     (``m.generators``, found by ``_generators`` when m was built), since
     f(u*g) = f(u)*f(g).  The search backtracks over the images of G in
     index order, each tried in ascending order among the elements of n
-    with the same colour (``_joint_colors``; the identity and the zero,
-    declared or found by ``_zero_of``, get colours of their own).  After
+    with the same colour (``_joint_colors``: the identity and the zero,
+    declared or found by ``_zero_of``, get colours of their own, refined
+    by products alone).  Colours are only compared for equality.  After
     each choice the map is extended from the identity along the right
     Cayley graph of the generators chosen so far;
     a product whose image conflicts, repeats an image or changes colour

@@ -138,8 +138,10 @@ def parse_word(text: str) -> Word:
     Single-character bases may be written back to back (``bta+b+``), with an
     optional ``+`` suffix and an exponent written ``^k`` or, after a
     single-character base, as a bare digit run (``ab2a5ba3``).  Multi-character
-    bases (``y1``) must be whitespace-separated, one token per letter.  A
-    base starts with a letter in either format.
+    bases (``y1``) must be whitespace-separated, one token per letter; a
+    lone letter with a longer base is written after a ``1`` (``1 y1``),
+    since ``y1`` alone is the compact ``y``.  A base starts with a letter in
+    either format.
     ``1`` on its own denotes the empty word.  Words longer than
     ``MAX_WORD_LENGTH`` are refused before they are built.
     """
@@ -147,12 +149,16 @@ def parse_word(text: str) -> Word:
     if text == "1" or text == "":
         return EMPTY
     if any(c.isspace() for c in text):
+        tokens = text.split()
+        lone = len(tokens) == 2 and tokens[0] == "1"
         out: list = []
         offset = 0
-        for tok in text.split():
+        for tok in tokens[1:] if lone else tokens:
             offset = text.find(tok, offset)
             _extend(out, *_parse_token(tok, offset), offset)
             offset += len(tok)
+        if lone and len(out[0][0]) == 1:
+            raise WordSyntaxError("unexpected character '1'", 0)
         return tuple(out)
     out = []
     i = 0
@@ -187,9 +193,13 @@ def parse_word(text: str) -> Word:
 
 
 def print_word(w: Word) -> str:
-    """Inverse of parse_word: compact for single-character bases, else spaced."""
+    """Inverse of parse_word: compact for single-character bases, else
+    spaced, with a lone letter written ``1 y1``."""
     if not w:
         return "1"
+    tokens = [b + ("+" if p else "") for b, p in w]
     if all(len(b) == 1 and b.isalpha() for b, _ in w):
-        return "".join(b + ("+" if p else "") for b, p in w)
-    return " ".join(b + ("+" if p else "") for b, p in w)
+        return "".join(tokens)
+    if len(w) == 1:
+        tokens.insert(0, "1")
+    return " ".join(tokens)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taumonoid.catalog import named_monoid
+from taumonoid.claims import parse_monoid_expr
 from taumonoid.cli import main
-from taumonoid.monoid import format_monoid, load_monoid
+from taumonoid.monoid import format_monoid, load_monoid, submonoid
 
 
 def run(capsys, *argv):
@@ -52,6 +53,18 @@ class TestMonoidCommands:
         assert code == 0
         m = load_monoid(path)
         assert m.size == 19
+
+    def test_build_labels_name_their_elements(self, capsys):
+        # the one letter ab and the product a b are two elements
+        code, out, _ = run(capsys, "build", "trivial", "ab x", "a b")
+        assert code == 0
+        printed = out.splitlines()[1].split()
+        assert len(printed) == len(set(printed)) == 8
+        expr = "M[trivial](ab x, a b)"
+        m = parse_monoid_expr(expr)
+        for i, label in enumerate(m.labels):
+            want = submonoid(m, [i])[0]
+            assert parse_monoid_expr(f"sub({expr}; {label})") == want, label
 
     def test_check_pass_and_fail(self, capsys, tmp_path):
         path = tmp_path / "k.mon"
@@ -391,6 +404,20 @@ class TestVerifyPaper:
         with pytest.raises(SystemExit) as e:
             main(["no-such-command"])
         assert e.value.code != 0
+
+    def test_a_filter_that_selects_nothing_is_an_error(self, capsys):
+        assert run(capsys, "verify-paper", "--filter", "zzz") == \
+            (2, "", "error: no claim id starts with 'zzz'\n")
+
+    def test_a_corpus_without_claims_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "none.txt"
+        path.write_text("# comments only\n")
+        assert run(capsys, "verify-paper", "--corpus", str(path)) == \
+            (2, "", "error: the corpus holds no claims\n")
+        path.write_text("size-A1 | monoid-size | A1 | 7 | DERIVED | here\n")
+        assert run(capsys, "verify-paper", "--corpus", str(path),
+                   "--filter", "size-E") == \
+            (2, "", "error: no claim id starts with 'size-E'\n")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

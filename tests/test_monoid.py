@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from taumonoid.catalog import (PRESENTATIONS, corpus_monoids, mtau,
                                monoid_with_identity, named_monoid, semigroup)
+from taumonoid.construct import build_monoid
 from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               Semigroup, adjoin_identity, direct_product, dual,
                               find_isomorphism, format_monoid,
@@ -20,6 +22,7 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
 from taumonoid import monoid
 from taumonoid.monoid import (_check_associative, _classes, _complete,
                               _generators, _orient, _reduce, _zero_of)
+from taumonoid.rewrite import TauWordSet
 from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
 
@@ -493,6 +496,28 @@ class TestIsomorphism:
         m, n = relabel(HEXAGON, p), relabel(HEXAGON, q)
         assert_isomorphism(m, n, find_isomorphism(m, n))
 
+    def test_agrees_with_refinement_on_construct_monoids(self):
+        # the traffic of the construct benchmark: Rees quotients of seeded
+        # 6-letter words, each against its dual and its reversal's monoid
+        rng = random.Random(25)
+        pairs = []
+        for tau, star in [("tau1", "tau1"), ("gamma", "gamma"),
+                          ("lambda", "rho"), ("rho", "lambda"),
+                          ("trivial", "trivial")]:
+            for _ in range(4):
+                w = tuple((rng.choice("abst"), False) for _ in range(6))
+                m = build_monoid(TauWordSet(tau, [w]))
+                r = build_monoid(TauWordSet(star, [w[::-1]]))
+                assert 2 <= m.size <= 64
+                pairs += [(r, dual(m)), (m, dual(m))]
+        found = 0
+        for m, n in pairs:
+            want = find_isomorphism_by_refinement(m, n)
+            assert find_isomorphism(m, n) == want, (m.labels, n.labels)
+            found += want is not None
+        # every reversal pair, and 6 of the monoids against their duals
+        assert found == 26
+
     def test_hexagon_is_not_two_triangles(self):
         # the colours cannot tell them apart, so the search is exhausted
         assert find_isomorphism_by_refinement(HEXAGON, TWO_TRIANGLES) is None
@@ -542,9 +567,15 @@ class TestClasses:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
            st.integers(1, 8), st.integers(1, 4))
     def test_numbers_rows_as_unique_does(self, seed, n, width, values):
+        # equal rows share a number, distinct rows do not, and the numbers
+        # are 0 up to the count of distinct rows
         rows = np.random.default_rng(seed).integers(-1, values, (n, width))
-        expected = np.unique(rows, axis=0, return_inverse=True)[1]
-        assert _classes(rows).tolist() == expected.ravel().tolist()
+        numbers = _classes(rows).tolist()
+        distinct = {}
+        for row, k in zip(rows.tolist(), numbers):
+            assert distinct.setdefault(tuple(row), k) == k
+        assert len(set(distinct.values())) == len(distinct)
+        assert sorted(set(numbers)) == list(range(len(distinct)))
 
 
 def test_scan_and_isomorphism_leave_masked_arrays_unloaded():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +79,20 @@ class TestParsePrint:
     def test_round_trip(self, letters):
         word = tuple(letters)
         assert parse_word(print_word(word)) == word
+
+    def test_round_trip_with_longer_bases(self):
+        # ab and y1 alone would read as a b and y in the compact format; a
+        # round trip on every word makes printing one-to-one
+        letters = [(b, p) for b in ("a", "b", "ab", "y1") for p in (False, True)]
+        for n in range(5):
+            for word in product(letters, repeat=n):
+                text = print_word(word)
+                assert parse_word(text) == word, text
+                if all(len(b) == 1 for b, _ in word):
+                    assert text == ("".join(b + "+" * p for b, p in word)
+                                    or "1")
+        assert print_word((("ab", False),)) == "1 ab"
+        assert print_word((("y1", True),)) == "1 y1+"
 
 
 class TestContent:
