@@ -665,6 +665,10 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
             continue
         y = candidates[i][tried[i]]
         tried[i] += 1
+        # extend settles gens[i] -> y first (the identity times gens[i]),
+        # which fails for a used y that is not already its image
+        if used[y] and mapping[gens[i]] != y:
+            continue
         marks.append(len(reached))
         if extend(gen_cols[i], y):
             i += 1

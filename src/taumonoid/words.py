@@ -9,7 +9,7 @@ hashing are cheap.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 Letter = Tuple[str, bool]
 Word = Tuple[Letter, ...]
@@ -44,23 +44,6 @@ def content(w: Word) -> frozenset:
     return frozenset(b for b, _ in w)
 
 
-def simple_and_multiple(w: Word) -> tuple:
-    """Partition the content of a plain word by occurrence count.
-
-    Letters occurring exactly once are simple, letters occurring at least
-    twice are multiple.  Rejects marked words: the notion only makes sense
-    before any rewriting.
-    """
-    if not is_plain(w):
-        raise ValueError("simple/multiple partition is defined on plain words only")
-    counts: dict = {}
-    for b, _ in w:
-        counts[b] = counts.get(b, 0) + 1
-    simple = frozenset(b for b, c in counts.items() if c == 1)
-    multiple = frozenset(b for b, c in counts.items() if c >= 2)
-    return simple, multiple
-
-
 def islands(w: Word, base: str) -> int:
     """Number of maximal runs of ``base`` in ``w``.
 
@@ -81,12 +64,6 @@ def islands(w: Word, base: str) -> int:
 
 def is_two_island_limited(w: Word) -> bool:
     return all(islands(w, b) <= 2 for b in content(w))
-
-
-def projection(w: Word, keep: Iterable[str]) -> Word:
-    """The word obtained by deleting every letter whose base is not in ``keep``."""
-    keep = frozenset(keep)
-    return tuple(l for l in w if l[0] in keep)
 
 
 def _parse_token(tok: str, offset: int) -> tuple:

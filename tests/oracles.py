@@ -8,7 +8,8 @@ window of an identity's side, every substitution of an identity, every
 triple of a table, and every binding of an axiom side to a block of a
 word.  They are slow and serve only to cross-check ``rewrite``,
 ``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
-small inputs.
+small inputs.  The simple/multiple partition of a word and its projection
+onto some letters, which only the tests read, are here too.
 """
 
 from itertools import product
@@ -18,7 +19,7 @@ import numpy as np
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
 from taumonoid.rewrite import CONGRUENCES, TauWord, canonical
-from taumonoid.words import EMPTY, Word, content
+from taumonoid.words import EMPTY, Word, content, is_plain
 
 
 # rule identifiers, in listing order
@@ -351,3 +352,26 @@ def rewrites_by_all_bindings(word: Word, src: Word, dst: Word, max_len: int):
                 continue
             seen.add(new)
             yield new, start, binding
+
+
+def simple_and_multiple(w: Word) -> tuple:
+    """Partition the content of a plain word by occurrence count.
+
+    Letters occurring exactly once are simple, letters occurring at least
+    twice are multiple.  Rejects marked words: the notion only makes sense
+    before any rewriting.
+    """
+    if not is_plain(w):
+        raise ValueError("simple/multiple partition is defined on plain words only")
+    counts: dict = {}
+    for b, _ in w:
+        counts[b] = counts.get(b, 0) + 1
+    simple = frozenset(b for b, c in counts.items() if c == 1)
+    multiple = frozenset(b for b, c in counts.items() if c >= 2)
+    return simple, multiple
+
+
+def projection(w: Word, keep) -> Word:
+    """The word obtained by deleting every letter whose base is not in ``keep``."""
+    keep = frozenset(keep)
+    return tuple(l for l in w if l[0] in keep)

@@ -192,6 +192,16 @@ class TestMonoidCommands:
         code, out, _ = run(capsys, "derive", str(axioms), "xtyxsy=xtyxysy")
         assert code == 0 and "derived in 3 steps" in out
 
+    def test_derive_with_longer_bases(self, capsys, tmp_path):
+        # the same derivation with y spelled y1
+        axioms = tmp_path / "axioms.txt"
+        axioms.write_text("xtx=xtxx\nx y1 y1 t x=x y1 y1 x t x\n")
+        code, out, _ = run(capsys, "derive", str(axioms),
+                           "x t y1 x s y1=x t y1 x y1 s y1")
+        assert code == 0 and "derived in 3 steps (checker: ok)" in out
+        assert ("x t y1 x x s y1 => x t y1 x x y1 s y1  via x y1 y1 t x="
+                "x y1 y1 x t x -> at 2 [t:=s, x:=1 y1, y1:=x]") in out
+
     def test_lattice_dot(self, capsys):
         code, out, _ = run(capsys, "lattice-dot")
         assert code == 0

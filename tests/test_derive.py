@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from taumonoid import derive
 from taumonoid.claims import _inputs, parse_corpus
 from taumonoid.cli import corpus_text
-from taumonoid.derive import (DerivationStep, DerivationTrace, check_trace,
-                              derive_bounded, rewrites)
+from taumonoid.derive import (DerivationStep, DerivationTrace, Encoding,
+                              check_trace, derive_bounded, rewrites)
 from taumonoid.identities import parse_identity
 from taumonoid.words import parse_word
 
@@ -25,18 +25,51 @@ def ids(*texts):
     return [parse_identity(t) for t in texts]
 
 
+def match_all_bindings(monkeypatch):
+    """Swap the oracle in for ``derive.rewrites``: each call is decoded with
+    the search's own encoding, matched on words and encoded back."""
+    codes = []
+
+    class Recording(Encoding):
+        def __init__(self, words):
+            super().__init__(words)
+            codes.append(self)
+
+    def oracle(word, src, dst, max_len):
+        code = codes[-1]
+        return [(code.encode(new), start,
+                 {code.char[b]: code.encode(piece)
+                  for b, piece in binding.items()})
+                for new, start, binding in rewrites_by_all_bindings(
+                    code.decode(word), code.decode(src), code.decode(dst),
+                    max_len)]
+
+    monkeypatch.setattr(derive, "Encoding", Recording)
+    monkeypatch.setattr(derive, "rewrites", oracle)
+
+
+def word_rewrites(word, src, dst, max_len):
+    """``rewrites`` on words, encoded and decoded as the search does it."""
+    code = Encoding([word, src, dst])
+    return [(code.decode(new), start,
+             {code.base[b]: code.decode(piece) for b, piece in binding.items()})
+            for new, start, binding in rewrites(
+                code.encode(word), code.encode(src), code.encode(dst),
+                max_len)]
+
+
 class TestRewrites:
     def test_erasure_instances(self):
         # xtysyx with y,s bound to the empty word matches inside xtx
         axiom = parse_identity("xtysyx=xtysxyx")
         results = {new for new, _, _ in
-                   rewrites(parse_word("xtx"), axiom.lhs, axiom.rhs, 10)}
+                   word_rewrites(parse_word("xtx"), axiom.lhs, axiom.rhs, 10)}
         assert parse_word("xtxx") in results
 
     def test_length_cap(self):
         axiom = parse_identity("xtx=xtxx")
-        assert all(len(new) <= 4 for new, _, _ in
-                   rewrites(parse_word("xtx"), axiom.lhs, axiom.rhs, 4))
+        found = word_rewrites(parse_word("xtx"), axiom.lhs, axiom.rhs, 4)
+        assert found and all(len(new) <= 4 for new, _, _ in found)
 
     @settings(max_examples=400, deadline=None)
     @given(st.text("xyt", max_size=10), st.sampled_from(ORACLE_AXIOMS),
@@ -46,7 +79,7 @@ class TestRewrites:
         ax = parse_identity(axiom)
         src, dst = (ax.lhs, ax.rhs) if forward else (ax.rhs, ax.lhs)
         word = parse_word(text)
-        assert (list(rewrites(word, src, dst, max_len))
+        assert (word_rewrites(word, src, dst, max_len)
                 == list(rewrites_by_all_bindings(word, src, dst, max_len)))
 
 
@@ -100,26 +133,50 @@ class TestDeriveBounded:
         assert len(runs) == 13
         fast = [derive_bounded(axioms, goal, **opts).steps
                 for (goal, axioms), opts in runs]
-        monkeypatch.setattr(derive, "rewrites", rewrites_by_all_bindings)
+        match_all_bindings(monkeypatch)
         slow = [derive_bounded(axioms, goal, **opts).steps
                 for (goal, axioms), opts in runs]
         assert fast == slow
 
+    @settings(max_examples=250, deadline=None)
+    @given(st.text("xyt", max_size=6), st.text("xyt", max_size=6),
+           st.lists(st.sampled_from(ORACLE_AXIOMS), min_size=1, max_size=2),
+           st.integers(1, 8), st.integers(1, 300))
+    def test_search_agrees_with_all_bindings(self, lhs, rhs, axioms, max_len,
+                                             max_steps):
+        # the whole search, found or not, takes the oracle's steps
+        axioms = ids(*axioms)
+        goal = parse_identity(f"{lhs or 1}={rhs or 1}")
+        fast = derive_bounded(axioms, goal, max_len, max_steps)
+        with pytest.MonkeyPatch.context() as mp:
+            match_all_bindings(mp)
+            slow = derive_bounded(axioms, goal, max_len, max_steps)
+        assert (fast is None and slow is None
+                or fast.steps == slow.steps)
+
+    def test_multi_character_bases(self):
+        axioms = ids("x1 t x1=x1 t x1 x1")
+        goal = parse_identity("a1 b a1=a1 b a1 a1")
+        trace = derive_bounded(axioms, goal)
+        assert trace.steps == (DerivationStep(
+            goal.lhs, goal.rhs, 0, True, 0,
+            (("t", parse_word("b")), ("x1", parse_word("1 a1")))),)
+
     def test_matches_few_instances(self, monkeypatch):
         # der-var-eq1: matching every binding substitutes 21,231 instances,
-        # nearly all of them no-ops; the collapse-set cut leaves about 3,000
+        # nearly all of them no-ops; the collapse-set cut leaves 2,981
         count = [0]
-        substitute = derive._substitute
+        instance = derive._instance
 
         def counting(pattern, binding):
             count[0] += 1
-            return substitute(pattern, binding)
+            return instance(pattern, binding)
 
-        monkeypatch.setattr(derive, "_substitute", counting)
+        monkeypatch.setattr(derive, "_instance", counting)
         trace = derive_bounded(ids("xtxs=xtxsx", "xyxy=yxyx"),
                                parse_identity("xxyy=yyxx"), max_steps=200_000)
         assert trace is not None
-        assert count[0] <= 6_000
+        assert 0 < count[0] <= 6_000
 
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError):

@@ -17,10 +17,10 @@ from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton,
 from taumonoid.identities import BudgetExceededError, Identity, satisfies
 from taumonoid.monoid import FiniteMonoid
 from taumonoid.rewrite import CONGRUENCES, TauWord, append_letter, canonical
-from taumonoid.words import (content, parse_word, print_word, projection,
-                             simple_and_multiple)
+from taumonoid.words import content, parse_word, print_word
 
-from oracles import capped_members, class_members
+from oracles import (capped_members, class_members, projection,
+                     simple_and_multiple)
 
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)

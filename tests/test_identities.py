@@ -14,7 +14,8 @@ from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
 
-from oracles import naive_satisfies, private_factor_by_windows
+from oracles import (naive_satisfies, private_factor_by_windows,
+                     simple_and_multiple)
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
@@ -58,7 +59,6 @@ class TestLongIdentity:
         for n in (1, 3, 5):
             ident = long_identity(n)
             assert len(ident.letters()) == n + 1
-            from taumonoid.words import simple_and_multiple
             simple, multiple = simple_and_multiple(ident.lhs)
             assert simple == set()
             assert len(multiple) == n + 1
