@@ -14,15 +14,14 @@ of longer words are mostly zero in a Rees quotient.
 One breadth-first search over pairs (state, tracker) decides tau-terms and
 isoterms, an isoterm being a tau-term for the trivial congruence; the
 tracker runs on the prefix automaton of the class, ``construct``'s table of
-the canonical forms of the prefixes of class members.  Without a bound it
-runs on the whole automaton and is exact.  With a bound it builds the
-automaton only as far as that many levels and cuts the search there; it
-reports the witness the exact search would find, when it lies within the
-bound.
+the canonical forms of the prefixes of class members.  It grows the
+automaton a level at a time as it reads it.  Without a bound it grows every
+row and is exact.  With one it grows only the rows above the bound and
+reports the witness the exact search would find, when that lies within it.
 
 One budget, ``max_cells``, bounds the int32 cells an automaton holds: its
 k generator columns, each |M|^k cells long, and two cells, an index and a
-value, for each stored nonzero entry.  A build refuses with
+value, for each stored nonzero entry.  Growth refuses with
 ``BudgetExceededError`` before it would pass the budget; no search falls
 back to another.
 """
@@ -42,47 +41,71 @@ from .words import Word, content, is_plain, print_word
 MAX_CELLS = 2 ** 28      # 1 GiB of int32
 
 
-@dataclass
+@dataclass(eq=False)
 class RelFreeAutomaton:
     """The k-generated relatively free monoid of var(M), as a DFA.
 
     ``states[s]`` is the support and the values there of the evaluation
-    vector of any word reaching state ``s``, numbered in breadth-first
-    order; ``transitions[s][i]`` is the state after appending letter ``i``.
-    An automaton cut at some level has rows only for the states above it.
+    vector of any word reaching state ``s``; ``transitions[s][i]`` is the
+    state after appending letter ``i``.  ``grow`` adds rows in state order:
+    states are numbered breadth-first, and rows exist for a prefix of them.
     """
 
     monoid: FiniteMonoid
     letters: tuple
     states: list
     transitions: list
-    initial: int = 0
+    index: dict           # state key -> state
+    gen: np.ndarray       # gen[i][x]: letter i under substitution x
+    cells: int            # the budget spent so far
+    max_cells: int
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
+    def grow(self, n) -> None:
+        """Build rows in state order until the first ``n`` states, or all
+        states, have them; refuses before ``cells`` would pass the budget."""
+        m, states, rows, index = self.monoid, self.states, self.transitions, self.index
+        zero = -1 if m.zero is None else m.zero
+        flat = m.table.ravel()
+        while len(rows) < n and len(rows) < len(states):
+            support, values = states[len(rows)]
+            offsets = values * m.size
+            row = []
+            for g in self.gen:
+                new = flat[offsets + g[support]]
+                keep = new != zero
+                key = support[keep].tobytes() + new[keep].tobytes()
+                t = index.get(key)
+                if t is None:
+                    self.cells += len(key) // 4
+                    _check_cells(self.cells, self.max_cells)
+                    t = index[key] = len(states)
+                    states.append(_views(key))
+                row.append(t)
+            rows.append(row)
+
     def state_of_word(self, w: Word) -> int:
-        pos = {b: i for i, b in enumerate(self.letters)}
-        s = self.initial
+        s = 0
         for b, p in w:
             if p:
                 raise ValueError("state_of_word expects a plain word")
-            s = self.transitions[s][pos[b]]
+            self.grow(s + 1)
+            s = self.transitions[s][self.letters.index(b)]
         return s
 
 
-def rel_free_automaton(m: FiniteMonoid, letters, max_cells: int = MAX_CELLS,
-                       levels: int | None = None) -> RelFreeAutomaton:
-    """Breadth-first closure of the evaluation-vector automaton.
+def rel_free_automaton(m: FiniteMonoid, letters,
+                       max_cells: int = MAX_CELLS) -> RelFreeAutomaton:
+    """The evaluation-vector automaton, with only its initial state.
 
     A state is keyed by the bytes of its support, the int32 indices of the
     substitutions where its value is not the zero, followed by the values
     there; both arrays are read-only views of that key.  A monoid without a
-    zero has full support.  With ``levels``, only the states fewer than
-    ``levels`` letters from the initial one get rows.  Refuses once the k
-    generator columns and two cells per stored entry would pass
-    ``max_cells``.
+    zero has full support.  Refuses if the k generator columns and the
+    initial state pass ``max_cells``.
     """
     letters = tuple(letters)
     k, n = len(letters), m.size ** len(letters)
@@ -92,31 +115,8 @@ def rel_free_automaton(m: FiniteMonoid, letters, max_cells: int = MAX_CELLS,
     _check_cells(cells, max_cells)
     gen = np.indices((m.size,) * k, dtype=np.int32).reshape(k, n)
     init = np.concatenate((support, np.full_like(support, m.identity))).tobytes()
-    index = {init: 0}
-    states = [_views(init)]
-    transitions: list = []
-    depth, level_end = 0, 1
-    flat = m.table.ravel()
-    while len(transitions) < len(states) and depth != levels:
-        support, values = states[len(transitions)]
-        offsets = values * m.size
-        row = []
-        for g in gen:
-            new = flat[offsets + g[support]]
-            keep = new != zero
-            key = support[keep].tobytes() + new[keep].tobytes()
-            t = index.get(key)
-            if t is None:
-                cells += len(key) // 4
-                _check_cells(cells, max_cells)
-                t = index[key] = len(states)
-                states.append(_views(key))
-            row.append(t)
-        transitions.append(row)
-        if len(transitions) == level_end:
-            depth, level_end = depth + 1, len(states)
-    return RelFreeAutomaton(monoid=m, letters=letters, states=states,
-                            transitions=transitions)
+    return RelFreeAutomaton(m, letters, [_views(init)], [], {init: 0}, gen,
+                            cells, max_cells)
 
 
 def _views(key: bytes) -> tuple:
@@ -205,12 +205,11 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
     outside the class.
 
     Without a ``bound`` the search covers every reachable node and answers
-    "holds" or "fails".  With one it builds the automaton only to depth
-    ``bound`` and cuts the search after ``bound`` levels, so it only ever
-    reports "holds-up-to-bound" positively; with ``bound`` below ``len(u)``
-    it builds nothing.  Either search raises ``BudgetExceededError`` once
-    its automaton would pass ``max_cells``, and neither falls back to the
-    other.
+    "holds" or "fails".  With one it expands no node ``bound`` letters deep,
+    so it grows rows only for the states fewer letters deep, and reports
+    "holds-up-to-bound" at best; below ``len(u)`` it builds nothing.  Either
+    search raises ``BudgetExceededError`` once its automaton would pass
+    ``max_cells``, and neither falls back to the other.
 
     The search reaches each node first by its shortlex-least word, so the
     witness is the shortlex-first word outside the class whose state has a
@@ -232,7 +231,7 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
     # the rules only mark or merge, so no member is shorter than u, and
     # a bound below len(u) reaches none: nothing is built or searched
     if bound is None or bound >= len(u.word):
-        aut = rel_free_automaton(m, letters, max_cells=max_cells, levels=bound)
+        aut = rel_free_automaton(m, letters, max_cells=max_cells)
         first, witness = _search(u, letters, aut, bound)
     # a word is zero everywhere only when 1 = 0, as the all-identity
     # substitution sends it to 1; then every word reaches the initial state
@@ -249,25 +248,24 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
 def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
     """The search of ``is_tau_term``: its shortlex-first member and its
     witness pair, each None when absent.  Nodes ``bound`` letters deep are
-    not expanded."""
+    not expanded; each level first grows ``aut`` to the rows it reads."""
     table, target = _tracker_table(u, letters)
-    root = (aut.initial, 0)
-    parents = {root: None}
+    parents = {(0, 0): None}
     member: dict = {}     # state -> first node whose tracker is u
     offender: dict = {}   # state -> first node whose tracker is not u
-    level, depth = [root], 0
-    while level:
+    level, depth = [(0, 0)], 0
+    while level and depth != bound:
         nodes, level = level, []
+        aut.grow(max(nodes)[0] + 1)
         for node in nodes:
             state, t = node
-            (member if t == target else offender).setdefault(state, node)
-            if depth == bound:
-                continue
             for i, nxt in enumerate(zip(aut.transitions[state], table[t])):
                 if nxt not in parents:
                     parents[nxt] = (node, i)
                     level.append(nxt)
         depth += 1
+    for node in parents:      # in breadth-first order
+        (member if node[1] == target else offender).setdefault(node[0], node)
 
     def word(node) -> Word:
         out = []

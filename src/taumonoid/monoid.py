@@ -683,10 +683,13 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
 
 # -- text format -----------------------------------------------------------
 
+_ESCAPE = str.maketrans({"\\": "\\\\", "_": "\\_", " ": "_"})
+
+
 def format_monoid(m: FiniteMonoid) -> str:
     zero = "none" if m.zero is None else str(m.zero)
     lines = [f"MONOID {m.size} identity={m.identity} zero={zero}"]
-    lines.append(" ".join(l.replace(" ", "_") for l in m.labels))
+    lines.append(" ".join(l.translate(_ESCAPE) for l in m.labels))
     for row in m.table.tolist():
         lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
@@ -712,7 +715,9 @@ def parse_monoid(text: str) -> FiniteMonoid:
 
     zero = None if fields["zero"] == "none" else element(fields["zero"])
     rows = tuple(tuple(map(element, row)) for row in lines[2:])
-    return FiniteMonoid(table=rows, labels=tuple(lines[1]),
+    labels = tuple("\\".join(p.replace("_", " ").replace("\\ ", "_")  # undo _ESCAPE
+                             for p in l.split("\\\\")) for l in lines[1])
+    return FiniteMonoid(table=rows, labels=labels,
                         identity=element(fields["identity"]), zero=zero)
 
 

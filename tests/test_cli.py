@@ -66,6 +66,21 @@ class TestMonoidCommands:
             want = submonoid(m, [i])[0]
             assert parse_monoid_expr(f"sub({expr}; {label})") == want, label
 
+    def test_saved_labels_name_their_elements(self, capsys, tmp_path):
+        # the labels "a_b x" and "a b_x" were both written a_b_x, so the
+        # reloaded monoid had 8 elements and 7 names
+        path = tmp_path / "f.mon"
+        code, _, _ = run(capsys, "build", "trivial", "a_b x", "a b_x",
+                         "--out", str(path))
+        assert code == 0
+        m = load_monoid(path)
+        assert m.size == len(set(m.labels)) == 8
+        expr = "M[trivial](a_b x, a b_x)"
+        assert m == parse_monoid_expr(expr)
+        for i, label in enumerate(m.labels):
+            want = submonoid(m, [i])[0]
+            assert parse_monoid_expr(f"sub({expr}; {label})") == want, label
+
     def test_check_pass_and_fail(self, capsys, tmp_path):
         path = tmp_path / "k.mon"
         run(capsys, "build", "lambda", "bta+b+", "--out", str(path))

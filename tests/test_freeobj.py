@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taumonoid import cli, construct, freeobj
 from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
@@ -81,6 +82,13 @@ def dense(m, k):
     return _DENSE[key]
 
 
+def whole_automaton(m, letters, **budget):
+    """``rel_free_automaton`` grown until every state has its row."""
+    aut = rel_free_automaton(m, letters, **budget)
+    aut.grow(float("inf"))
+    return aut
+
+
 def run(transitions, combo):
     """The state reached from 0 by the letter indices ``combo``."""
     s = 0
@@ -90,8 +98,8 @@ def run(transitions, combo):
 
 
 def dense_cells(m, k, bound=None):
-    """The cells ``rel_free_automaton`` holds over ``k`` letters, cut at
-    ``bound`` levels or whole: k generator columns and two per entry that
+    """The cells ``rel_free_automaton`` holds over ``k`` letters, grown
+    whole or to depth ``bound``: k generator columns and two per entry that
     is not the zero, in each state at most ``bound`` letters deep."""
     vectors, transitions = dense(m, k)
     depth = [0] + [None] * (len(vectors) - 1)
@@ -105,7 +113,7 @@ def dense_cells(m, k, bound=None):
 
 
 def search_budget(m, u, bound):
-    """The cells of the bounded search to ``bound`` levels: the budget
+    """The cells of the bounded search to depth ``bound``: the budget
     holds the cut automaton, and the whole one only when they are equal."""
     return dense_cells(m, len(search_letters(m, u)), bound)
 
@@ -194,19 +202,39 @@ def tw(text, tau):
     return TauWord.make(w(text), tau)
 
 
+def monoid_named(name):
+    """``SEMILATTICE``, ``Z2``, or ``mtau(tau, gen)`` named ``tau:gen``."""
+    zero_free = {"semilattice": SEMILATTICE, "Z2": Z2}
+    return zero_free[name] if name in zero_free else mtau(*name.split(":"))
+
+
+GROWN = ["semilattice", "Z2", "tau1:a+b+", "gamma:a+t", "lambda:bta+b+"]
+
+
+@lru_cache(maxsize=None)
+def grown_whole(name, k):
+    return whole_automaton(monoid_named(name), "abcd"[:k])
+
+
+def cells_of(aut):
+    """The cells ``aut`` holds: its generator columns and two per entry."""
+    k = len(aut.letters)
+    return k * aut.monoid.size ** k + 2 * sum(len(sup) for sup, _ in aut.states)
+
+
 class TestAutomaton:
     def test_semilattice_one_letter(self):
-        aut = rel_free_automaton(SEMILATTICE, ["x"])
+        aut = whole_automaton(SEMILATTICE, ["x"])
         assert aut.num_states == 2
 
     def test_zero_letters(self):
-        aut = rel_free_automaton(SEMILATTICE, [])
+        aut = whole_automaton(SEMILATTICE, [])
         assert aut.num_states == 1
 
     def test_state_count_independent_of_letter_order(self):
         k = mtau("lambda", "bta+b+")
-        a1 = rel_free_automaton(k, ["x", "y"])
-        a2 = rel_free_automaton(k, ["y", "x"])
+        a1 = whole_automaton(k, ["x", "y"])
+        a2 = whole_automaton(k, ["y", "x"])
         assert a1.num_states == a2.num_states
 
     def test_states_separate_exactly_the_identities(self):
@@ -240,28 +268,60 @@ class TestAutomaton:
         entries = sum(int((v != k.zero).sum()) for v in dense(k, 2)[0])
         assert entries < 18 * 361 // 2
         cells = 2 * 361 + 2 * entries
-        aut = rel_free_automaton(k, ["x", "y"], max_cells=cells)
+        aut = whole_automaton(k, ["x", "y"], max_cells=cells)
         assert aut.num_states == 18
         assert all(sup.base is val.base and isinstance(sup.base.base, bytes)
                    for sup, val in aut.states)
         with pytest.raises(BudgetExceededError) as e:
-            rel_free_automaton(k, ["x", "y"], max_cells=cells - 1)
+            whole_automaton(k, ["x", "y"], max_cells=cells - 1)
         assert e.value.needed == cells
 
-    def test_cut_automaton_is_a_prefix_of_the_whole(self):
-        # the states at most 3 letters deep, numbered as in the whole
-        # automaton, and rows for those fewer than 3 deep
+    def test_cut_automaton_is_a_prefix_of_the_whole(self, monkeypatch):
+        # a search bounded at depth d grows the states at most d letters
+        # deep, numbered as in the whole automaton, and rows for exactly
+        # those fewer than d deep
         k = mtau("lambda", "bta+b+")
-        whole = rel_free_automaton(k, "atb")
-        cut = rel_free_automaton(k, "atb", levels=3)
-        deep = {run(whole.transitions, c)
-                for n in range(4) for c in product(range(3), repeat=n)}
-        rows = {run(whole.transitions, c)
-                for n in range(3) for c in product(range(3), repeat=n)}
-        assert cut.num_states == len(deep) == max(deep) + 1
-        assert cut.transitions == whole.transitions[:len(rows)]
-        assert len(rows) == max(rows) + 1 < cut.num_states < whole.num_states
-        assert rel_free_automaton(k, "atb", levels=0).transitions == []
+        whole = whole_automaton(k, "abt")
+        built = []
+
+        def keep(*args, **kwargs):
+            built.append(rel_free_automaton(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(freeobj, "rel_free_automaton", keep)
+        for d in (3, 4, 5):
+            assert is_tau_term(k, tw("bta", "lambda"), bound=d).bound == d
+            cut = built.pop()
+            deep = {run(whole.transitions, c)
+                    for n in range(d + 1) for c in product(range(3), repeat=n)}
+            rows = {run(whole.transitions, c)
+                    for n in range(d) for c in product(range(3), repeat=n)}
+            assert cut.num_states == len(deep) == max(deep) + 1
+            assert cut.transitions == whole.transitions[:len(rows)]
+            assert len(rows) == max(rows) + 1 < cut.num_states < whole.num_states
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GROWN), st.integers(0, 3),
+           st.lists(st.integers(0, 250), max_size=6))
+    def test_any_growth_is_a_prefix_of_the_whole(self, name, k, steps):
+        # a fresh automaton has its initial state and no row; after every
+        # grow(n) the rows are those of the first n states of the whole
+        # build, or all of them; each state and the cells spent match that
+        # build, and growing on to the end gives it exactly
+        whole = grown_whole(name, k)
+        aut = rel_free_automaton(monoid_named(name), "abcd"[:k])
+        assert (aut.num_states, aut.transitions) == (1, [])
+        done = 0
+        for n in steps + [float("inf")]:
+            aut.grow(n)
+            done = max(done, min(n, whole.num_states))
+            assert aut.transitions == whole.transitions[:done]
+            assert done <= aut.num_states <= whole.num_states
+            for (sup, val), (wsup, wval) in zip(aut.states, whole.states):
+                assert np.array_equal(sup, wsup) and np.array_equal(val, wval)
+            assert aut.cells == cells_of(aut)
+        assert aut.num_states == whole.num_states
+        assert aut.cells == whole.cells
 
 
 class TestIsoterm:
@@ -542,35 +602,32 @@ class TestTauTerm:
         ("semilattice", "tau1", "a+", 5),
         ("Z2", "tau1", "a+", 5),
     ])
-    def test_fallback_agrees_with_bounded(self, monkeypatch, gen, tau, word,
-                                          bound):
+    def test_fallback_agrees_with_bounded(self, gen, tau, word, bound):
         # an unbounded search refused for its size leaves the fallback to
-        # the caller: a bounded search, which never asks for the whole
-        # automaton and answers as the enumeration oracle does
-        zero_free = {"semilattice": SEMILATTICE, "Z2": Z2}
-        m = zero_free[gen] if gen in zero_free else mtau(*gen.split(":"))
+        # the caller: a bounded search, which grows only the states at most
+        # ``bound`` letters deep, fits exactly their cells, and answers as
+        # the enumeration oracle does.  The exact search is refused below
+        # the whole automaton, and so at the bounded search's budget when
+        # the cut is the smaller (a+btb+; in the others the two are equal)
+        m = monoid_named(gen)
         u = tw(word, tau)
-
-        def over_budget(m, letters, max_cells, levels=None):
-            # M()'s one-state automaton fits any budget its cut fits, so
-            # the refusal of the whole automaton is stubbed for every case
-            if levels is None:
-                raise BudgetExceededError(max_cells + 1, max_cells, "int32 cells")
-            return rel_free_automaton(m, letters, max_cells, levels)
-
-        monkeypatch.setattr(freeobj, "rel_free_automaton", over_budget)
+        budget = search_budget(m, u, bound)
+        whole = dense_cells(m, len(search_letters(m, u)))
+        assert budget <= whole
         with pytest.raises(BudgetExceededError):
-            is_tau_term(m, u)
-        fallback = is_tau_term(m, u, bound=bound)
+            is_tau_term(m, u, max_cells=min(budget, whole - 1))
+        fallback = is_tau_term(m, u, bound=bound, max_cells=budget)
         assert fallback.method == "bounded"
         oracle = tau_term_by_enumeration(m, u, bound)
         assert (fallback.status, fallback.witness) == \
             (oracle.status, oracle.witness)
+        with pytest.raises(BudgetExceededError):
+            is_tau_term(m, u, bound=bound, max_cells=budget - 1)
 
     def test_over_budget_is_refused_on_every_surface(self, monkeypatch, capsys):
         # the library raises, a claim is skipped with the budget, and the
         # command line exits 2 with one line
-        def over_budget(m, letters, max_cells, levels=None):
+        def over_budget(m, letters, max_cells):
             raise BudgetExceededError(max_cells + 1, max_cells, "int32 cells")
 
         monkeypatch.setattr(freeobj, "rel_free_automaton", over_budget)
@@ -587,8 +644,8 @@ class TestTauTerm:
         assert len(err.splitlines()) == 1 and err.startswith("refused: ")
 
     def test_a_cut_automaton_over_the_budget_is_refused(self):
-        # the budget holds the automaton cut at 3 levels, and not the
-        # whole, which 4 levels hold
+        # the budget holds the automaton cut at depth 3, and not the
+        # whole, which depth 4 holds
         f = mtau("lambda", "a+ta+")
         u = tw("a+ta+", "lambda")
         assert search_budget(f, u, 3) < search_budget(f, u, 4)
@@ -733,7 +790,7 @@ def check_against_dense(m, letters):
     """``rel_free_automaton`` has the states of ``dense_automaton``, each
     stored on exactly its entries that are not the zero, numbered alike and
     with the same transitions."""
-    aut = rel_free_automaton(m, letters)
+    aut = whole_automaton(m, letters)
     vectors, transitions = dense_automaton(m, len(letters))
     assert aut.transitions == transitions, m.labels
     assert aut.num_states == len(vectors)

@@ -1008,3 +1008,24 @@ class TestFileFormat:
         text = format_monoid(Z2)
         assert "zero=none" in text
         assert parse_monoid(text) == Z2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab", "a_b", "y1",
+                                              "a\\b"]),
+                             min_size=1, max_size=3), min_size=1, max_size=3),
+           st.sampled_from(["trivial", "tau1", "lambda"]))
+    def test_labels_round_trip(self, words, tau):
+        # a label's spaces, underscores and backslashes each come back as
+        # written: "1 a_b" and "1_a b" are two labels, as are "a_b" and "a b"
+        ws = TauWordSet(tau, [tuple((b, False) for b in w) for w in words])
+        m = build_monoid(ws)
+        assert parse_monoid(format_monoid(m)) == m
+
+    def test_label_escapes(self):
+        # in the file a backslash is written \\, an underscore \_ and a space _
+        m = FiniteMonoid(table=tuple(tuple(map(max, [x] * 5, range(5)))
+                                     for x in range(5)),
+                         labels=("1", "a_b", "a b", "a\\_b", "a\\ b"))
+        text = format_monoid(m)
+        assert text.splitlines()[1] == "1 a\\_b a_b a\\\\\\_b a\\\\_b"
+        assert parse_monoid(text) == m
