@@ -183,8 +183,7 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
         for f, out in _lower_graph(w, ws.tau).items():
             right.setdefault(f, {}).update(out)
     if not right:
-        table = ((0,),)
-        return FiniteMonoid(table=table, labels=("0",), identity=0, zero=0)
+        return FiniteMonoid(table=((0,),), labels=("0",), identity=0)
     label = {w: print_word(w) for w in right}
     low = sorted(label, key=lambda w: (len(w), label[w]))
     index = {w: i for i, w in enumerate(low)}
@@ -195,4 +194,4 @@ def build_monoid(ws: TauWordSet) -> FiniteMonoid:
     one = index[EMPTY]
     labels = tuple(label[w] for w in low) + ("0",)
     return FiniteMonoid(table=cayley_table(rows, {one: range(zero + 1)}, zero),
-                        labels=labels, identity=one, zero=zero)
+                        labels=labels, identity=one)

@@ -220,7 +220,7 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
     When the monoid has a zero, a witness cannot involve letters outside
     the content of ``u`` unless some member evaluates to zero under every
     substitution; that case is detected directly, and a fresh letter is
-    adjoined only for zero-free monoids.
+    adjoined only when the table has no zero (``m.zero`` is None).
     """
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be at least 0, got {bound}")

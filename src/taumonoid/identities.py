@@ -16,9 +16,10 @@ sides are the zero under every extension, so no violation lies below that
 prefix.  The scan assigns the letters in its own order, one level at a
 time, keeps the live prefixes of each level as numpy rows in lex order,
 and drops a row once each side has a run of assigned positions equal to
-the zero.  The zero is the declared one, or else the one
-``monoid._zero_of`` finds in the table: the product of all elements, if it
-absorbs.  A monoid with no zero takes the same scan with nothing dropped.
+the zero.  The zero is ``m.zero``, found from the table at construction
+(a declared zero is only checked there), so pruning does not depend on how
+the monoid was built.  A monoid with no zero takes the same scan with
+nothing dropped.
 At the last level the first row whose sides differ is the lex-first
 violation, since the dropped subtrees hold none.  On the 12-element S1, a
 six-letter instance of ``xyxy=yxyx`` that holds (x = exr, y = fly)
@@ -60,7 +61,7 @@ from math import inf
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _zero_of
+from .monoid import FiniteMonoid
 from .words import Word, content, is_plain, parse_word, print_word
 
 
@@ -391,8 +392,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    zero = _zero_of(m)
-    batches = _scan(m.table, m.identity, zero, lhs_idx, rhs_idx, domains,
+    batches = _scan(m.table, m.identity, m.zero, lhs_idx, rhs_idx, domains,
                     chunk)
     found, first, done = _first_violation(batches,
                                           min(chunk, _ELIMINATE_AFTER))
@@ -401,7 +401,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
         reduced = _reduced(m.table, ident, letters, chunk)
         if reduced is not None:
             r_found, r_checked, _ = _first_violation(
-                _scan(m.table, m.identity, zero, *reduced, chunk))
+                _scan(m.table, m.identity, m.zero, *reduced, chunk))
             checked += r_checked
             if r_found is None:
                 return SatisfactionResult(ident, True, checked=checked)

@@ -4,11 +4,12 @@ A table is one read-only ``np.int32`` array of element indices (row = left
 factor); the constructor turns any square nested sequence into that array,
 and no other module knows how it is stored.  The ``FiniteMonoid`` wrapper
 carries the identity index, an optional two-sided zero, and printable
-labels; construction verifies the entry range, the identity and zero laws
-and associativity, exactly at every size by Light's test over a generating
-set.  A zero that is not declared is found from the table (``_zero_of``),
-for the identity scans and the isomorphism search.  The structural
-predicates are array expressions.
+labels; construction verifies the entry range, the identity law and
+associativity, exactly at every size by Light's test over a generating set.
+The zero is a fact of the table, found at construction: a declared zero is
+only checked absorbing, and with none declared the product of all elements
+is checked, the one candidate.  So ``zero`` is the table's zero or None,
+whoever built the table.  The structural predicates are array expressions.
 
 Every generated monoid gets its table one way, ``cayley_table``: from the
 right action of the generators on the elements, each column is gathered
@@ -40,6 +41,7 @@ array sorts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -126,25 +128,13 @@ def _fixes(t: np.ndarray, x: int, image) -> bool:
     return bool((t[x] == image).all() and (t[:, x] == image).all())
 
 
-def _zero_of(m: Semigroup) -> int | None:
-    """The two-sided zero of ``m``, declared or not, or None.
-
-    A declared zero was checked absorbing when ``m`` was built.  Otherwise
-    a zero absorbs the product of all elements, so that product is the
-    only candidate.
-    """
-    if m.zero is not None:
-        return m.zero
-    t = m.table
-    z = 0
-    for x in range(len(t)):
-        z = t.item(z, x)
-    return z if _fixes(t, z, z) else None
-
-
 @dataclass(frozen=True, eq=False)
 class Semigroup:
-    """A bare multiplication table with labels (no identity required)."""
+    """A bare multiplication table with labels (no identity required).
+
+    ``zero`` may be declared, and is then checked; it is set from the table
+    either way.
+    """
 
     table: np.ndarray
     labels: tuple
@@ -169,12 +159,17 @@ class Semigroup:
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "generators", tuple(_check_associative(table)))
-        if self.zero is not None and not _fixes(table, self.zero, self.zero):
+        # an absorbing element is unique, so a declared one that passes is
+        # the zero; else a zero absorbs the product of all elements, the
+        # one candidate
+        if self.zero is None:
+            z = reduce(table.item, range(n), 0)
+            object.__setattr__(self, "zero", z if _fixes(table, z, z) else None)
+        elif not _fixes(table, self.zero, self.zero):
             raise ValueError("declared zero is not absorbing")
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.labels == other.labels
-                and self.zero == other.zero
                 and np.array_equal(self.table, other.table))
 
     __hash__ = None
@@ -400,8 +395,7 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
         letter = {g: zero if v is None else v for g, v in letter.items()}
     starts = {v: [r[order[g]] for r in right] for g, v in letter.items()}
     labels = tuple(words) + (("0",) if zero is not None else ())
-    sg = Semigroup(table=cayley_table(right, starts, zero), labels=labels,
-                   zero=zero)
+    sg = Semigroup(table=cayley_table(right, starts, zero), labels=labels)
 
     # verification: the table must satisfy every input relation exactly
     def value(word):
@@ -428,9 +422,8 @@ def adjoin_identity(s: Semigroup) -> FiniteMonoid:
     table = np.empty((n + 1, n + 1), dtype=np.int32)
     table[0] = table[:, 0] = np.arange(n + 1)
     table[1:, 1:] = s.table + 1
-    zero = None if s.zero is None else s.zero + 1
     return FiniteMonoid(table=table, labels=("1",) + tuple(s.labels),
-                        identity=0, zero=zero)
+                        identity=0)
 
 
 def is_j_trivial(m: Semigroup):
@@ -491,17 +484,14 @@ def submonoid(m: FiniteMonoid, gens):
     inside = _generators(m.table, [*gens, m.identity])[1]
     embed = np.flatnonzero(inside).tolist()
     pos = np.cumsum(inside) - 1
-    # the ambient zero absorbs every element, those of the submonoid too
-    zero = int(pos[m.zero]) if m.zero is not None and inside[m.zero] else None
     sub = FiniteMonoid(table=pos[m.table[np.ix_(embed, embed)]],
                        labels=tuple(m.labels[x] for x in embed),
-                       identity=int(pos[m.identity]), zero=zero)
+                       identity=int(pos[m.identity]))
     return sub, embed
 
 
 def dual(m: FiniteMonoid) -> FiniteMonoid:
-    return FiniteMonoid(table=m.table.T, labels=m.labels,
-                        identity=m.identity, zero=m.zero)
+    return FiniteMonoid(table=m.table.T, labels=m.labels, identity=m.identity)
 
 
 def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteMonoid:
@@ -519,10 +509,8 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
     mt, nt = m.table, n.table
     table = (mt[:, None, :, None] * k + nt[None, :, None, :]).reshape(size, size)
     labels = tuple(f"({a},{b})" for a in m.labels for b in n.labels)
-    zero = m.zero * k + n.zero if m.zero is not None and n.zero is not None else None
     return FiniteMonoid(table=table, labels=labels,
-                        identity=m.identity * k + n.identity, zero=zero,
-                        factors=(m, n))
+                        identity=m.identity * k + n.identity, factors=(m, n))
 
 
 # -- isomorphism search ----------------------------------------------------
@@ -576,8 +564,8 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     f(u*g) = f(u)*f(g).  The search backtracks over the images of G in
     index order, each tried in ascending order among the elements of n
     with the same colour (``_joint_colors``: the identity and the zero,
-    declared or found by ``_zero_of``, get colours of their own, refined
-    by products alone).  Colours are only compared for equality.  After
+    which the table fixes, get colours of their own, refined by products
+    alone).  Colours are only compared for equality.  After
     each choice the map is extended from the identity along the right
     Cayley graph of the generators chosen so far;
     a product whose image conflicts, repeats an image or changes colour
@@ -589,7 +577,7 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     """
     if m.size != n.size:
         return None
-    mz, nz = _zero_of(m), _zero_of(n)
+    mz, nz = m.zero, n.zero
     if (mz is None) != (nz is None):
         return None
     size = m.size

@@ -286,6 +286,14 @@ class TestMalformedInput:
                         "0 1 2\n1 7 2\n2 2 2\n")
         self.assert_one_line_error(capsys, "jtrivial", str(path))
 
+    def test_declared_zero_must_be_the_tables(self, capsys, tmp_path):
+        # zero=1 names x, and x * x = 0
+        path = tmp_path / "badzero.mon"
+        path.write_text("MONOID 3 identity=0 zero=1\n1 x 0\n"
+                        "0 1 2\n1 2 2\n2 2 2\n")
+        assert run(capsys, "jtrivial", str(path)) == \
+            (2, "", "error: declared zero is not absorbing\n")
+
     def test_header_without_zero(self, capsys, tmp_path):
         path = tmp_path / "nozero.mon"
         path.write_text("MONOID 3 identity=0\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n")

@@ -16,7 +16,8 @@ from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton,
                                TauTermVerdict, is_isoterm, is_tau_term,
                                rel_free_automaton)
 from taumonoid.identities import BudgetExceededError, Identity, satisfies
-from taumonoid.monoid import FiniteMonoid
+from taumonoid.monoid import (FiniteMonoid, Semigroup, adjoin_identity,
+                              format_monoid, parse_monoid, submonoid)
 from taumonoid.rewrite import CONGRUENCES, TauWord, append_letter, canonical
 from taumonoid.words import content, parse_word, print_word
 
@@ -204,8 +205,8 @@ def tw(text, tau):
 
 def monoid_named(name):
     """``SEMILATTICE``, ``Z2``, or ``mtau(tau, gen)`` named ``tau:gen``."""
-    zero_free = {"semilattice": SEMILATTICE, "Z2": Z2}
-    return zero_free[name] if name in zero_free else mtau(*name.split(":"))
+    tables = {"semilattice": SEMILATTICE, "Z2": Z2}
+    return tables[name] if name in tables else mtau(*name.split(":"))
 
 
 GROWN = ["semilattice", "Z2", "tau1:a+b+", "gamma:a+t", "lambda:bta+b+"]
@@ -598,7 +599,8 @@ class TestTauTerm:
         ("gamma:a+t", "gamma", "ta+", 6),
         ("tau1:a+b+", "tau1", "a+b+", 5),
         ("trivial:xy", "trivial", "x", 4),
-        # zero-free, so a fresh letter is adjoined
+        # the semilattice has the zero e, so no fresh letter is adjoined;
+        # Z2 is zero-free, so one is
         ("semilattice", "tau1", "a+", 5),
         ("Z2", "tau1", "a+", 5),
     ])
@@ -663,7 +665,10 @@ class TestTauTerm:
 
     def test_zero_free_monoid_uses_fresh_letter(self, monkeypatch):
         # the semilattice has no identity introducing a fresh letter, so a+
-        # stays a tau1-term; the two-element group satisfies aa = 1
+        # stays a tau1-term; the two-element group satisfies aa = 1.  Only
+        # the zero-free Z2 searches a fresh letter: the table of {1, e},
+        # though built with no zero declared, has the zero e
+        assert (SEMILATTICE.zero, Z2.zero) == (1, None)
         builds = []
 
         def counting(m, letters, **kwargs):
@@ -678,7 +683,7 @@ class TestTauTerm:
         assert canonical(member, "tau1") == w("a+")
         assert canonical(off, "tau1") != w("a+")
         assert satisfies(Z2, Identity(member, off)).holds
-        assert builds == [("a", "z")] * 2
+        assert builds == [("a",), ("a", "z")]
 
     def test_bound_below_the_word_evaluates_nothing(self, monkeypatch):
         # no class member is shorter than u, so none lies within bound 4
@@ -784,6 +789,66 @@ class TestAgainstEnumeration:
                 assert exact.holds
                 oracle = tau_term_by_enumeration(m, u, 6)
                 assert oracle.status == "holds-up-to-bound", (m.labels, u)
+
+
+class TestTheTablesZero:
+    """``is_tau_term`` reads the zero of the table, however the monoid was
+    built, and adjoins a fresh letter only when the table has none."""
+
+    def test_one_element_monoid_built_three_ways(self):
+        # its one element is the identity and the zero, so every word is 1,
+        # a+ = za among them
+        u = tw("a+", "tau1")
+        for m in (FiniteMonoid(table=((0,),), labels=("1",), identity=0),
+                  mtau("trivial", ""),
+                  adjoin_identity(Semigroup(table=(), labels=()))):
+            assert m.zero == m.identity == 0
+            assert is_tau_term(m, u).witness == (w("a"), w("za")), m.labels
+
+    def test_submonoid_with_an_absorbing_generator(self, monkeypatch):
+        # {1, a+} in K: a+ a+ = a+, so a+ is the zero of the submonoid,
+        # though K's zero lies outside it
+        k = mtau("lambda", "bta+b+")
+        sub = submonoid(k, [k.labels.index("a+")])[0]
+        assert (sub.labels, sub.zero) == (("1", "a+"), 1)
+        text = format_monoid(sub)
+        assert text.splitlines()[0] == "MONOID 2 identity=0 zero=1"
+        again = parse_monoid(text)
+        assert again == sub and again.zero == 1
+        builds = []
+
+        def counting(m, letters, **kwargs):
+            builds.append(letters)
+            return rel_free_automaton(m, letters, **kwargs)
+
+        monkeypatch.setattr(freeobj, "rel_free_automaton", counting)
+        verdict = is_tau_term(sub, tw("ab", "trivial"))
+        assert verdict.witness == (w("ab"), w("ba"))
+        assert builds == [("a", "b")]
+
+    def test_no_witness_needs_a_letter_outside_the_content(self):
+        # with a zero 0 != 1, sending z to 0 and every other letter to 1
+        # makes a word with z 0 and a word without z 1, so no state holds
+        # both kinds: a search over the content plus a fresh letter z finds
+        # the same first member and witness as one over the content alone
+        monoids = [m for m in corpus_monoids().values()
+                   if m.size <= 12 and m.zero not in (None, m.identity)]
+        found = 0
+        for m in monoids:
+            built = {}     # one automaton per alphabet, grown as searched
+
+            def search(u, letters):
+                if letters not in built:
+                    built[letters] = rel_free_automaton(m, letters)
+                return freeobj._search(u, letters, built[letters], 5)
+
+            for u in grid_words():
+                letters = tuple(sorted(content(u.word)))
+                fresh = letters + (next(c for c in "zwvuq" if c not in letters),)
+                first, witness = search(u, letters)
+                assert search(u, fresh) == (first, witness), (m.labels, u)
+                found += witness is not None
+        assert len(monoids) > 5 and found > 100
 
 
 def check_against_dense(m, letters):

@@ -344,7 +344,8 @@ class TestZeroPruning:
     def test_declared_and_undeclared_zero_alike(self):
         m = mtau("lambda", "a+ta+")
         bare = FiniteMonoid(table=m.table, labels=m.labels, identity=m.identity)
-        assert m.zero is not None and bare.zero is None
+        # the zero is the table's, declared or not
+        assert bare.zero == m.zero == m.labels.index("0")
         for text in ("xytxy=yxtxy", "xyxy=yxyx", "xtyxy=xtyyx"):
             ident = parse_identity(text)
             assert satisfies(bare, ident) == satisfies(m, ident)

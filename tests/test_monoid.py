@@ -21,7 +21,7 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               parse_monoid, submonoid)
 from taumonoid import monoid
 from taumonoid.monoid import (_check_associative, _classes, _complete,
-                              _generators, _orient, _reduce, _zero_of)
+                              _generators, _orient, _reduce)
 from taumonoid.rewrite import TauWordSet
 from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
@@ -732,7 +732,9 @@ class TestTableChecks:
         for m in [*corpus_monoids().values(), Z2, TRIVIAL,
                   direct_product(Z2, named_monoid("A1"))]:
             bare = Semigroup(table=m.table, labels=m.labels)
-            assert _zero_of(m) == _zero_of(bare) == \
+            monoid = FiniteMonoid(table=m.table, labels=m.labels,
+                                  identity=m.identity)
+            assert m.zero == bare.zero == monoid.zero == \
                 absorbing_element(m.table.tolist())
 
     @settings(max_examples=500, deadline=None)
@@ -904,7 +906,7 @@ def oracle_submonoid(m, gens):
     pos = {x: i for i, x in enumerate(embed)}
     rows = [[pos[t[a][b]] for b in embed] for a in embed]
     return (rows, tuple(m.labels[x] for x in embed), pos[m.identity],
-            pos.get(m.zero), embed)
+            absorbing_element(rows), embed)
 
 
 def oracle_dual(m):
@@ -1003,6 +1005,15 @@ class TestFileFormat:
         assert again == m
         head = text.splitlines()[0]
         assert head == f"MONOID {m.size} identity={m.identity} zero={m.zero}"
+
+    def test_undeclared_zero_is_read_from_the_table(self):
+        # zero=none declares nothing; the table's absorbing element is the
+        # zero all the same, and is written back
+        text = "MONOID 3 identity=0 zero=none\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n"
+        m = parse_monoid(text)
+        assert m.zero == 2
+        assert format_monoid(m) == text.replace("zero=none", "zero=2")
+        assert parse_monoid(format_monoid(m)) == m
 
     def test_no_zero_round_trip(self):
         text = format_monoid(Z2)
