@@ -20,12 +20,28 @@ the zero.  The zero is ``m.zero``, found from the table at construction
 (a declared zero is only checked there), so pruning does not depend on how
 the monoid was built.  A monoid with no zero takes the same scan with
 nothing dropped.
+
+The gap test drops more.  Let a and b be the values of two neighbouring
+maximal runs of assigned positions on one side, so that the side reads
+``p a u b q`` with u a nonempty word of unassigned letters.  Whatever the
+extension, u takes some value x in M, so if ``a x b`` is the zero for
+every x (``m.gap[a, b]``), the side is the zero under every extension.  A
+run that is the zero makes every pair it is in a gap, as ``a x 0 = 0``, so
+on a side of two or more runs the pair test subsumes the run test; a side
+of one run keeps the run test.  The test switches on once a scan has
+expanded ``_ELIMINATE_AFTER`` rows, where block elimination is tried: a
+scan that stops at an early violation never pays for the extra folds.
+It is used only for scans of three or more letters, so the n^3 cost of the
+table, built once per monoid on first need, never exceeds the n^k space it
+prunes.
+
 At the last level the first row whose sides differ is the lex-first
 violation, since the dropped subtrees hold none.  On the 12-element S1, a
 six-letter instance of ``xyxy=yxyx`` that holds (x = exr, y = fly)
-evaluates 62,880 rows of its 12^6 = 2,985,984 substitutions.  Each level's
-prefixes are expanded in slices that start small and double, so a
-violation near the start of the space is found after a few small batches.
+evaluates 14,040 rows of its 12^6 = 2,985,984 substitutions (62,880 with
+the run test alone).  Each level's prefixes are expanded in slices that
+start small and double, so a violation near the start of the space is
+found after a few small batches.
 
 Shared-block elimination: if ``u = u1 B u2`` and ``v = v1 B v2`` where B's
 letters occur nowhere in u1, u2, v1, v2, then B's letters feed only B's
@@ -35,7 +51,7 @@ fresh z ranging over Im(B) (variable elimination, as in Dechter's bucket
 elimination).  On the 19-element K, Im(y1^2 ... y5^2) has 5 elements, so
 once the first ``_ELIMINATE_AFTER`` rows of its scan are clean the n=6 long
 identity needs 19^2 * 5 more evaluations, where the pruned scan of all
-19^7 substitutions would evaluate about 284,000 rows.  Im(B) itself is the
+19^7 substitutions would evaluate 56,544 rows.  Im(B) itself is the
 set product of the images of B's maximal consecutive parts that share no
 letters (``_image``): for y1^2 ... y5^2, five scans of 19 values and four
 products of at most 19 by 19.
@@ -47,7 +63,7 @@ in Universal Algebra", ch. II).  A monoid built by
 ``monoid.direct_product`` records its factors, and ``satisfies`` decides
 "holds" on them, recursively for nested products: on the 42-element
 product of dualA1 and E1 a four-letter identity that holds costs 2,011
-rows on the two factors instead of 2,366,070 of the 42^4 substitutions
+rows on the two factors instead of 1,467,606 of the 42^4 substitutions
 on the product.  A violated factor only says that the product is violated
 somewhere; the lex-first witness is then found by the ordinary scan of the
 product.
@@ -121,8 +137,8 @@ class SatisfactionResult:
     """A verdict, with the lex-first violating substitution if any.
 
     ``checked`` is the number of rows the scan evaluated (``satisfies``),
-    the prefixes of every level included; zero pruning and block
-    elimination can keep it far below |M|^k.
+    the prefixes of every level included; zero pruning, the gap test and
+    block elimination can keep it far below |M|^k.
     """
     identity: Identity
     holds: bool
@@ -157,6 +173,35 @@ def _new_runs(word_idx: list, level: int) -> list:
     return runs
 
 
+def _neighbours(word_idx: list, level: int):
+    """``(runs, pairs)`` for the gap test at ``level``, or None when the
+    side has fewer than two maximal runs of positions whose letters are all
+    among the first ``level + 1``.
+
+    ``pairs`` are the neighbouring pairs of those runs in which a run holds
+    letter ``level``, as indices into ``runs``; ``runs`` are the runs the
+    pairs read, in order, as lists of letter indices.
+    """
+    runs, run, new = [], [], []
+    for li in word_idx + [level + 1]:
+        if li <= level:
+            run.append(li)
+        elif run:
+            runs.append(run)
+            new.append(level in run)
+            run = []
+    if len(runs) < 2:
+        return None
+    keep, pairs = [], []
+    for i in range(len(runs) - 1):
+        if new[i] or new[i + 1]:
+            if not keep or keep[-1] != i:
+                keep.append(i)
+            keep.append(i + 1)
+            pairs.append((len(keep) - 2, len(keep) - 1))
+    return [runs[i] for i in keep], pairs
+
+
 def _fold(offsets: np.ndarray, n: int, word_idx: list,
           rows: np.ndarray) -> np.ndarray:
     """``n`` times the value of a nonempty word on each column of ``rows``.
@@ -170,32 +215,44 @@ def _fold(offsets: np.ndarray, n: int, word_idx: list,
     return val
 
 
-# once this many rows of a scan are clean, block elimination is tried
+# once a scan has expanded this many rows, it tests neighbouring runs
+# against the gap table (module docstring), and once this many are clean,
+# block elimination is tried; a scan that stops sooner pays for neither
 _ELIMINATE_AFTER = 1 << 12
 # the first slice of a level expands to about this many rows
 _FIRST_ROWS = 256
 
 
-def _levels(offsets, n, domains, chunk, zero=None, lhs_idx=None,
-            rhs_idx=None):
+def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
     """The substitutions of ``product(*domains)`` in lex order, depth first,
-    less the prefixes that send both sides to ``zero``.
+    less the prefixes that send both sides to the zero of ``m``.
 
     Level ``i`` holds the live prefixes of the first ``i`` letters as the
     columns of an ``(i, rows)`` array, in lex order.  A slice of them is
     expanded by the values of the next letter, and each slice yields
     ``(rows expanded, substitutions)``: the ``(k, rows)`` array at the last
     level, None below it.  Below the last level, a row is dropped when each
-    side (a word as letter indices) has a run of assigned positions that
-    evaluates to ``zero``; a flag per side and row carries that down, so
-    only the runs holding the new letter are evaluated.  With no zero
-    nothing is dropped.  The slices of a level start at ``_FIRST_ROWS`` rows
-    of expansion and double, up to ``chunk`` rows, so a scan that stops at
-    its first violation does so after a few small batches.
+    side (a word as letter indices) is the zero under every extension of
+    the row.  A flag per side and row carries that down, so a level
+    evaluates only the tests that involve its letter: a side is flagged
+    when a maximal run of its assigned positions that holds the new letter
+    is the zero (``_new_runs``).  Once the scan has expanded
+    ``_ELIMINATE_AFTER`` rows, a scan of three or more letters flags a side
+    instead when two neighbouring runs a, b, one of them holding the new
+    letter, have ``m.gap[a, b]`` (``_neighbours``); a side with one run
+    keeps the run test.  With no ``m`` or no zero nothing is dropped.  The
+    slices of a level start at ``_FIRST_ROWS`` rows of
+    expansion and double, up to ``chunk`` rows, so a scan that stops at its
+    first violation does so after a few small batches.
     """
     k = len(domains)
-    runs = [(_new_runs(lhs_idx, i), _new_runs(rhs_idx, i))
-            if zero is not None else ([], []) for i in range(k - 1)]
+    zero = None if m is None else m.zero
+    gap, done = None, 0
+
+    # per level and side: the runs to evaluate, and the pairs of them to
+    # look up in the gap table, or None to test each run against the zero
+    tests = [[(_new_runs(w, i), None) if zero is not None else ([], None)
+              for w in (lhs_idx, rhs_idx)] for i in range(k - 1)]
     flags = np.zeros(1, dtype=bool)
     # each level: [prefix columns, lhs zero flags, rhs zero flags, cursor]
     stack = [[np.zeros((0, 1), dtype=np.int32), flags, flags, 0]]
@@ -217,16 +274,34 @@ def _levels(offsets, n, domains, chunk, zero=None, lhs_idx=None,
         rows[level] = d
         rows = rows.reshape(level + 1, -1)
         expanded = rows.shape[1]
+        done += expanded
         if level == k - 1:
             yield expanded, rows
             continue
-        lrun, rrun = runs[level]
+        if (gap is None and zero is not None and k >= 3
+                and done >= _ELIMINATE_AFTER):
+            gap = m.gap.ravel()
+            tests = [[_neighbours(w, i) or (_new_runs(w, i), None)
+                      for w in (lhs_idx, rhs_idx)] for i in range(k - 1)]
         lz = np.repeat(lz[at:at + q], len(d))
         rz = np.repeat(rz[at:at + q], len(d))
-        for run in lrun:
-            lz |= _fold(offsets, n, run, rows) == zero * n
-        for run in rrun:
-            rz |= _fold(offsets, n, run, rows) == zero * n
+        # the two sides are written out: a loop over them cost scans that
+        # stop early about 1%
+        (lrun, lpairs), (rrun, rpairs) = tests[level]
+        if lpairs is None:
+            for run in lrun:
+                lz |= _fold(offsets, n, run, rows) == zero * n
+        else:
+            values = [_fold(offsets, n, run, rows) for run in lrun]
+            for i, j in lpairs:
+                lz |= gap.take(values[i] + values[j] // n)
+        if rpairs is None:
+            for run in rrun:
+                rz |= _fold(offsets, n, run, rows) == zero * n
+        else:
+            values = [_fold(offsets, n, run, rows) for run in rrun]
+            for i, j in rpairs:
+                rz |= gap.take(values[i] + values[j] // n)
         if lrun or rrun:
             live = ~(lz & rz)
             if not live.all():
@@ -235,23 +310,23 @@ def _levels(offsets, n, domains, chunk, zero=None, lhs_idx=None,
         yield expanded, None
 
 
-def _scan(table, identity, zero, lhs_idx, rhs_idx, domains, chunk):
+def _scan(m, lhs_idx, rhs_idx, domains, chunk):
     """``(rows expanded, violation or None)`` for each slice of ``_levels``,
-    pruned at ``zero``.
+    pruned at the zero of ``m``.
 
     At the last level both sides are evaluated whole.  Its rows are the
     substitutions in lex order less the pruned ones, which hold no
     violation, so the first row whose sides differ is the lex-first one.
     """
-    n = len(table)
-    offsets = (table * n).ravel()
-    for expanded, rows in _levels(offsets, n, domains, chunk, zero,
+    n = m.size
+    offsets = (m.table * n).ravel()
+    for expanded, rows in _levels(offsets, n, domains, chunk, m,
                                   lhs_idx, rhs_idx):
         if rows is None:
             yield expanded, None
             continue
         lv, rv = (_fold(offsets, n, w, rows) if w
-                  else np.full(expanded, identity * n)
+                  else np.full(expanded, m.identity * n)
                   for w in (lhs_idx, rhs_idx))
         neq = lv != rv
         if neq.any():
@@ -358,7 +433,8 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     ``chunk`` rows at a time.  A direct product is first checked factor by
     factor (module docstring); if a factor is violated, the product itself
     is scanned as below.  The scan prunes the prefixes that send both sides
-    to the zero (module docstring).  If its first
+    to the zero, by the run test and, past ``_ELIMINATE_AFTER`` rows, the
+    gap test (module docstring).  If its first
     ``min(chunk, _ELIMINATE_AFTER)`` rows are clean and more remain, a
     shared private factor B (module docstring) is collapsed: when the
     reduced identity holds, so does this one; otherwise the scan resumes
@@ -392,8 +468,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    batches = _scan(m.table, m.identity, m.zero, lhs_idx, rhs_idx, domains,
-                    chunk)
+    batches = _scan(m, lhs_idx, rhs_idx, domains, chunk)
     found, first, done = _first_violation(batches,
                                           min(chunk, _ELIMINATE_AFTER))
     checked += first
@@ -401,7 +476,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
         reduced = _reduced(m.table, ident, letters, chunk)
         if reduced is not None:
             r_found, r_checked, _ = _first_violation(
-                _scan(m.table, m.identity, m.zero, *reduced, chunk))
+                _scan(m, *reduced, chunk))
             checked += r_checked
             if r_found is None:
                 return SatisfactionResult(ident, True, checked=checked)

@@ -24,9 +24,11 @@ together with the zero word ``ac`` correctly forces ``cc = 0`` even though
 no given rule touches ``cc``.  The normal forms are then the shortlex-least
 words of their classes.  A depth-first search by right multiplication from
 the generators enumerates them and records the right action for the table.
-If completion or the enumeration does not settle within its cap, or a
-normal form is long enough to pump, the construction fails loudly; a
-finished table is verified against every input relation.
+If infinitely many words avoid every relation side (checked before
+completion, which need not finish then), completion or the enumeration
+does not settle within its cap, or a normal form is long enough to pump,
+the construction fails loudly; a finished table is verified against every
+input relation.
 
 One right Cayley graph search, ``_generators``, grows a generating set
 greedily; it gives Light's test its generators, which the monoid keeps as
@@ -40,8 +42,8 @@ array sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import KW_ONLY, dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -133,11 +135,13 @@ class Semigroup:
     """A bare multiplication table with labels (no identity required).
 
     ``zero`` may be declared, and is then checked; it is set from the table
-    either way.
+    either way.  Every field after ``labels`` is keyword-only, so a
+    positional argument cannot land in the wrong field of a subclass.
     """
 
     table: np.ndarray
     labels: tuple
+    _: KW_ONLY
     zero: int | None = None
     # the generators of ``_generators``, found by the associativity check
     # and read by ``find_isomorphism``; no part of equality or the text format
@@ -179,7 +183,7 @@ class Semigroup:
         return len(self.table)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FiniteMonoid(Semigroup):
     identity: int = 0
     # the monoids this one is the direct product of, in order, or ()
@@ -201,6 +205,22 @@ class FiniteMonoid(Semigroup):
                 raise ValueError("evaluation is defined on plain words")
             acc = self.table.item(acc, assignment[b])
         return acc
+
+    @cached_property
+    def gap(self) -> np.ndarray | None:
+        """``gap[a, b]``: whether ``a x b`` is the zero for every element x;
+        None when there is no zero.  Built on first read and kept.
+
+        Row a is the AND of the rows ``a x`` of ``table == zero``: n^3 steps
+        in n^2 memory.
+        """
+        if self.zero is None:
+            return None
+        is_zero = self.table == self.zero
+        gap = np.empty_like(is_zero)
+        for a, row in enumerate(self.table):
+            gap[a] = is_zero[row].all(axis=0)
+        return gap
 
 
 @dataclass(frozen=True)
@@ -334,6 +354,44 @@ def _complete(rules, order, max_rules=400, max_passes=60):
     raise PresentationError("completion did not converge (rule cap exceeded)")
 
 
+def _infinitely_many_avoid(sides: set, letters) -> bool:
+    """Whether infinitely many words over ``letters`` have no factor in
+    ``sides``, a set of nonempty words.
+
+    A word is read letter by letter, its state the longest suffix that is a
+    prefix of some side; it has a side as a factor exactly when a state on
+    the way ends with one.  So the avoiding words are the paths from the
+    empty prefix through the other states, and there are infinitely many
+    exactly when those states hold a cycle: some remain after the states
+    with no successor are removed again and again.  This is the windows
+    argument of ``from_presentation`` with the prefixes of the sides, at
+    most their total length plus one, in place of all ``|A|^(m-1)``
+    windows.
+    """
+    prefixes = {""} | {s[:i] for s in sides for i in range(len(s) + 1)}
+
+    def step(state, c):
+        w = state + c
+        while w not in prefixes:
+            w = w[1:]
+        return None if any(w.endswith(s) for s in sides) else w
+
+    succ, todo = {}, [""]
+    while todo:
+        state = todo.pop()
+        if state not in succ:
+            succ[state] = {t for t in (step(state, c) for c in letters)
+                           if t is not None}
+            todo.extend(succ[state])
+    while succ:
+        ends = {state for state, out in succ.items() if not out}
+        if not ends:
+            return True
+        succ = {state: out - ends for state, out in succ.items()
+                if state not in ends}
+    return False
+
+
 def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
     """Close a presentation into a finite semigroup table.
 
@@ -345,7 +403,12 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
 
     Raises ``PresentationError`` when the closure does not fit in ``cap``
     elements, when it is infinite, or (after the fact) when some input
-    relation fails on the produced table.  Infinity shows early.  With ``m``
+    relation fails on the produced table.  Infinity shows early, twice.
+    Before completion, which need not finish on an infinite closure: a word
+    with no relation side and no zero word as a factor admits no rewriting
+    step, so it is alone in its class, and if infinitely many words avoid
+    every side, the closure is infinite (``_infinitely_many_avoid``).
+    After completion, by pumping.  With ``m``
     the longest left side of the completed rules, a word is irreducible when
     no left side is a factor of it, so whether an irreducible word stays
     irreducible as letters are appended depends only on its last ``m - 1``
@@ -359,6 +422,11 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
     rules = [_orient(l, r, order) for l, r in p.relations]
     rules = [r for r in rules if r is not None]
     rules += [(z, None) for z in p.zero_words]
+    sides = {w for rule in rules for w in rule if w is not None}
+    if _infinitely_many_avoid(sides, p.generators):
+        raise PresentationError(
+            "not closed within cap: the closure is infinite (infinitely many "
+            "words avoid every relation side and zero word)")
     rules = _complete(rules, order)
     m = max((len(l) for l, _ in rules), default=1)
     longest = len(order) ** (m - 1) + m - 1

@@ -5,11 +5,12 @@ Each lists or searches what the library computes without listing: the
 rewriting steps of a word one rule at a time, the members of a class, the
 windows of those members, the factorizations ``u = p * v * s``, every
 window of an identity's side, every substitution of an identity, every
-triple of a table, and every binding of an axiom side to a block of a
-word.  They are slow and serve only to cross-check ``rewrite``,
-``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
-small inputs.  The simple/multiple partition of a word and its projection
-onto some letters, which only the tests read, are here too.
+triple of a table (for associativity and for the gap table), and every
+binding of an axiom side to a block of a word.  They are slow and serve
+only to cross-check ``rewrite``, ``construct``, ``freeobj``,
+``identities``, ``monoid`` and ``derive`` on small inputs.  The
+simple/multiple partition of a word and its projection onto some letters,
+which only the tests read, are here too.
 """
 
 from itertools import product
@@ -179,6 +180,16 @@ def associativity_by_cube(table) -> tuple | None:
     t = np.asarray(table)
     bad = np.argwhere(t[t] != t[:, t])
     return tuple(bad[0].tolist()) if len(bad) else None
+
+
+def gap_by_triples(m: FiniteMonoid) -> np.ndarray:
+    """Reference for ``FiniteMonoid.gap``: whether ``(a x) b`` is the zero
+    for every x, one product at a time over every triple ``(a, x, b)``."""
+    t = m.table.tolist()
+    n = m.size
+    gap = [[all(t[t[a][x]][b] == m.zero for x in range(n)) for b in range(n)]
+           for a in range(n)]
+    return np.array(gap, dtype=bool).reshape(n, n)
 
 
 def private_factor_by_windows(lhs: Word, rhs: Word):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -120,11 +121,15 @@ class TestMonoidCommands:
         "gens: a b\nab = ba\n",
         "gens: a b\naba = b\n",
         "gens: a b\nab = ba\naa = a\n",
-    ], ids=["ab=ba", "aba=b", "ab=ba,aa=a"])
+        "gens: a b\nab = bb\n",
+        "gens: a b c\nbac = cac\n",
+    ], ids=["ab=ba", "aba=b", "ab=ba,aa=a", "ab=bb", "bac=cac"])
     def test_present_infinite_file(self, capsys, tmp_path, text):
         path = tmp_path / "p.txt"
         path.write_text(text)
+        t0 = time.perf_counter()
         code, _, err = run(capsys, "present", str(path))
+        assert time.perf_counter() - t0 < 1
         assert code == 2 and "not closed within cap" in err
         assert "infinite" in err and len(err.strip().splitlines()) == 1
 

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from taumonoid.catalog import monoid_with_identity, mtau, named_monoid
-from taumonoid.identities import (BudgetExceededError, Identity, _image,
-                                  _private_factor, long_identity,
-                                  parse_identity, parse_identity_file,
-                                  satisfies)
+from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
+                               named_monoid)
+from taumonoid.identities import (_ELIMINATE_AFTER, BudgetExceededError,
+                                  Identity, _image, _private_factor,
+                                  long_identity, parse_identity,
+                                  parse_identity_file, satisfies)
 from taumonoid.monoid import (FiniteMonoid, direct_product, dual,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.words import parse_word, print_word
 
-from oracles import (naive_satisfies, private_factor_by_windows,
-                     simple_and_multiple)
+from oracles import (gap_by_triples, naive_satisfies,
+                     private_factor_by_windows, simple_and_multiple)
 
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
@@ -299,7 +300,7 @@ class TestDirectProducts:
                 # was scanned, with the prefixes that send both sides to
                 # its zero pruned
                 assert full.checked > 7 ** 4 + 6 ** 4
-                assert full.checked == 2_366_070
+                assert full.checked == 1_467_606
 
     def test_budget_refuses_on_the_product(self):
         p = direct_product(named_monoid("dualA1"), named_monoid("E1"))
@@ -388,6 +389,86 @@ class TestZeroPruning:
         assert res.witness == dict(a=x, b=one, c=y, d=one, e=one, f=one)
         assert m.size ** 6 > 4096 and res.checked < m.size ** 6
         _agree(res, naive_satisfies(m, ident))
+
+
+K = mtau("lambda", "bta+b+")
+# monoids and letter counts whose scans can pass the switch to the gap test,
+# with spaces small enough for the naive scan
+GAP_CASES = [(m, k) for m in REES_POOL + [K] for k in (3, 4, 5)
+             if _ELIMINATE_AFTER < m.size ** k <= 250_000]
+
+
+@st.composite
+def _late_identities(draw):
+    """``(m, identity)`` over the letters a, b, ... of a ``GAP_CASES`` pair,
+    of one of two kinds whose scans often pass the switch.  Either both
+    sides are one word over b, c, ... with a inserted, so they agree while a
+    is the identity (element 0, the first value in lex order) and a
+    violation comes after every substitution with a = 1.  Or the right side
+    is the left with two neighbouring letters swapped, which often holds."""
+    m, k = draw(st.sampled_from(GAP_CASES))
+    letters = "abcde"[:k]
+    rest = list(letters[1:])
+    if draw(st.booleans()):
+        w = draw(st.permutations(
+            rest + draw(st.lists(st.sampled_from(rest), max_size=2))))
+
+        def with_a():
+            side = list(w)
+            for at in draw(st.lists(st.integers(0, len(w)), min_size=1,
+                                    max_size=2)):
+                side.insert(at, "a")
+            return "".join(side)
+
+        return m, parse_identity(f"{with_a()}={with_a()}")
+    lhs = draw(st.permutations(list(letters) + draw(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=3))))
+    i = draw(st.integers(0, len(lhs) - 2))
+    rhs = lhs[:i] + [lhs[i + 1], lhs[i]] + lhs[i + 2:]
+    return m, parse_identity(f"{''.join(lhs)}={''.join(rhs)}")
+
+
+class TestGapPruning:
+    """Past the switch a side is flagged when two neighbouring runs a, b of
+    assigned positions have a x b = 0 for every x (module docstring)."""
+
+    def test_gap_table_agrees_with_every_triple(self):
+        for name, m in corpus_monoids().items():
+            assert m.zero is not None, name
+            assert np.array_equal(m.gap, gap_by_triples(m)), name
+            assert m.gap is m.gap
+        assert Z2.gap is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(_late_identities())
+    def test_agrees_with_naive_past_the_switch(self, case):
+        m, ident = case
+        fast = satisfies(m, ident)
+        assume(fast.checked > _ELIMINATE_AFTER)
+        _agree(fast, naive_satisfies(m, ident))
+
+    def test_pair_test_fires(self):
+        # the run test alone evaluated 60,081 rows of sat-MLb-2 (Sec. 6),
+        # 182,514 on K and 62,880 of the S1 instance of xyxy=yxyx
+        for m, text, rows in [
+                (mtau("lambda", "ata+b+"), "xtysxy=xtysyx", 13_314),
+                (K, "cxtycxsy=cxtcxycxsy", 37_202),
+                (named_monoid("S1"), "exrflyexrfly=flyexrflyexr", 14_040)]:
+            res = satisfies(m, parse_identity(text))
+            assert res.holds, text
+            assert res.checked == rows, text
+
+    def test_two_letters_never_read_the_gap_table(self):
+        # the n^3 table is built only for scans of three or more letters;
+        # the 95-element product is rebuilt without its factors, so that
+        # it is scanned itself, past the switch
+        p = direct_product(K, mtau("trivial", "xy"))
+        m = FiniteMonoid(table=p.table, labels=p.labels, identity=p.identity)
+        res = satisfies(m, parse_identity("xyxy=yxyx"))
+        assert res.holds and res.checked == 95 ** 2
+        assert "gap" not in vars(m)
+        assert satisfies(m, parse_identity("xyzxy=xyzyx")).holds
+        assert "gap" in vars(m)
 
 
 class TestWitnessReporting:

@@ -21,7 +21,8 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               parse_monoid, submonoid)
 from taumonoid import monoid
 from taumonoid.monoid import (_check_associative, _classes, _complete,
-                              _generators, _orient, _reduce)
+                              _generators, _infinitely_many_avoid, _orient,
+                              _reduce)
 from taumonoid.rewrite import TauWordSet
 from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
@@ -77,6 +78,31 @@ class TestPresentations:
     def test_infinite_closure_refused_before_the_cap(self, relations):
         with pytest.raises(PresentationError, match="cap.*infinite"):
             from_presentation(Presentation(("a", "b"), relations))
+
+    @pytest.mark.parametrize("gens,relations", [
+        ("ab", (("ab", "bb"),)),
+        ("abc", (("bac", "cac"),)),
+    ], ids=["ab=bb", "bac=cac"])
+    def test_infinite_closure_refused_before_completion(self, gens,
+                                                        relations):
+        # completion does not finish on these: b a^n and a^n avoid every
+        # side; each used to run for about a minute before giving up
+        t0 = time.perf_counter()
+        with pytest.raises(PresentationError, match="^not closed within "
+                           "cap: the closure is infinite"):
+            from_presentation(Presentation(tuple(gens), relations))
+        assert time.perf_counter() - t0 < 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.text("ab", min_size=1, max_size=3), max_size=3))
+    def test_avoidance_agrees_with_long_words(self, sides):
+        # a word longer than the automaton's states repeats one, and a
+        # repeated state pumps; so infinitely many words avoid the sides
+        # exactly when one of that length does
+        n = sum(map(len, sides)) + 2
+        long_word = any(not any(s in "".join(w) for s in sides)
+                        for w in product("ab", repeat=n))
+        assert _infinitely_many_avoid(sides, "ab") == long_word
 
     def test_finite_closure_with_long_left_sides(self):
         # aa = aabb = b gives a^2 = a^6; it used to run into the cap
@@ -665,6 +691,15 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=r"at \(1,2,2\)$"):
             FiniteMonoid(table=((0, 1, 2), (1, 0, 2), (2, 2, 1)),
                          labels=("1", "a", "b"), identity=0)
+
+    def test_fields_after_labels_are_keyword_only(self):
+        # a third positional argument used to be read as the zero
+        with pytest.raises(TypeError):
+            FiniteMonoid(((0, 1), (1, 1)), ("1", "e"), 1)
+        with pytest.raises(TypeError):
+            Semigroup(((0, 1), (1, 1)), ("1", "e"), 1)
+        m = FiniteMonoid(((0, 1), (1, 1)), ("1", "e"), identity=0)
+        assert (m.identity, m.zero) == (0, 1)
 
     def test_bad_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
