@@ -29,11 +29,11 @@ every x (``m.gap[a, b]``), the side is the zero under every extension.  A
 run that is the zero makes every pair it is in a gap, as ``a x 0 = 0``, so
 on a side of two or more runs the pair test subsumes the run test; a side
 of one run keeps the run test.  The test switches on once a scan has
-expanded ``_ELIMINATE_AFTER`` rows, where block elimination is tried: a
-scan that stops at an early violation never pays for the extra folds.
-It is used only for scans of three or more letters, so the n^3 cost of the
-table, built once per monoid on first need, never exceeds the n^k space it
-prunes.
+expanded ``_ELIMINATE_AFTER`` rows, where block elimination is tried, and
+n^3 / ``_GAP_CELLS_PER_ROW`` rows: a scan that stops at an early violation
+never pays for the extra folds, and the table, n^3 cell reads built once
+per monoid on first need, never costs more than the scan has spent.  A
+two-letter scan never reaches the switch below its last level.
 
 At the last level the first row whose sides differ is the lex-first
 violation, since the dropped subtrees hold none.  On the 12-element S1, a
@@ -158,48 +158,32 @@ def _word_letter_indices(word: Word, letters: list) -> list:
     return [pos[b] for b, _ in word]
 
 
-def _new_runs(word_idx: list, level: int) -> list:
-    """The maximal runs of positions whose letters are all among the first
-    ``level + 1`` and that hold letter ``level``, as lists of letter indices.
+def _side_tests(word_idx: list, level: int, gap: bool):
+    """``(runs, pairs)``: the tests that flag a side at ``level``.
+
+    ``runs`` are maximal runs of positions whose letters are all among the
+    first ``level + 1``, as lists of letter indices.  With ``gap`` and two
+    or more such runs, ``pairs`` are the neighbouring pairs of them in which
+    a run holds letter ``level``, as indices into ``runs``, which keeps the
+    runs the pairs read.  Otherwise ``pairs`` is None, and ``runs`` keeps
+    the runs that hold letter ``level``, each to be tested against the zero.
     """
-    runs, run = [], []
-    for li in word_idx + [level + 1]:
-        if li <= level:
-            run.append(li)
-            continue
-        if level in run:
-            runs.append(run)
-        run = []
-    return runs
-
-
-def _neighbours(word_idx: list, level: int):
-    """``(runs, pairs)`` for the gap test at ``level``, or None when the
-    side has fewer than two maximal runs of positions whose letters are all
-    among the first ``level + 1``.
-
-    ``pairs`` are the neighbouring pairs of those runs in which a run holds
-    letter ``level``, as indices into ``runs``; ``runs`` are the runs the
-    pairs read, in order, as lists of letter indices.
-    """
-    runs, run, new = [], [], []
+    runs, new_runs, run = [], [], []
     for li in word_idx + [level + 1]:
         if li <= level:
             run.append(li)
         elif run:
             runs.append(run)
-            new.append(level in run)
+            if level in run:
+                new_runs.append(run)
             run = []
-    if len(runs) < 2:
-        return None
-    keep, pairs = [], []
-    for i in range(len(runs) - 1):
-        if new[i] or new[i + 1]:
-            if not keep or keep[-1] != i:
-                keep.append(i)
-            keep.append(i + 1)
-            pairs.append((len(keep) - 2, len(keep) - 1))
-    return [runs[i] for i in keep], pairs
+    if not gap or len(runs) < 2:
+        return new_runs, None
+    new = [level in run for run in runs]
+    near = [i for i in range(len(runs) - 1) if new[i] or new[i + 1]]
+    keep = sorted({j for i in near for j in (i, i + 1)})
+    at = {j: x for x, j in enumerate(keep)}
+    return [runs[j] for j in keep], [(at[i], at[i + 1]) for i in near]
 
 
 def _fold(offsets: np.ndarray, n: int, word_idx: list,
@@ -215,12 +199,17 @@ def _fold(offsets: np.ndarray, n: int, word_idx: list,
     return val
 
 
-# once a scan has expanded this many rows, it tests neighbouring runs
-# against the gap table (module docstring), and once this many are clean,
-# block elimination is tried; a scan that stops sooner pays for neither
+# once a scan has expanded this many rows, block elimination is tried if
+# they are clean, and the gap test may switch on (``_levels``); a scan that
+# stops sooner pays for neither
 _ELIMINATE_AFTER = 1 << 12
 # the first slice of a level expands to about this many rows
 _FIRST_ROWS = 256
+# an expanded row costs more than this many of the n^3 cell reads that
+# build the gap table (13-30 ns against 0.2-1 ns for n = 50-400 on a
+# 2-CPU x86-64 machine), so a scan that builds it after n^3 / this many
+# rows has spent at least as much already
+_GAP_CELLS_PER_ROW = 32
 
 
 def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
@@ -234,24 +223,26 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
     level, None below it.  Below the last level, a row is dropped when each
     side (a word as letter indices) is the zero under every extension of
     the row.  A flag per side and row carries that down, so a level
-    evaluates only the tests that involve its letter: a side is flagged
-    when a maximal run of its assigned positions that holds the new letter
-    is the zero (``_new_runs``).  Once the scan has expanded
-    ``_ELIMINATE_AFTER`` rows, a scan of three or more letters flags a side
-    instead when two neighbouring runs a, b, one of them holding the new
-    letter, have ``m.gap[a, b]`` (``_neighbours``); a side with one run
-    keeps the run test.  With no ``m`` or no zero nothing is dropped.  The
-    slices of a level start at ``_FIRST_ROWS`` rows of
-    expansion and double, up to ``chunk`` rows, so a scan that stops at its
-    first violation does so after a few small batches.
+    evaluates only the tests that involve its letter (``_side_tests``): a
+    side is flagged when a maximal run of its assigned positions that holds
+    the new letter is the zero.  Once the scan has expanded
+    ``_ELIMINATE_AFTER`` rows and ``n^3 / _GAP_CELLS_PER_ROW``, a side of
+    two or more runs is flagged instead when two neighbouring runs a, b,
+    one of them holding the new letter, have ``m.gap[a, b]``.  With no
+    ``m`` or no zero nothing is dropped.  The slices of a level start at
+    ``_FIRST_ROWS`` rows of expansion and double, up to ``chunk`` rows, so
+    a scan that stops at its first violation does so after a few small
+    batches.
     """
     k = len(domains)
     zero = None if m is None else m.zero
     gap, done = None, 0
+    # the scan reads the gap table once it has expanded this many rows
+    switch = max(_ELIMINATE_AFTER, n ** 3 // _GAP_CELLS_PER_ROW)
 
     # per level and side: the runs to evaluate, and the pairs of them to
     # look up in the gap table, or None to test each run against the zero
-    tests = [[(_new_runs(w, i), None) if zero is not None else ([], None)
+    tests = [[_side_tests(w, i, False) if zero is not None else ([], None)
               for w in (lhs_idx, rhs_idx)] for i in range(k - 1)]
     flags = np.zeros(1, dtype=bool)
     # each level: [prefix columns, lhs zero flags, rhs zero flags, cursor]
@@ -278,31 +269,23 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
         if level == k - 1:
             yield expanded, rows
             continue
-        if (gap is None and zero is not None and k >= 3
-                and done >= _ELIMINATE_AFTER):
+        if gap is None and zero is not None and done >= switch:
             gap = m.gap.ravel()
-            tests = [[_neighbours(w, i) or (_new_runs(w, i), None)
-                      for w in (lhs_idx, rhs_idx)] for i in range(k - 1)]
-        lz = np.repeat(lz[at:at + q], len(d))
-        rz = np.repeat(rz[at:at + q], len(d))
-        # the two sides are written out: a loop over them cost scans that
-        # stop early about 1%
-        (lrun, lpairs), (rrun, rpairs) = tests[level]
-        if lpairs is None:
-            for run in lrun:
-                lz |= _fold(offsets, n, run, rows) == zero * n
-        else:
-            values = [_fold(offsets, n, run, rows) for run in lrun]
-            for i, j in lpairs:
-                lz |= gap.take(values[i] + values[j] // n)
-        if rpairs is None:
-            for run in rrun:
-                rz |= _fold(offsets, n, run, rows) == zero * n
-        else:
-            values = [_fold(offsets, n, run, rows) for run in rrun]
-            for i, j in rpairs:
-                rz |= gap.take(values[i] + values[j] // n)
-        if lrun or rrun:
+            tests = [[_side_tests(w, i, True) for w in (lhs_idx, rhs_idx)]
+                     for i in range(k - 1)]
+        flags = []
+        for z, (runs, pairs) in zip((lz, rz), tests[level]):
+            z = np.repeat(z[at:at + q], len(d))
+            if pairs is None:
+                for run in runs:
+                    z |= _fold(offsets, n, run, rows) == zero * n
+            else:
+                values = [_fold(offsets, n, run, rows) for run in runs]
+                for i, j in pairs:
+                    z |= gap.take(values[i] + values[j] // n)
+            flags.append(z)
+        lz, rz = flags
+        if tests[level][0][0] or tests[level][1][0]:
             live = ~(lz & rz)
             if not live.all():
                 rows, lz, rz = rows[:, live], lz[live], rz[live]
@@ -433,7 +416,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     ``chunk`` rows at a time.  A direct product is first checked factor by
     factor (module docstring); if a factor is violated, the product itself
     is scanned as below.  The scan prunes the prefixes that send both sides
-    to the zero, by the run test and, past ``_ELIMINATE_AFTER`` rows, the
+    to the zero, by the run test and, past the switch of ``_levels``, the
     gap test (module docstring).  If its first
     ``min(chunk, _ELIMINATE_AFTER)`` rows are clean and more remain, a
     shared private factor B (module docstring) is collapsed: when the

@@ -25,10 +25,10 @@ no given rule touches ``cc``.  The normal forms are then the shortlex-least
 words of their classes.  A depth-first search by right multiplication from
 the generators enumerates them and records the right action for the table.
 If infinitely many words avoid every relation side (checked before
-completion, which need not finish then), completion or the enumeration
-does not settle within its cap, or a normal form is long enough to pump,
-the construction fails loudly; a finished table is verified against every
-input relation.
+completion, which need not finish then) or every completed left side
+(checked after it), or completion or the enumeration does not settle
+within its cap, the construction fails loudly; a finished table is
+verified against every input relation.
 
 One right Cayley graph search, ``_generators``, grows a generating set
 greedily; it gives Light's test its generators, which the monoid keeps as
@@ -211,15 +211,18 @@ class FiniteMonoid(Semigroup):
         """``gap[a, b]``: whether ``a x b`` is the zero for every element x;
         None when there is no zero.  Built on first read and kept.
 
-        Row a is the AND of the rows ``a x`` of ``table == zero``: n^3 steps
-        in n^2 memory.
+        Row a is the AND of the rows ``a x`` of ``table == zero``: n^3 steps,
+        gathered a block of rows at a time in at most ``max(n^2, 2^16)``
+        cells.
         """
         if self.zero is None:
             return None
         is_zero = self.table == self.zero
         gap = np.empty_like(is_zero)
-        for a, row in enumerate(self.table):
-            gap[a] = is_zero[row].all(axis=0)
+        step = max(1, (1 << 16) // self.size ** 2)
+        for a in range(0, self.size, step):
+            gap[a:a + step] = is_zero[self.table[a:a + step]].all(axis=1)
+        gap.flags.writeable = False
         return gap
 
 
@@ -363,10 +366,8 @@ def _infinitely_many_avoid(sides: set, letters) -> bool:
     the way ends with one.  So the avoiding words are the paths from the
     empty prefix through the other states, and there are infinitely many
     exactly when those states hold a cycle: some remain after the states
-    with no successor are removed again and again.  This is the windows
-    argument of ``from_presentation`` with the prefixes of the sides, at
-    most their total length plus one, in place of all ``|A|^(m-1)``
-    windows.
+    with no successor are removed again and again.  The states are at most
+    the total length of the sides plus one.
     """
     prefixes = {""} | {s[:i] for s in sides for i in range(len(s) + 1)}
 
@@ -403,20 +404,14 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
 
     Raises ``PresentationError`` when the closure does not fit in ``cap``
     elements, when it is infinite, or (after the fact) when some input
-    relation fails on the produced table.  Infinity shows early, twice.
-    Before completion, which need not finish on an infinite closure: a word
-    with no relation side and no zero word as a factor admits no rewriting
-    step, so it is alone in its class, and if infinitely many words avoid
-    every side, the closure is infinite (``_infinitely_many_avoid``).
-    After completion, by pumping.  With ``m``
-    the longest left side of the completed rules, a word is irreducible when
-    no left side is a factor of it, so whether an irreducible word stays
-    irreducible as letters are appended depends only on its last ``m - 1``
-    letters.  An irreducible word longer than ``|A|^(m-1) + m - 1`` letters
-    has more than ``|A|^(m-1)`` prefixes of at least ``m - 1`` letters, so
-    two of them end in the same ``m - 1`` letters.  The letters between the
-    two ends can then be repeated at will, each repetition another
-    irreducible word: infinitely many elements.
+    relation fails on the produced table.  Infinity is one question, asked
+    twice: whether infinitely many words avoid a set of words
+    (``_infinitely_many_avoid``).  Before completion, which need not finish
+    on an infinite closure, the set is the relation sides and zero words: a
+    word with none of them as a factor admits no rewriting step, so it is
+    alone in its class.  After completion it is the left sides of the
+    completed rules, the zero words among them, and the avoiding words are
+    exactly the elements, so the answer is exact.
     """
     order = {g: i for i, g in enumerate(p.generators)}
     rules = [_orient(l, r, order) for l, r in p.relations]
@@ -428,8 +423,10 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
             "not closed within cap: the closure is infinite (infinitely many "
             "words avoid every relation side and zero word)")
     rules = _complete(rules, order)
-    m = max((len(l) for l, _ in rules), default=1)
-    longest = len(order) ** (m - 1) + m - 1
+    if _infinitely_many_avoid({l for l, _ in rules}, p.generators):
+        raise PresentationError(
+            "not closed within cap: the closure is infinite (infinitely many "
+            "words avoid every left side of the completed rules)")
 
     words: list = []
     index: dict = {}
@@ -439,10 +436,6 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
     def element(word):
         nf = _reduce(word, rules)
         if nf is not None and nf not in index:
-            if len(nf) > longest:
-                raise PresentationError(
-                    f"not closed within cap: the closure is infinite (a "
-                    f"normal form of {len(nf)} letters pumps)")
             if len(words) >= cap:
                 raise PresentationError("not closed within cap")
             index[nf] = len(words)

@@ -123,7 +123,8 @@ class TestMonoidCommands:
         "gens: a b\nab = ba\naa = a\n",
         "gens: a b\nab = bb\n",
         "gens: a b c\nbac = cac\n",
-    ], ids=["ab=ba", "aba=b", "ab=ba,aa=a", "ab=bb", "bac=cac"])
+        "gens: a b\nab = ba\naa = b\n",
+    ], ids=["ab=ba", "aba=b", "ab=ba,aa=a", "ab=bb", "bac=cac", "ab=ba,aa=b"])
     def test_present_infinite_file(self, capsys, tmp_path, text):
         path = tmp_path / "p.txt"
         path.write_text(text)

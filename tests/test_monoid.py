@@ -93,6 +93,14 @@ class TestPresentations:
             from_presentation(Presentation(tuple(gens), relations))
         assert time.perf_counter() - t0 < 1
 
+    def test_infinite_closure_refused_after_completion(self):
+        # only a avoids ba, ab, aa and b, but completion keeps the left sides
+        # ba and aa, which b^n and a b^n avoid: a^n are all distinct
+        p = Presentation(("a", "b"), (("ab", "ba"), ("aa", "b")))
+        with pytest.raises(PresentationError, match="^not closed within "
+                           "cap: the closure is infinite .*completed rules"):
+            from_presentation(p)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sets(st.text("ab", min_size=1, max_size=3), max_size=3))
     def test_avoidance_agrees_with_long_words(self, sides):
