@@ -10,38 +10,41 @@ exit on the first violating batch.  The independent reference evaluator
 that cross-checks it lives with the tests (``naive_satisfies`` in
 ``tests/oracles.py``).
 
-Zero pruning: if a partial assignment of the first letters gives each side
-a factor whose letters are all assigned and whose value is the zero, both
-sides are the zero under every extension, so no violation lies below that
-prefix.  The scan assigns the letters in its own order, one level at a
-time, keeps the live prefixes of each level as numpy rows in lex order,
-and drops a row once each side has a run of assigned positions equal to
-the zero.  The zero is ``m.zero``, found from the table at construction
-(a declared zero is only checked there), so pruning does not depend on how
-the monoid was built.  A monoid with no zero takes the same scan with
-nothing dropped.
-
-The gap test drops more.  Let a and b be the values of two neighbouring
-maximal runs of assigned positions on one side, so that the side reads
-``p a u b q`` with u a nonempty word of unassigned letters.  Whatever the
-extension, u takes some value x in M, so if ``a x b`` is the zero for
-every x (``m.gap[a, b]``), the side is the zero under every extension.  A
-run that is the zero makes every pair it is in a gap, as ``a x 0 = 0``, so
-on a side of two or more runs the pair test subsumes the run test; a side
-of one run keeps the run test.  The test switches on once a scan has
-expanded ``_ELIMINATE_AFTER`` rows, where block elimination is tried, and
-n^3 / ``_GAP_CELLS_PER_ROW`` rows: a scan that stops at an early violation
-never pays for the extra folds, and the table, n^3 cell reads built once
-per monoid on first need, never costs more than the scan has spent.  A
-two-letter scan never reaches the switch below its last level.
+Zero pruning: the scan assigns the letters in its own order, one level at a
+time, keeps the live prefixes of each level as numpy rows in lex order, and
+drops a row once both sides are the zero under every extension of it.  Let a
+and b be the values of two neighbouring maximal runs of assigned positions
+of a side, so that it reads ``p a u b q`` with u a nonempty word of
+unassigned letters.  Whatever the extension, u takes some value x in M, so
+if ``a x b`` is the zero for every x (``m.gap[a, b]``), so is the side.  A
+lone run a is paired with b = 1: as x = 1 is one of the middles,
+``gap[a, 1]`` holds exactly when a is the zero.  A run that is the zero
+makes every pair it is in a gap, so on a side of two or more runs the pairs
+of neighbours already catch it, and this one pair test needs no test of
+single runs.  The pairs are read from one zero table, refined as the scan
+pays for it: none for the first ``_FIRST_ROWS`` rows a scan expands, so a
+scan that stops that soon pays nothing; then ``a == 0 or b == 0``, n^2
+cells built per scan; and once the scan has expanded n^3 /
+``_GAP_CELLS_PER_ROW`` rows, ``m.gap`` itself, n^3 cell reads built once
+per monoid on first need, which never cost more than the scan has
+spent.  Every table marks only pairs that are gaps, so a row is dropped only
+when both sides are the zero under every extension, whichever table flagged
+it, and nothing is carried from level to level: a row that survives is
+tested from scratch at the next.  A flag can then be lost when a new letter
+splits a gap (in ``a u b`` with ``gap[a, b]``, the two pairs left once a
+letter of u is assigned need not be gaps), which costs rows but never
+soundness.  The zero is ``m.zero``, found from the table at construction (a
+declared zero is only checked there), so pruning does not depend on how the
+monoid was built.  A monoid with no zero takes the same scan with nothing
+dropped.
 
 At the last level the first row whose sides differ is the lex-first
 violation, since the dropped subtrees hold none.  On the 12-element S1, a
 six-letter instance of ``xyxy=yxyx`` that holds (x = exr, y = fly)
-evaluates 14,040 rows of its 12^6 = 2,985,984 substitutions (62,880 with
-the run test alone).  Each level's prefixes are expanded in slices that
-start small and double, so a violation near the start of the space is
-found after a few small batches.
+evaluates 11,508 rows of its 12^6 = 2,985,984 substitutions (63,168 with
+the table ``a == 0 or b == 0`` throughout).  Each level's prefixes are
+expanded in slices that start small and double, so a violation near the
+start of the space is found after a few small batches.
 
 Shared-block elimination: if ``u = u1 B u2`` and ``v = v1 B v2`` where B's
 letters occur nowhere in u1, u2, v1, v2, then B's letters feed only B's
@@ -51,7 +54,7 @@ fresh z ranging over Im(B) (variable elimination, as in Dechter's bucket
 elimination).  On the 19-element K, Im(y1^2 ... y5^2) has 5 elements, so
 once the first ``_ELIMINATE_AFTER`` rows of its scan are clean the n=6 long
 identity needs 19^2 * 5 more evaluations, where the pruned scan of all
-19^7 substitutions would evaluate 56,544 rows.  Im(B) itself is the
+19^7 substitutions would evaluate 55,651 rows.  Im(B) itself is the
 set product of the images of B's maximal consecutive parts that share no
 letters (``_image``): for y1^2 ... y5^2, five scans of 19 values and four
 products of at most 19 by 19.
@@ -62,8 +65,8 @@ fact behind Var(A x B) = Var A v Var B (Burris and Sankappanavar, "A Course
 in Universal Algebra", ch. II).  A monoid built by
 ``monoid.direct_product`` records its factors, and ``satisfies`` decides
 "holds" on them, recursively for nested products: on the 42-element
-product of dualA1 and E1 a four-letter identity that holds costs 2,011
-rows on the two factors instead of 1,467,606 of the 42^4 substitutions
+product of dualA1 and E1 a four-letter identity that holds costs 1,583
+rows on the two factors instead of 1,467,648 of the 42^4 substitutions
 on the product.  A violated factor only says that the product is violated
 somewhere; the lex-first witness is then found by the ordinary scan of the
 product.
@@ -137,8 +140,9 @@ class SatisfactionResult:
     """A verdict, with the lex-first violating substitution if any.
 
     ``checked`` is the number of rows the scan evaluated (``satisfies``),
-    the prefixes of every level included; zero pruning, the gap test and
-    block elimination can keep it far below |M|^k.
+    the prefixes of every level included, so a scan that prunes nothing
+    counts |M| + |M|^2 + ... + |M|^k; zero pruning and block elimination
+    can keep it far below |M|^k.
     """
     identity: Identity
     holds: bool
@@ -158,32 +162,17 @@ def _word_letter_indices(word: Word, letters: list) -> list:
     return [pos[b] for b, _ in word]
 
 
-def _side_tests(word_idx: list, level: int, gap: bool):
-    """``(runs, pairs)``: the tests that flag a side at ``level``.
-
-    ``runs`` are maximal runs of positions whose letters are all among the
-    first ``level + 1``, as lists of letter indices.  With ``gap`` and two
-    or more such runs, ``pairs`` are the neighbouring pairs of them in which
-    a run holds letter ``level``, as indices into ``runs``, which keeps the
-    runs the pairs read.  Otherwise ``pairs`` is None, and ``runs`` keeps
-    the runs that hold letter ``level``, each to be tested against the zero.
-    """
-    runs, new_runs, run = [], [], []
+def _runs(word_idx: list, level: int) -> list:
+    """The maximal runs of positions of a side whose letters are all among
+    the first ``level + 1``, as lists of letter indices."""
+    runs, run = [], []
     for li in word_idx + [level + 1]:
         if li <= level:
             run.append(li)
         elif run:
             runs.append(run)
-            if level in run:
-                new_runs.append(run)
             run = []
-    if not gap or len(runs) < 2:
-        return new_runs, None
-    new = [level in run for run in runs]
-    near = [i for i in range(len(runs) - 1) if new[i] or new[i + 1]]
-    keep = sorted({j for i in near for j in (i, i + 1)})
-    at = {j: x for x, j in enumerate(keep)}
-    return [runs[j] for j in keep], [(at[i], at[i + 1]) for i in near]
+    return runs
 
 
 def _fold(offsets: np.ndarray, n: int, word_idx: list,
@@ -200,15 +189,15 @@ def _fold(offsets: np.ndarray, n: int, word_idx: list,
 
 
 # once a scan has expanded this many rows, block elimination is tried if
-# they are clean, and the gap test may switch on (``_levels``); a scan that
-# stops sooner pays for neither
+# they are clean (``satisfies``); a scan that stops sooner never pays for it
 _ELIMINATE_AFTER = 1 << 12
-# the first slice of a level expands to about this many rows
+# the first slice of a level expands to about this many rows, and a scan
+# prunes nothing until it has expanded this many (``_levels``)
 _FIRST_ROWS = 256
 # an expanded row costs more than this many of the n^3 cell reads that
 # build the gap table (13-30 ns against 0.2-1 ns for n = 50-400 on a
-# 2-CPU x86-64 machine), so a scan that builds it after n^3 / this many
-# rows has spent at least as much already
+# 2-CPU x86-64 machine), so a scan that reads ``m.gap`` only after n^3 /
+# this many rows has spent at least as much already
 _GAP_CELLS_PER_ROW = 32
 
 
@@ -220,38 +209,31 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
     columns of an ``(i, rows)`` array, in lex order.  A slice of them is
     expanded by the values of the next letter, and each slice yields
     ``(rows expanded, substitutions)``: the ``(k, rows)`` array at the last
-    level, None below it.  Below the last level, a row is dropped when each
-    side (a word as letter indices) is the zero under every extension of
-    the row.  A flag per side and row carries that down, so a level
-    evaluates only the tests that involve its letter (``_side_tests``): a
-    side is flagged when a maximal run of its assigned positions that holds
-    the new letter is the zero.  Once the scan has expanded
-    ``_ELIMINATE_AFTER`` rows and ``n^3 / _GAP_CELLS_PER_ROW``, a side of
-    two or more runs is flagged instead when two neighbouring runs a, b,
-    one of them holding the new letter, have ``m.gap[a, b]``.  With no
-    ``m`` or no zero nothing is dropped.  The slices of a level start at
-    ``_FIRST_ROWS`` rows of expansion and double, up to ``chunk`` rows, so
-    a scan that stops at its first violation does so after a few small
-    batches.
+    level, None below it.  Below the last level, a side (a word as letter
+    indices) is flagged on a row when two neighbouring maximal runs a, b of
+    its assigned positions, or its lone run a and b = 1, have ``a x b`` the
+    zero for every x by the zero table, and a row is dropped when both
+    sides are flagged.  Nothing is carried from level to level: a row that
+    survives is tested again at the next.  The zero table is none for the
+    first ``_FIRST_ROWS`` rows expanded, then ``a == 0 or b == 0``, then,
+    from ``n^3 / _GAP_CELLS_PER_ROW`` rows, ``m.gap`` (module docstring).
+    With no ``m`` or no zero nothing is dropped.  The slices of a level
+    start at ``_FIRST_ROWS`` rows of expansion and double, up to ``chunk``
+    rows, so a scan that stops at its first violation does so after a few
+    small batches.
     """
     k = len(domains)
     zero = None if m is None else m.zero
-    gap, done = None, 0
-    # the scan reads the gap table once it has expanded this many rows
-    switch = max(_ELIMINATE_AFTER, n ** 3 // _GAP_CELLS_PER_ROW)
-
-    # per level and side: the runs to evaluate, and the pairs of them to
-    # look up in the gap table, or None to test each run against the zero
-    tests = [[_side_tests(w, i, False) if zero is not None else ([], None)
-              for w in (lhs_idx, rhs_idx)] for i in range(k - 1)]
-    flags = np.zeros(1, dtype=bool)
-    # each level: [prefix columns, lhs zero flags, rhs zero flags, cursor]
-    stack = [[np.zeros((0, 1), dtype=np.int32), flags, flags, 0]]
+    sides = [[_runs(w, i) for w in (lhs_idx, rhs_idx)]
+             for i in range(k - 1)] if zero is not None else []
+    table, exact, done = None, False, 0
+    # each level: [prefix columns, cursor]
+    stack = [[np.zeros((0, 1), dtype=np.int32), 0]]
     size = [max(1, _FIRST_ROWS // len(d)) for d in domains]
     while stack:
         level = len(stack) - 1
         top = stack[-1]
-        prefixes, lz, rz, at = top
+        prefixes, at = top
         if at == prefixes.shape[1]:
             stack.pop()
             continue
@@ -259,7 +241,7 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
         step = max(1, chunk // len(d))
         q = min(size[level], step, prefixes.shape[1] - at)
         size[level] = min(2 * size[level], step)
-        top[3] = at + q
+        top[1] = at + q
         rows = np.empty((level + 1, q, len(d)), dtype=np.int32)
         rows[:level] = prefixes[:, at:at + q, None]
         rows[level] = d
@@ -269,27 +251,26 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
         if level == k - 1:
             yield expanded, rows
             continue
-        if gap is None and zero is not None and done >= switch:
-            gap = m.gap.ravel()
-            tests = [[_side_tests(w, i, True) for w in (lhs_idx, rhs_idx)]
-                     for i in range(k - 1)]
-        flags = []
-        for z, (runs, pairs) in zip((lz, rz), tests[level]):
-            z = np.repeat(z[at:at + q], len(d))
-            if pairs is None:
-                for run in runs:
-                    z |= _fold(offsets, n, run, rows) == zero * n
-            else:
+        if zero is not None and not exact and done >= _FIRST_ROWS:
+            if done >= n ** 3 // _GAP_CELLS_PER_ROW:
+                table, exact = m.gap.ravel(), True
+            elif table is None:
+                is_zero = np.arange(n) == zero
+                table = (is_zero[:, None] | is_zero).ravel()
+        if table is not None and all(sides[level]):
+            drop = None
+            for runs in sides[level]:
                 values = [_fold(offsets, n, run, rows) for run in runs]
-                for i, j in pairs:
-                    z |= gap.take(values[i] + values[j] // n)
-            flags.append(z)
-        lz, rz = flags
-        if tests[level][0][0] or tests[level][1][0]:
-            live = ~(lz & rz)
-            if not live.all():
-                rows, lz, rz = rows[:, live], lz[live], rz[live]
-        stack.append([rows, lz, rz, 0])
+                ends = [v // n for v in values[1:]] or [m.identity]
+                flag = table.take(values[0] + ends[0])
+                for a, b in zip(values[1:], ends[1:]):
+                    flag |= table.take(a + b)
+                drop = flag if drop is None else drop & flag
+                if not drop.any():
+                    break
+            else:
+                rows = rows[:, ~drop]
+        stack.append([rows, 0])
         yield expanded, None
 
 
@@ -416,12 +397,12 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     ``chunk`` rows at a time.  A direct product is first checked factor by
     factor (module docstring); if a factor is violated, the product itself
     is scanned as below.  The scan prunes the prefixes that send both sides
-    to the zero, by the run test and, past the switch of ``_levels``, the
-    gap test (module docstring).  If its first
-    ``min(chunk, _ELIMINATE_AFTER)`` rows are clean and more remain, a
-    shared private factor B (module docstring) is collapsed: when the
-    reduced identity holds, so does this one; otherwise the scan resumes
-    where it stopped, so the witness stays the lex-first one.  ``checked``
+    to the zero, by the pair test over the zero table of ``_levels``
+    (module docstring).  If its first ``min(chunk, _ELIMINATE_AFTER)`` rows
+    are clean and more remain, a shared private factor B (module
+    docstring) is collapsed: when the reduced identity holds, so does this
+    one; otherwise the scan resumes where it stopped, so the witness stays
+    the lex-first one.  ``checked``
     counts the rows evaluated, not the space: the expanded prefixes of
     every level, whatever the size of the space, on every identity and
     monoid scanned (the factors', then the given and the reduced identity

@@ -359,13 +359,11 @@ SURFACES = {
     "monoid files": st.tuples(
         st.just("jtrivial {file}"),
         _mutated(format_monoid(named_monoid("A01")))),
-    # the appended relations keep every closure finite and small: without
-    # them an edit such as 'ab = bb' keeps the completion adding rules for
-    # about a minute before it gives up
+    # an edit whose closure is infinite, such as 'ab = bb', is refused in
+    # under a millisecond by the infinity check of from_presentation
     "presentation files": st.tuples(
         st.just("present {file}"),
-        _mutated("gens: a b\naa = a\nbb = b\n0 = ab, ba\n").map(
-            lambda text: text + "\naa = a\nbb = b\n0 = ab, ba\n")),
+        _mutated("gens: a b\naa = a\nbb = b\n0 = ab, ba\n")),
 }
 
 
