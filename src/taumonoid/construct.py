@@ -40,8 +40,9 @@ def _tracker_table(u: TauWord, letters) -> tuple:
 
     The states number the canonical forms of the prefixes of the members of
     ``u``, shortlex, so the empty word is 0; the last row is an absorbing
-    sink.  ``table[s][i]``, one ``append_letter`` each, is the form of ``s``
-    times letter ``i`` if that is a state, else the sink.
+    sink.  ``table[s][i]`` is the form of ``s`` times letter ``i`` if that
+    is a state, else the sink; each distinct (form, letter) product, in the
+    table and in ``steps`` below, is one ``append_letter``.
 
     Capped members suffice.  A member is ``u`` with each letter replaced by
     a maximal run of its base (the merge rules turn a run of two or more
@@ -63,12 +64,19 @@ def _tracker_table(u: TauWord, letters) -> tuple:
         table = [[j + 1 if (b, False) == u.word[j] else n + 1 for b in letters]
                  for j in range(n)]
         return table + [[n + 1] * len(letters)] * 2, n
+    memo: dict = {}
+
+    def times(f, b):
+        if (f, b) not in memo:
+            memo[f, b] = append_letter(f, b, u.tau)
+        return memo[f, b]
+
     steps, level = [], {()}
     for b, plussed in u.word:
-        step = {f: [append_letter(f, b, u.tau)] for f in level}
+        step = {f: [times(f, b)] for f in level}
         if plussed:
             for succ in step.values():
-                succ.append(append_letter(succ[0], b, u.tau))
+                succ.append(times(succ[0], b))
         steps.append(step)
         level = {g for succ in step.values() for g in succ}
     good = level & {u.word}
@@ -78,8 +86,7 @@ def _tracker_table(u: TauWord, letters) -> tuple:
         prefixes |= good | {step[f][0] for f in good}
     forms = {f: s for s, f in enumerate(sorted(prefixes, key=lambda f: (len(f), f)))}
     sink = len(forms)
-    table = [[forms.get(append_letter(f, b, u.tau), sink) for b in letters]
-             for f in forms]
+    table = [[forms.get(times(f, b), sink) for b in letters] for f in forms]
     return table + [[sink] * len(letters)], forms.get(u.word)
 
 

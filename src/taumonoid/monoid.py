@@ -35,13 +35,18 @@ greedily; it gives Light's test its generators, which the monoid keeps as
 ``generators``, and ``submonoid`` its closure.  ``find_isomorphism`` searches
 for the images of the kept generators: it extends the map along the right
 Cayley graph as each image is chosen, and takes its candidate images from
-one colour refinement of both tables together.  The refinement starts from
+a colour refinement of both tables together.  The refinement starts from
 the identity and the zero and reads nothing but products; its rounds are
-array sorts.
+array sorts, and the search buys them one at a time, each only once it has
+spent about a round's cost without finishing.  The search returns the map
+of the lex-first generator images that extend to an isomorphism under any
+invariant colours, so the rounds bought change its work, not its answer,
+and at worst it does about twice the work of refining to stability first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property, reduce
 
@@ -576,6 +581,20 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
 
 # -- isomorphism search ----------------------------------------------------
 
+# settle steps per element that the isomorphism search makes before it buys
+# a round of colour refinement (``find_isomorphism``): about what a round
+# costs.  Timed against one settle step of a search cut short by its
+# budget, a round cost 6-19 steps per element on the Rees quotients of 9
+# to 64 elements that the construct benchmark builds (10-14 at 20-40;
+# three runs on a 2-CPU x86-64 machine), and 19-45 on a 303-element null
+# monoid, as its sorts grow with the square of the size, so larger tables
+# buy their rounds early.  A search that does not backtrack makes one step
+# per element and generator: 5 per element on those quotients
+_SETTLES_PER_ROUND = 12
+# what ``_search`` returns when it has spent its budget
+_SPENT = "spent"
+
+
 def _classes(rows: np.ndarray) -> np.ndarray:
     """Equal rows of a 2-d array get equal numbers, dense from 0, in the
     order in which each distinct row first occurs."""
@@ -584,21 +603,26 @@ def _classes(rows: np.ndarray) -> np.ndarray:
                      for row in rows])
 
 
-def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
-    """Invariant colours of the elements of two equal-sized monoids.
+def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra):
+    """Invariant colours of the elements of two equal-sized monoids, one
+    round of refinement at a time.
 
     Both tables are coloured together, so a colour is one class across m
     and n, and an isomorphism keeps every element's colour.  Element x of
     n is numbered ``size + x``.  The first colours are ``extra``, which
     tells the identity and the zero apart.  Each round then colours x by
     its colour and the sorted row of (c[y], c[xy], c[yx]) over the y of its
-    own monoid, until the number of classes stops growing.  Returns the
-    colours of m and n as the two rows of one array.
+    own monoid.  Yields the colours of m and n as the two rows of one
+    array: first the colours of ``extra``, then those of each round that
+    splits a class.  A round that splits none ends the generator, so the
+    last colours yielded are stable.
     """
     s = m.size
+    # the values of ``extra``, numbered densely
+    colors = (np.cumsum(np.bincount(extra) > 0) - 1)[extra]
+    yield colors.reshape(2, s)
     right = np.concatenate([m.table, n.table + s])
     left = np.concatenate([m.table.T, n.table.T + s])
-    colors = _classes(extra[:, None])
     # row x: c[x], then the keys over the y of x's own monoid, in place
     keys = np.empty((2, s, s + 1), dtype=np.int64)
     body = keys[:, :, 1:]
@@ -613,8 +637,9 @@ def _joint_colors(m: FiniteMonoid, n: FiniteMonoid, extra) -> np.ndarray:
         body.sort(axis=2)
         finer = _classes(keys.reshape(2 * s, s + 1))
         if finer.max() + 1 == k:
-            return own
+            return
         colors = finer
+        yield colors.reshape(2, s)
 
 
 def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
@@ -622,19 +647,32 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
 
     A homomorphism is fixed by its images of a generating set G of m
     (``m.generators``, found by ``_generators`` when m was built), since
-    f(u*g) = f(u)*f(g).  The search backtracks over the images of G in
-    index order, each tried in ascending order among the elements of n
-    with the same colour (``_joint_colors``: the identity and the zero,
-    which the table fixes, get colours of their own, refined by products
-    alone).  Colours are only compared for equality.  After
-    each choice the map is extended from the identity along the right
-    Cayley graph of the generators chosen so far;
-    a product whose image conflicts, repeats an image or changes colour
-    rejects the choice at once.  Colours are kept by every isomorphism, so
-    the search is exhaustive over the images of G: ``None`` means
-    non-isomorphic.  A complete map is checked against both tables.  The
+    f(u*g) = f(u)*f(g).  The search (``_search``) backtracks over the
+    images of G in index order, each tried in ascending order among the
+    elements of n with the same colour (``_joint_colors``: the identity and
+    the zero, which the table fixes, get colours of their own, refined by
+    products alone).  Colours are only compared for equality.  After each
+    choice the map is extended from the identity along the right Cayley
+    graph of the generators chosen so far; a product whose image conflicts,
+    repeats an image or changes colour rejects the choice at once.  The
     search reads the tables only in the columns of the generators and of
     their tried images, each turned into a list once.
+
+    The refinement rounds are bought by the search.  It starts from the
+    identity and zero colours; once it has made ``_SETTLES_PER_ROUND``
+    settle steps per element, about what one round costs, a round is run
+    and the search starts again under the finer colours, after the
+    multiset check that may already tell the two apart.  Under stable
+    colours it runs to the end.  Whichever colours prune it, the search
+    returns the same map: it tries the tuples of generator images in lex
+    order, colours are kept by every isomorphism, so they only skip tuples
+    that no isomorphism has, and a complete extension along the Cayley
+    graph is an isomorphism (f(u g) = f(u) f(g) for every generator g,
+    hence f(uv) = f(u) f(v), and f is one-to-one).  So the map is that of
+    the lex-first tuple of images that extends to an isomorphism, and
+    ``None`` means non-isomorphic.  Each abandoned search costs about one
+    round, so the worst case is about twice the work of refining to
+    stability first.  A complete map is checked against both tables.
     """
     if m.size != n.size:
         return None
@@ -646,14 +684,37 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     extra[[m.identity, size + n.identity]] = 1
     if mz is not None:
         extra[[mz, size + nz]] = 2
-    cm, cn = _joint_colors(m, n, extra)
-    if not np.array_equal(np.sort(cm), np.sort(cn)):
-        return None
+    rounds = _joint_colors(m, n, extra)
+    cm, cn = next(rounds)
+    budget = _SETTLES_PER_ROUND * size
+    while True:
+        if not np.array_equal(np.sort(cm), np.sort(cn)):
+            return None
+        mapping = _search(m, n, cm, cn, budget)
+        if mapping is not _SPENT:
+            return mapping
+        finer = next(rounds, None)
+        if finer is None:
+            budget = math.inf
+        else:
+            cm, cn = finer
+
+
+def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, budget):
+    """The search of ``find_isomorphism`` under the colours ``cm``, ``cn``:
+    the map of the lex-first generator images that extend to an
+    isomorphism, or None; ``_SPENT`` once it has made more than ``budget``
+    settle steps."""
+    size = m.size
     gens = m.generators
-    gen_cols = [m.table[:, g].tolist() for g in gens]
-    image_cols: dict = {}     # y -> column y of n, read on first use
-    candidates = [np.flatnonzero(cn == cm[g]).tolist() for g in gens]
     cm, cn = cm.tolist(), cn.tolist()
+    by_color: dict = {}       # colour -> the elements of n with it, ascending
+    for y, c in enumerate(cn):
+        by_color.setdefault(c, []).append(y)
+    candidates = [by_color.get(cm[g], []) for g in gens]
+    # column gens[i] of m and column y of n, each read on first use
+    gen_cols: list = []
+    image_cols: dict = {}
     mapping = [-1] * size
     used = [False] * size
     mapping[m.identity] = n.identity
@@ -661,8 +722,13 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     # the mapped elements in the order reached, and the chosen generators
     reached = [m.identity]
     chosen: list = []
+    spent = 0
 
     def settle(a, b):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            return False
         if mapping[a] >= 0:
             return mapping[a] == b
         if used[b] or cm[a] != cn[b]:
@@ -681,13 +747,16 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
             image_cols[y] = n.table[:, y].tolist()
         z = image_cols[y]
         chosen.append((g, z))
-        if not all(settle(g[u], z[mapping[u]]) for u in reached[:start]):
-            return False
+        for u in reached[:start]:
+            if not settle(g[u], z[mapping[u]]):
+                return False
         i = start
         while i < len(reached):
             u = reached[i]
-            if not all(settle(h[u], hz[mapping[u]]) for h, hz in chosen):
-                return False
+            fu = mapping[u]
+            for h, hz in chosen:
+                if not settle(h[u], hz[fu]):
+                    return False
             i += 1
         return True
 
@@ -705,6 +774,8 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     marks: list = []
     i = 0
     while i < len(gens):
+        if spent > budget:
+            return _SPENT
         if tried[i] == len(candidates[i]):
             if not marks:
                 return None
@@ -719,6 +790,8 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
         if used[y] and mapping[gens[i]] != y:
             continue
         marks.append(len(reached))
+        if i == len(gen_cols):
+            gen_cols.append(m.table[:, gens[i]].tolist())
         if extend(gen_cols[i], y):
             i += 1
         else:

@@ -481,6 +481,26 @@ class TestTracker:
             _, target = _tracker_table(u, "ab")
             assert target is not None and len(calls) <= len(u.word) ** 2, tau
 
+    def test_each_product_is_appended_once(self, monkeypatch):
+        # the table reuses the products the steps formed: one append_letter
+        # per distinct (form, letter), where each of these words formed
+        # some twice (26, 36, 48 and 72 calls)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return append_letter(*args)
+
+        monkeypatch.setattr(construct, "append_letter", counting)
+        for text, tau, want in [("bta+b+", "lambda", 19),
+                                ("atba+sb+", "lambda", 28),
+                                ("a+b+ta+", "gamma", 33),
+                                ("a+tb+asb", "rho", 56)]:
+            calls.clear()
+            u = tw(text, tau)
+            _tracker_table(u, sorted(content(u.word)))
+            assert (len(calls), len(set(calls))) == (want, want), text
+
     def test_trivial_table_is_the_prefix_lengths(self, monkeypatch):
         # under the trivial congruence no letter is appended to a form:
         # letter i moves prefix length j on exactly when it is u[j]

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taumonoid.catalog import (PRESENTATIONS, corpus_monoids, mtau,
-                               monoid_with_identity, named_monoid, semigroup)
+from taumonoid.catalog import (EXTRA_GENERATORS, FIG_LATTICE, PRESENTATIONS,
+                               corpus_monoids, mtau, monoid_with_identity,
+                               named_monoid, semigroup)
 from taumonoid.construct import build_monoid
 from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               Semigroup, adjoin_identity, direct_product, dual,
@@ -24,6 +25,7 @@ from taumonoid.monoid import (_check_associative, _classes, _complete,
                               _generators, _infinitely_many_avoid, _orient,
                               _reduce)
 from taumonoid.rewrite import TauWordSet
+from taumonoid.words import parse_word
 from oracles import associativity_by_cube
 from test_identities import SEMILATTICE, SMALL_POOL
 
@@ -552,6 +554,55 @@ class TestIsomorphism:
         # every reversal pair, and 6 of the monoids against their duals
         assert found == 26
 
+    def test_the_rounds_bought_do_not_change_the_map(self, monkeypatch):
+        # a budget of 0 refines to stability before the search runs, as a
+        # search that always refined first did; an unbounded budget never
+        # refines: both find the lex-first generator images
+        small = [m for m in corpus_monoids().values() if m.size <= 20]
+        pool = small + [dual(m) for m in small]
+        pairs = [(m, n) for m, n in product(pool, repeat=2) if m.size == n.size]
+        bought = rounds_bought(monkeypatch)
+        maps, rounds = {}, {}
+        for budget in (0, float("inf")):
+            monkeypatch.setattr(monoid, "_SETTLES_PER_ROUND", budget)
+            maps[budget], rounds[budget] = [], []
+            for m, n in pairs:
+                bought.clear()
+                maps[budget].append(find_isomorphism(m, n))
+                rounds[budget].append(sum(bought))
+        assert maps[0] == maps[float("inf")]
+        # budget 0 buys a round before every search that settles anything,
+        # the unbounded budget none
+        assert all(k >= 1 for k, (m, n) in zip(rounds[0], pairs)
+                   if m.generators and (m.zero is None) == (n.zero is None))
+        assert set(rounds[float("inf")]) == {0}
+        found = 0
+        for (m, n), mapping in zip(pairs, maps[0]):
+            assert (mapping is None) == (
+                find_isomorphism_by_refinement(m, n) is None), (m.labels, n.labels)
+            found += mapping is not None
+        assert found == 64
+
+    def test_reversal_pairs_buy_no_round(self, monkeypatch):
+        # the paper's generator sets against the reversal of their words
+        # under the dual congruence: the search finishes before it has
+        # spent a round's cost
+        bought = rounds_bought(monkeypatch)
+        star = {"lambda": "rho", "rho": "lambda"}
+        for name, tau, words in FIG_LATTICE + EXTRA_GENERATORS:
+            ws = [parse_word(t) for t in words.split(",") if t]
+            m = build_monoid(TauWordSet(tau, ws))
+            r = build_monoid(TauWordSet(star.get(tau, tau),
+                                        [w[::-1] for w in ws]))
+            assert find_isomorphism(r, dual(m)) is not None, name
+        assert bought == [0] * 18
+
+    def test_the_near_null_pair_buys_a_round(self, monkeypatch):
+        bought = rounds_bought(monkeypatch)
+        assert find_isomorphism(near_null(12, both=True),
+                                near_null(12, both=False)) is None
+        assert len(bought) == 1 and bought[0] >= 1
+
     def test_hexagon_is_not_two_triangles(self):
         # the colours cannot tell them apart, so the search is exhausted
         assert find_isomorphism_by_refinement(HEXAGON, TWO_TRIANGLES) is None
@@ -631,6 +682,23 @@ assert "numpy.ma" not in sys.modules
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def rounds_bought(monkeypatch) -> list:
+    """Patch the refinement so that each isomorphism search appends the
+    number of rounds it runs to the list returned."""
+    bought = []
+    joint_colors = monoid._joint_colors
+
+    def counting(*args):
+        bought.append(0)
+        for colors in joint_colors(*args):
+            yield colors
+            # resumed: the search has asked for the next round
+            bought[-1] += 1
+
+    monkeypatch.setattr(monoid, "_joint_colors", counting)
+    return bought
 
 
 def assert_isomorphism(m: FiniteMonoid, n: FiniteMonoid, mapping) -> None:
