@@ -16,7 +16,7 @@ from importlib import resources
 
 from .claims import parse_monoid_expr, verify_corpus
 from .construct import build_monoid, lower_set
-from .derive import check_trace, derive_bounded
+from .derive import derive_bounded
 from .freeobj import is_isoterm, is_tau_term
 from .identities import (BudgetExceededError, parse_identity,
                          parse_identity_file, satisfies)
@@ -214,11 +214,11 @@ def _dispatch(args) -> int:
         if trace is None:
             print("no derivation found within bounds")
             return 1
-        ok, msg = check_trace(axioms, trace, goal)
-        print(f"derived in {len(trace)} steps (checker: {msg})")
+        # derive_bounded has replayed the trace with check_trace
+        print(f"derived in {len(trace)} steps (checker: ok)")
         for step in trace.steps:
             print("  " + step.describe(axioms))
-        return 0 if ok else 1
+        return 0
     if cmd == "jtrivial":
         m = _monoid_arg(args.monoid)
         ok, pair = is_j_trivial(m)

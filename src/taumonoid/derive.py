@@ -255,7 +255,9 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
 
     Returns a ``DerivationTrace`` or ``None`` when no chain was found within
     the word-length cap and the expansion budget.  The trivial goal yields an
-    empty trace.
+    empty trace.  Every other trace is replayed by ``check_trace`` before
+    it is returned, and one that fails raises ``AssertionError``; callers
+    need not replay it again.
     """
     if max_len <= 0 or max_steps <= 0:
         raise ValueError("bounds must be positive")

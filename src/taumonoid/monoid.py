@@ -672,7 +672,7 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
     the lex-first tuple of images that extends to an isomorphism, and
     ``None`` means non-isomorphic.  Each abandoned search costs about one
     round, so the worst case is about twice the work of refining to
-    stability first.  A complete map is checked against both tables.
+    stability first.
     """
     if m.size != n.size:
         return None
@@ -796,10 +796,6 @@ def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, budget):
             i += 1
         else:
             retract(marks.pop())
-    # soundness check against both tables
-    f = np.array(mapping)
-    if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):
-        return None
     return mapping
 
 

@@ -66,29 +66,43 @@ def is_two_island_limited(w: Word) -> bool:
     return all(islands(w, b) <= 2 for b in content(w))
 
 
-def _parse_token(tok: str, offset: int) -> tuple:
-    # BASE [+] [^k]; the base is everything before the first '+' or '^'
-    i = 0
-    while i < len(tok) and tok[i] not in "+^":
-        i += 1
-    base = tok[:i]
-    if not base:
-        raise WordSyntaxError(f"missing base symbol in token {tok!r}", offset)
-    if not base[0].isalpha():
-        raise WordSyntaxError(f"unexpected character {base[0]!r}", offset)
-    plussed = False
-    if i < len(tok) and tok[i] == "+":
-        plussed = True
-        i += 1
-    exp = 1
-    if i < len(tok):
-        if tok[i] != "^":
-            raise WordSyntaxError(f"unexpected character {tok[i]!r}", offset + i)
-        digits = tok[i + 1:]
-        if not digits.isdigit():
-            raise WordSyntaxError("malformed exponent", offset + i)
-        exp = _exponent(digits, offset + i)
-    return (base, plussed), exp
+def _letter(text: str, i: int, end: int, spaced: bool) -> tuple:
+    """The letter that starts at ``text[i]``: its symbol, its exponent and
+    the index after it, reading no further than ``end``.
+
+    BASE [+] [^k].  A base starts with a letter.  In the spaced format,
+    where ``end`` is the end of the token, the base runs to the token's
+    next ``+`` or ``^`` and the exponent to ``end``.  In the compact format
+    the base is one character and the exponent may be a bare digit run.
+    """
+    if not text[i].isalpha():
+        raise WordSyntaxError(f"unexpected character {text[i]!r}", i)
+    j = i + 1
+    if spaced:
+        while j < end and text[j] not in "+^":
+            j += 1
+    if j < end and text[j] == "+":
+        symbol = (text[i:j], True)
+        j += 1
+    else:
+        symbol = (text[i:j], False)
+    if j == end:
+        return symbol, 1, j
+    c = text[j]
+    if c == "^":
+        k = j + 1
+    elif spaced:
+        raise WordSyntaxError(f"unexpected character {c!r}", j)
+    elif c.isdigit():
+        k = j
+    else:
+        return symbol, 1, j
+    stop = k
+    while stop < end and text[stop].isdigit():
+        stop += 1
+    if stop == k or spaced and stop < end:
+        raise WordSyntaxError("malformed exponent", j)
+    return symbol, _exponent(text[k:stop], j), stop
 
 
 def _exponent(digits: str, position: int) -> int:
@@ -100,13 +114,6 @@ def _exponent(digits: str, position: int) -> int:
     if len(digits) > len(str(MAX_WORD_LENGTH)):
         return MAX_WORD_LENGTH + 1
     return int(digits)
-
-
-def _extend(out: list, symbol: Letter, exp: int, position: int) -> None:
-    if len(out) + exp > MAX_WORD_LENGTH:
-        raise WordSyntaxError(
-            f"word longer than {MAX_WORD_LENGTH} letters", position)
-    out.extend([symbol] * exp)
 
 
 def parse_word(text: str) -> Word:
@@ -125,47 +132,27 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if text == "1" or text == "":
         return EMPTY
-    if any(c.isspace() for c in text):
-        tokens = text.split()
-        lone = len(tokens) == 2 and tokens[0] == "1"
-        out: list = []
-        offset = 0
-        for tok in tokens[1:] if lone else tokens:
-            offset = text.find(tok, offset)
-            _extend(out, *_parse_token(tok, offset), offset)
-            offset += len(tok)
-        if lone and len(out[0][0]) == 1:
-            raise WordSyntaxError("unexpected character '1'", 0)
-        return tuple(out)
-    out = []
-    i = 0
-    while i < len(text):
-        start = i
-        c = text[i]
-        if not c.isalpha():
-            raise WordSyntaxError(f"unexpected character {c!r}", i)
-        base = c
-        i += 1
-        plussed = False
-        if i < len(text) and text[i] == "+":
-            plussed = True
-            i += 1
-        exp = 1
-        if i < len(text) and text[i] == "^":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise WordSyntaxError("malformed exponent", i)
-            exp = _exponent(text[i + 1:j], i)
+    # the token spans: a spaced word has one letter a token, and a compact
+    # word is one token, read letter by letter
+    spans = []
+    end = 0
+    for token in text.split():
+        start = text.find(token, end)
+        end = start + len(token)
+        spans.append((start, end))
+    spaced = len(spans) > 1
+    lone = len(spans) == 2 and text[:spans[0][1]] == "1"
+    out: list = []
+    for i, end in spans[1:] if lone else spans:
+        while i < end:
+            symbol, exp, j = _letter(text, i, end, spaced)
+            if len(out) + exp > MAX_WORD_LENGTH:
+                raise WordSyntaxError(
+                    f"word longer than {MAX_WORD_LENGTH} letters", i)
+            out += [symbol] * exp
             i = j
-        elif i < len(text) and text[i].isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            exp = _exponent(text[i:j], i)
-            i = j
-        _extend(out, (base, plussed), exp, start)
+    if lone and len(out[0][0]) == 1:
+        raise WordSyntaxError("unexpected character '1'", 0)
     return tuple(out)
 
 

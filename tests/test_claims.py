@@ -300,8 +300,8 @@ def mtau_by_compose(tau, words):
 class TestCorpusAgainstOracles:
     """Each corpus claim recomputed by its kind's independent method.
 
-    ``derivable`` claims are not recomputed here: ``run_claim`` already
-    replays each derivation it finds with ``check_trace``.
+    ``derivable`` claims are not recomputed here: ``derive_bounded``
+    replays each derivation it returns with ``check_trace``.
     """
 
     @pytest.mark.parametrize("claim", [

@@ -213,6 +213,20 @@ class TestCheckTrace:
                                 (replace(step, position=0),))
         assert check_trace(axioms, trace, parse_identity("ab=aab")) == (True, "ok")
 
+    def test_derive_bounded_replays_what_it_returns(self, monkeypatch):
+        # the one replay of a found derivation: claims and the command line
+        # report the trace derive_bounded returns without replaying it
+        calls = []
+
+        def reject(*args):
+            calls.append(args)
+            return False, "rejected"
+
+        monkeypatch.setattr(derive, "check_trace", reject)
+        with pytest.raises(AssertionError, match="rejected"):
+            derive_bounded(ids("xtx=xtxx"), parse_identity("ata=ataa"))
+        assert len(calls) == 1
+
     def test_step_description_mentions_axiom(self):
         axioms = ids("xtx=xtxx")
         trace = derive_bounded(axioms, parse_identity("ata=ataa"))

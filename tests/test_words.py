@@ -82,6 +82,35 @@ class TestParsePrint:
         word = tuple(letters)
         assert parse_word(print_word(word)) == word
 
+    @given(st.lists(st.tuples(st.sampled_from("abxt"), st.booleans(),
+                              st.integers(1, 12), st.booleans()),
+                    min_size=2, max_size=6))
+    def test_compact_and_spaced_read_the_same_letters(self, letters):
+        # bare-digit or ^k exponents in the compact format, ^k in the
+        # spaced one; two letters or more, so the spaced text has a space
+        word = tuple(l for b, p, k, _ in letters for l in [(b, p)] * k)
+        compact = "".join(b + "+" * p + ("" if k == 1 else f"^{k}" if caret
+                                         else str(k))
+                          for b, p, k, caret in letters)
+        spaced = " ".join(b + "+" * p + ("" if k == 1 else f"^{k}")
+                          for b, p, k, _ in letters)
+        assert parse_word(compact) == parse_word(spaced) == word
+
+    @given(st.lists(st.sampled_from(["a", "b+", "x^3", "t+^2"]), max_size=3),
+           st.sampled_from(["?", "_", "$", "a^", "a^0", "a^00", "b+^",
+                            "b^x", "x+^+", "t+^0"]))
+    def test_a_malformed_token_fails_at_the_same_place_in_both(self, before,
+                                                              bad):
+        # a valid letter follows, so the spaced text has a space
+        tokens = before + [bad, "b"]
+        errors = []
+        for sep in ("", " "):
+            with pytest.raises(WordSyntaxError) as e:
+                parse_word(sep.join(tokens))
+            start = len(sep.join(before + [""])) if before else 0
+            errors.append((e.value.position - start, e.value.message))
+        assert errors[0] == errors[1]
+
     def test_round_trip_with_longer_bases(self):
         # ab and y1 alone would read as a b and y in the compact format; a
         # round trip on every word makes printing one-to-one
