@@ -19,6 +19,7 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .derive import derive_bounded
@@ -176,28 +177,109 @@ def _axioms(text: str) -> list:
     return [parse_identity(a) for a in text.split("&")]
 
 
-# per kind: the readers of its leading inputs, then the types of its options
-_INPUTS = {
-    "monoid-size": ((parse_monoid_expr,), {}),
-    "element-set": ((parse_monoid_expr,), {}),
-    "satisfies": ((parse_monoid_expr, parse_identity), {}),
-    "violates": ((parse_monoid_expr, parse_identity), {}),
-    "isomorphic": ((parse_monoid_expr, parse_monoid_expr), {}),
-    "j-trivial": ((parse_monoid_expr,), {}),
-    "aperiodic": ((parse_monoid_expr,), {}),
-    "idempotents-commute": ((parse_monoid_expr,), {}),
-    "tau-term": ((str, parse_monoid_expr, parse_word), {"bound": int}),
-    "not-tau-term": ((str, parse_monoid_expr, parse_word), {"bound": int}),
-    "isoterm": ((parse_monoid_expr, parse_word), {}),
-    "derivable": ((parse_identity, _axioms), {"max_len": int, "max_steps": int}),
-    "two-island-limited": ((parse_word,), {}),
+def _yesno(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _satisfaction(m, ident, budget) -> str:
+    res = satisfies(m, ident, budget=budget)
+    if res.holds:
+        return "holds"
+    wit = ",".join(f"{b}={m.labels[e]}"
+                   for b, e in sorted(res.witness.items()))
+    # soundness: re-evaluate the reported witness on the table
+    lv = m.evaluate(ident.lhs, res.witness)
+    rv = m.evaluate(ident.rhs, res.witness)
+    if lv == rv:
+        return "unsound-witness"
+    return f"violated@{wit}->{m.labels[lv]},{m.labels[rv]}"
+
+
+def _stated_violation(actual, expected, m, ident) -> bool:
+    """Whether ``actual`` is a violation and, when ``expected`` states one
+    as ``substitution->lhs,rhs``, that substitution gives those values."""
+    if not actual.startswith("violated@"):
+        return False
+    if expected in ("yes", ""):
+        return True
+    want_sub, want_vals = expected.split("->")
+    assignment = {}
+    for i, j in _split(want_sub, 0, ",")[0]:
+        var, lab = want_sub[i:j].split("=")
+        assignment[var.strip()] = m.labels.index(lab.strip())
+    lv = m.evaluate(ident.lhs, assignment)
+    rv = m.evaluate(ident.rhs, assignment)
+    lw, rw = [want_vals[i:j] for i, j in _split(want_vals, 0, ",")[0]]
+    return m.labels[lv] == lw and m.labels[rv] == rw
+
+
+def _same_labels(actual, expected, *inputs) -> bool:
+    return sorted(actual.split(",")) == sorted(
+        lab.strip() for lab in expected.split(","))
+
+
+def _tau_term(tau, m, w, budget, **opts) -> str:
+    verdict = is_tau_term(m, TauWord.make(w, tau), **opts)
+    if verdict.fails:
+        member, off = verdict.witness
+        return f"fails@{print_word(member)}~{print_word(off)}"
+    return verdict.status
+
+
+def _up_to_bound(actual, expected, *inputs) -> bool:
+    if expected == "holds-up-to-bound":
+        return actual in ("holds", "holds-up-to-bound")
+    return actual == expected
+
+
+def _derivation(goal, axioms, budget, **opts) -> str:
+    trace = derive_bounded(axioms, goal, **opts)
+    if trace is None:
+        return "not-found-within-bounds"
+    return f"derived-in-{len(trace)}-steps"
+
+
+class _Kind(NamedTuple):
+    """A claim kind.  Its question reads the library through this module's
+    globals when it runs, so a function rebound here is the one called."""
+    readers: tuple        # one reader per leading input
+    options: dict         # option name -> type
+    question: Callable    # (*inputs, budget, **options) -> actual
+    matches: Callable = lambda actual, expected, *inputs: actual == expected
+
+
+# the readers of a monoid, an identity and a word
+_M, _ID, _W = parse_monoid_expr, parse_identity, parse_word
+_KINDS = {
+    "monoid-size": _Kind((_M,), {}, lambda m, _: str(m.size)),
+    "element-set": _Kind((_M,), {}, lambda m, _: ",".join(sorted(m.labels)),
+                         _same_labels),
+    "satisfies": _Kind((_M, _ID), {}, _satisfaction,
+                       lambda actual, *_: actual == "holds"),
+    "violates": _Kind((_M, _ID), {}, _satisfaction, _stated_violation),
+    "isomorphic": _Kind((_M, _M), {}, lambda m, n, _: _yesno(
+        find_isomorphism(m, n) is not None)),
+    "j-trivial": _Kind((_M,), {}, lambda m, _: _yesno(is_j_trivial(m)[0])),
+    "aperiodic": _Kind((_M,), {}, lambda m, _: _yesno(is_aperiodic(m))),
+    "idempotents-commute": _Kind((_M,), {}, lambda m, _: _yesno(
+        idempotents_commute(m)[0])),
+    "tau-term": _Kind((str, _M, _W), {"bound": int}, _tau_term, _up_to_bound),
+    "not-tau-term": _Kind((str, _M, _W), {"bound": int}, _tau_term,
+                          lambda actual, *_: actual.startswith("fails")),
+    "isoterm": _Kind((_M, _W), {}, lambda m, w, _: _yesno(
+        is_isoterm(m, w).is_isoterm)),
+    "derivable": _Kind((_ID, _axioms), {"max_len": int, "max_steps": int},
+                       _derivation,
+                       lambda actual, *_: actual.startswith("derived-in-")),
+    "two-island-limited": _Kind((_W,), {}, lambda w, _: _yesno(
+        is_two_island_limited(w))),
 }
-KINDS = tuple(_INPUTS)
+KINDS = tuple(_KINDS)
 
 
 def _inputs(claim: Claim) -> tuple:
     """The claim's inputs, each read once, and its ``key=value`` options."""
-    readers, accepted = _INPUTS[claim.kind]
+    readers, accepted, *_ = _KINDS[claim.kind]
     parts = [claim.inputs[a:b] for a, b in _split(claim.inputs, 0, ";")[0]]
     if len(parts) < len(readers):
         raise ValueError(f"{claim.kind} takes {len(readers)} inputs")
@@ -210,16 +292,14 @@ def _inputs(claim: Claim) -> tuple:
     return [read(p) for read, p in zip(readers, parts)], opts
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
     t0 = time.perf_counter()
     try:
         args, opts = _inputs(claim)
-        actual = _execute(claim.kind, args, opts, budget)
-        verdict = "pass" if _matches(claim, actual, args) else "fail"
+        kind = _KINDS[claim.kind]
+        actual = kind.question(*args, budget, **opts)
+        passed = kind.matches(actual, claim.expected, *args)
+        verdict = "pass" if passed else "fail"
     except BudgetExceededError as e:
         actual = f"budget: {e}"
         verdict = "skipped"
@@ -228,87 +308,6 @@ def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
         verdict = "fail"
     ms = int((time.perf_counter() - t0) * 1000)
     return ClaimResult(claim, verdict, actual, ms)
-
-
-def _execute(kind: str, args: list, opts: dict, budget) -> str:
-    if kind == "monoid-size":
-        return str(args[0].size)
-    if kind == "element-set":
-        return ",".join(sorted(args[0].labels))
-    if kind in ("satisfies", "violates"):
-        m, ident = args
-        res = satisfies(m, ident, budget=budget)
-        if res.holds:
-            return "holds"
-        wit = ",".join(f"{b}={m.labels[e]}" for b, e in sorted(res.witness.items()))
-        # soundness: re-evaluate the reported witness on the table
-        lv = m.evaluate(ident.lhs, res.witness)
-        rv = m.evaluate(ident.rhs, res.witness)
-        if lv == rv:
-            return "unsound-witness"
-        return f"violated@{wit}->{m.labels[lv]},{m.labels[rv]}"
-    if kind == "isomorphic":
-        return _yesno(find_isomorphism(*args) is not None)
-    if kind == "j-trivial":
-        ok, pair = is_j_trivial(args[0])
-        return _yesno(ok)
-    if kind == "aperiodic":
-        return _yesno(is_aperiodic(args[0]))
-    if kind == "idempotents-commute":
-        ok, pair = idempotents_commute(args[0])
-        return _yesno(ok)
-    if kind == "isoterm":
-        rep = is_isoterm(*args)
-        return _yesno(rep.is_isoterm)
-    if kind in ("tau-term", "not-tau-term"):
-        tau, m, w = args
-        verdict = is_tau_term(m, TauWord.make(w, tau), **opts)
-        if verdict.fails:
-            member, off = verdict.witness
-            return f"fails@{print_word(member)}~{print_word(off)}"
-        return verdict.status
-    if kind == "derivable":
-        goal, axioms = args
-        trace = derive_bounded(axioms, goal, **opts)
-        if trace is None:
-            return "not-found-within-bounds"
-        return f"derived-in-{len(trace)}-steps"
-    if kind == "two-island-limited":
-        return _yesno(is_two_island_limited(args[0]))
-
-
-def _matches(claim: Claim, actual: str, args: list) -> bool:
-    kind, expected = claim.kind, claim.expected
-    if kind == "satisfies":
-        return actual == "holds"
-    if kind == "violates":
-        if not actual.startswith("violated@"):
-            return False
-        if expected in ("yes", ""):
-            return True
-        # expected: substitution -> lhs,rhs; check the stated evaluation too
-        want_sub, want_vals = expected.split("->")
-        m, ident = args
-        assignment = {}
-        for i, j in _split(want_sub, 0, ",")[0]:
-            var, lab = want_sub[i:j].split("=")
-            assignment[var.strip()] = m.labels.index(lab.strip())
-        lv = m.evaluate(ident.lhs, assignment)
-        rv = m.evaluate(ident.rhs, assignment)
-        lw, rw = [want_vals[i:j] for i, j in _split(want_vals, 0, ",")[0]]
-        return m.labels[lv] == lw and m.labels[rv] == rw
-    if kind == "element-set":
-        return sorted(actual.split(",")) == sorted(
-            lab.strip() for lab in expected.split(","))
-    if kind == "tau-term":
-        if expected == "holds-up-to-bound":
-            return actual in ("holds", "holds-up-to-bound")
-        return actual == expected
-    if kind == "not-tau-term":
-        return actual.startswith("fails")
-    if kind == "derivable":
-        return actual.startswith("derived-in-")
-    return actual == expected
 
 
 def verify_corpus(text: str, id_filter: str | None = None,

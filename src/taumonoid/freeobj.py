@@ -19,11 +19,13 @@ automaton a level at a time as it reads it.  Without a bound it grows every
 row and is exact.  With one it grows only the rows above the bound and
 reports the witness the exact search would find, when that lies within it.
 
-One budget, ``max_cells``, bounds the int32 cells an automaton holds: its
+One budget, ``MAX_CELLS``, bounds the int32 cells an automaton holds: its
 k generator columns, each |M|^k cells long, and two cells, an index and a
 value, for each stored nonzero entry.  Growth refuses with
 ``BudgetExceededError`` before it would pass the budget; no search falls
-back to another.
+back to another.  The budget is the automaton's own, read as it grows,
+not one caller's: an automaton that several searches share answers to one
+budget.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class RelFreeAutomaton:
     index: dict           # state key -> state
     gen: np.ndarray       # gen[i][x]: letter i under substitution x
     cells: int            # the budget spent so far
-    max_cells: int
 
     @property
     def num_states(self) -> int:
@@ -81,7 +82,7 @@ class RelFreeAutomaton:
                 t = index.get(key)
                 if t is None:
                     self.cells += len(key) // 4
-                    _check_cells(self.cells, self.max_cells)
+                    _check_cells(self.cells)
                     t = index[key] = len(states)
                     states.append(_views(key))
                 row.append(t)
@@ -97,26 +98,25 @@ class RelFreeAutomaton:
         return s
 
 
-def rel_free_automaton(m: FiniteMonoid, letters,
-                       max_cells: int = MAX_CELLS) -> RelFreeAutomaton:
+def rel_free_automaton(m: FiniteMonoid, letters) -> RelFreeAutomaton:
     """The evaluation-vector automaton, with only its initial state.
 
     A state is keyed by the bytes of its support, the int32 indices of the
     substitutions where its value is not the zero, followed by the values
     there; both arrays are read-only views of that key.  A monoid without a
     zero has full support.  Refuses if the k generator columns and the
-    initial state pass ``max_cells``.
+    initial state pass ``MAX_CELLS``.
     """
     letters = tuple(letters)
     k, n = len(letters), m.size ** len(letters)
     zero = -1 if m.zero is None else m.zero
     support = np.arange(n if m.identity != zero else 0, dtype=np.int32)
     cells = k * n + 2 * len(support)
-    _check_cells(cells, max_cells)
+    _check_cells(cells)
     gen = np.indices((m.size,) * k, dtype=np.int32).reshape(k, n)
     init = np.concatenate((support, np.full_like(support, m.identity))).tobytes()
     return RelFreeAutomaton(m, letters, [_views(init)], [], {init: 0}, gen,
-                            cells, max_cells)
+                            cells)
 
 
 def _views(key: bytes) -> tuple:
@@ -125,9 +125,9 @@ def _views(key: bytes) -> tuple:
     return a[:len(a) // 2], a[len(a) // 2:]
 
 
-def _check_cells(cells: int, max_cells: int) -> None:
-    if cells > max_cells:
-        raise BudgetExceededError(cells, max_cells, "int32 cells")
+def _check_cells(cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise BudgetExceededError(cells, MAX_CELLS, "int32 cells")
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ def _fresh_base(bases) -> str:
     return f"z{i}"
 
 
-def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
-                max_cells: int = MAX_CELLS) -> TauTermVerdict:
+def is_tau_term(m: FiniteMonoid, u: TauWord,
+                bound: int | None = None) -> TauTermVerdict:
     """Decide whether ``u`` is a tau-term for the variety of ``m``.
 
     ``u`` fails to be a tau-term exactly when the monoid satisfies an
@@ -209,7 +209,7 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
     so it grows rows only for the states fewer letters deep, and reports
     "holds-up-to-bound" at best; below ``len(u)`` it builds nothing.  Either
     search raises ``BudgetExceededError`` once its automaton would pass
-    ``max_cells``, and neither falls back to the other.
+    ``MAX_CELLS``, and neither falls back to the other.
 
     The search reaches each node first by its shortlex-least word, so the
     witness is the shortlex-first word outside the class whose state has a
@@ -231,7 +231,7 @@ def is_tau_term(m: FiniteMonoid, u: TauWord, bound: int | None = None,
     # the rules only mark or merge, so no member is shorter than u, and
     # a bound below len(u) reaches none: nothing is built or searched
     if bound is None or bound >= len(u.word):
-        aut = rel_free_automaton(m, letters, max_cells=max_cells)
+        aut = rel_free_automaton(m, letters)
         first, witness = _search(u, letters, aut, bound)
     # a word is zero everywhere only when 1 = 0, as the all-identity
     # substitution sends it to 1; then every word reaches the initial state

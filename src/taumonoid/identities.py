@@ -4,7 +4,7 @@ An identity is an ordered pair of plain words.  ``satisfies`` scans the
 substitutions of monoid elements for the letters, in lex order over the
 sorted letter list, and reports the first violating substitution.  Every
 space takes the same scan, level by level as below.  It is vectorized:
-substitutions are evaluated in batches of at most ``chunk`` rows, a word
+substitutions are evaluated in batches of at most ``CHUNK`` rows, a word
 by one ``take`` per letter on the flattened table (``_fold``), with early
 exit on the first violating batch.  The independent reference evaluator
 that cross-checks it lives with the tests (``naive_satisfies`` in
@@ -188,6 +188,8 @@ def _fold(offsets: np.ndarray, n: int, word_idx: list,
     return val
 
 
+# a scan evaluates at most this many rows at a time
+CHUNK = 1 << 18
 # once a scan has expanded this many rows, block elimination is tried if
 # they are clean (``satisfies``); a scan that stops sooner never pays for it
 _ELIMINATE_AFTER = 1 << 12
@@ -201,7 +203,7 @@ _FIRST_ROWS = 256
 _GAP_CELLS_PER_ROW = 32
 
 
-def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
+def _levels(offsets, n, domains, m=None, lhs_idx=None, rhs_idx=None):
     """The substitutions of ``product(*domains)`` in lex order, depth first,
     less the prefixes that send both sides to the zero of ``m``.
 
@@ -218,7 +220,7 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
     first ``_FIRST_ROWS`` rows expanded, then ``a == 0 or b == 0``, then,
     from ``n^3 / _GAP_CELLS_PER_ROW`` rows, ``m.gap`` (module docstring).
     With no ``m`` or no zero nothing is dropped.  The slices of a level
-    start at ``_FIRST_ROWS`` rows of expansion and double, up to ``chunk``
+    start at ``_FIRST_ROWS`` rows of expansion and double, up to ``CHUNK``
     rows, so a scan that stops at its first violation does so after a few
     small batches.
     """
@@ -238,7 +240,7 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
             stack.pop()
             continue
         d = domains[level]
-        step = max(1, chunk // len(d))
+        step = max(1, CHUNK // len(d))
         q = min(size[level], step, prefixes.shape[1] - at)
         size[level] = min(2 * size[level], step)
         top[1] = at + q
@@ -258,23 +260,20 @@ def _levels(offsets, n, domains, chunk, m=None, lhs_idx=None, rhs_idx=None):
                 is_zero = np.arange(n) == zero
                 table = (is_zero[:, None] | is_zero).ravel()
         if table is not None and all(sides[level]):
-            drop = None
+            drop = True
             for runs in sides[level]:
                 values = [_fold(offsets, n, run, rows) for run in runs]
                 ends = [v // n for v in values[1:]] or [m.identity]
                 flag = table.take(values[0] + ends[0])
                 for a, b in zip(values[1:], ends[1:]):
                     flag |= table.take(a + b)
-                drop = flag if drop is None else drop & flag
-                if not drop.any():
-                    break
-            else:
-                rows = rows[:, ~drop]
+                drop = drop & flag
+            rows = rows[:, ~drop]
         stack.append([rows, 0])
         yield expanded, None
 
 
-def _scan(m, lhs_idx, rhs_idx, domains, chunk):
+def _scan(m, lhs_idx, rhs_idx, domains):
     """``(rows expanded, violation or None)`` for each slice of ``_levels``,
     pruned at the zero of ``m``.
 
@@ -284,8 +283,7 @@ def _scan(m, lhs_idx, rhs_idx, domains, chunk):
     """
     n = m.size
     offsets = (m.table * n).ravel()
-    for expanded, rows in _levels(offsets, n, domains, chunk, m,
-                                  lhs_idx, rhs_idx):
+    for expanded, rows in _levels(offsets, n, domains, m, lhs_idx, rhs_idx):
         if rows is None:
             yield expanded, None
             continue
@@ -340,7 +338,7 @@ def _private_factor(lhs: Word, rhs: Word):
     return best
 
 
-def _image(table, w: Word, chunk: int) -> np.ndarray:
+def _image(table, w: Word) -> np.ndarray:
     """Im(w): the sorted values of a nonempty ``w`` over all substitutions.
 
     ``w`` is split at its first cut into parts that share no letters; their
@@ -352,21 +350,21 @@ def _image(table, w: Word, chunk: int) -> np.ndarray:
     seen = np.zeros(n, dtype=bool)
     for cut in range(1, len(w)):
         if not content(w[:cut]) & content(w[cut:]):
-            seen[table[np.ix_(_image(table, w[:cut], chunk),
-                              _image(table, w[cut:], chunk))]] = True
+            seen[table[np.ix_(_image(table, w[:cut]),
+                              _image(table, w[cut:]))]] = True
             break
     else:
         bases = sorted(content(w))
         offsets = (table * n).ravel()
         idx = _word_letter_indices(w, bases)
         domains = [np.arange(n, dtype=np.int32)] * len(bases)
-        for _, rows in _levels(offsets, n, domains, chunk):
+        for _, rows in _levels(offsets, n, domains):
             if rows is not None:
                 seen[_fold(offsets, n, idx, rows) // n] = True
     return np.flatnonzero(seen).astype(np.int32)
 
 
-def _reduced(table, ident: Identity, letters: list, chunk: int):
+def _reduced(table, ident: Identity, letters: list):
     """Sides and domains of ``u1 z u2 = v1 z v2`` with z last, over Im(B).
 
     None when no private factor B exists or Im(B) is the whole space of B.
@@ -375,7 +373,7 @@ def _reduced(table, ident: Identity, letters: list, chunk: int):
     if found is None:
         return None
     i, j, p, bases = found
-    image = _image(table, ident.lhs[i:j], chunk)
+    image = _image(table, ident.lhs[i:j])
     if len(image) >= len(table) ** len(bases):
         return None
     rest = [b for b in letters if b not in bases]
@@ -389,16 +387,16 @@ def _reduced(table, ident: Identity, letters: list, chunk: int):
             [full] * len(rest) + [image])
 
 
-def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
-              chunk: int = 1 << 18) -> SatisfactionResult:
+def satisfies(m: FiniteMonoid, ident: Identity,
+              budget: int | None = None) -> SatisfactionResult:
     """Exhaustively check one identity against a monoid.
 
     Reports the lex-first violating substitution, evaluating at most
-    ``chunk`` rows at a time.  A direct product is first checked factor by
+    ``CHUNK`` rows at a time.  A direct product is first checked factor by
     factor (module docstring); if a factor is violated, the product itself
     is scanned as below.  The scan prunes the prefixes that send both sides
     to the zero, by the pair test over the zero table of ``_levels``
-    (module docstring).  If its first ``min(chunk, _ELIMINATE_AFTER)`` rows
+    (module docstring).  If its first ``min(CHUNK, _ELIMINATE_AFTER)`` rows
     are clean and more remain, a shared private factor B (module
     docstring) is collapsed: when the reduced identity holds, so does this
     one; otherwise the scan resumes where it stopped, so the witness stays
@@ -422,7 +420,7 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
 
     parts = []
     for factor in m.factors:
-        parts.append(satisfies(factor, ident, chunk=chunk))
+        parts.append(satisfies(factor, ident))
         if not parts[-1].holds:
             break
     checked = sum(part.checked for part in parts)
@@ -432,15 +430,14 @@ def satisfies(m: FiniteMonoid, ident: Identity, budget: int | None = None,
     lhs_idx = _word_letter_indices(ident.lhs, letters)
     rhs_idx = _word_letter_indices(ident.rhs, letters)
     domains = [np.arange(n, dtype=np.int32)] * k
-    batches = _scan(m, lhs_idx, rhs_idx, domains, chunk)
+    batches = _scan(m, lhs_idx, rhs_idx, domains)
     found, first, done = _first_violation(batches,
-                                          min(chunk, _ELIMINATE_AFTER))
+                                          min(CHUNK, _ELIMINATE_AFTER))
     checked += first
     if not done:
-        reduced = _reduced(m.table, ident, letters, chunk)
+        reduced = _reduced(m.table, ident, letters)
         if reduced is not None:
-            r_found, r_checked, _ = _first_violation(
-                _scan(m, *reduced, chunk))
+            r_found, r_checked, _ = _first_violation(_scan(m, *reduced))
             checked += r_checked
             if r_found is None:
                 return SatisfactionResult(ident, True, checked=checked)

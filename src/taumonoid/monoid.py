@@ -27,8 +27,9 @@ the generators enumerates them and records the right action for the table.
 If infinitely many words avoid every relation side (checked before
 completion, which need not finish then) or every completed left side
 (checked after it), or completion or the enumeration does not settle
-within its cap, the construction fails loudly; a finished table is
-verified against every input relation.
+within its cap (``MAX_RULES``, ``MAX_PASSES``, ``MAX_ELEMENTS``), the
+construction fails loudly; a finished table is verified against every
+input relation.
 
 One right Cayley graph search, ``_generators``, grows a generating set
 greedily; it gives Light's test its generators, which the monoid keeps as
@@ -59,6 +60,13 @@ __all__ = [
     "direct_product", "find_isomorphism", "save_monoid", "load_monoid",
     "format_monoid", "parse_monoid",
 ]
+
+# the most elements ``from_presentation`` enumerates and ``direct_product``
+# builds
+MAX_ELEMENTS = 4096
+# completion gives up past this many rules or passes (``_complete``)
+MAX_RULES = 400
+MAX_PASSES = 60
 
 
 class PresentationError(ValueError):
@@ -321,9 +329,9 @@ def _orient(a, b, order):
     return (a, b) if ka > kb else (b, a)
 
 
-def _complete(rules, order, max_rules=400, max_passes=60):
+def _complete(rules, order):
     rules = list(dict.fromkeys(rules))
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         # reduce both sides of one rule at a time by the other rules as they
         # now stand: the old rule and its replacement follow from each other
         # given the rest, so every step keeps the congruence
@@ -357,7 +365,7 @@ def _complete(rules, order, max_rules=400, max_passes=60):
         if not new:
             return rules
         rules.extend(new)
-        if len(rules) > max_rules:
+        if len(rules) > MAX_RULES:
             break
     raise PresentationError("completion did not converge (rule cap exceeded)")
 
@@ -398,7 +406,7 @@ def _infinitely_many_avoid(sides: set, letters) -> bool:
     return False
 
 
-def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
+def from_presentation(p: Presentation) -> Semigroup:
     """Close a presentation into a finite semigroup table.
 
     The element set is the set of irreducible nonempty generator words under
@@ -407,16 +415,16 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
     right multiplication by the generators first meets them, and that search
     records the right action from which ``cayley_table`` builds the table.
 
-    Raises ``PresentationError`` when the closure does not fit in ``cap``
-    elements, when it is infinite, or (after the fact) when some input
-    relation fails on the produced table.  Infinity is one question, asked
-    twice: whether infinitely many words avoid a set of words
-    (``_infinitely_many_avoid``).  Before completion, which need not finish
-    on an infinite closure, the set is the relation sides and zero words: a
-    word with none of them as a factor admits no rewriting step, so it is
-    alone in its class.  After completion it is the left sides of the
-    completed rules, the zero words among them, and the avoiding words are
-    exactly the elements, so the answer is exact.
+    Raises ``PresentationError`` when the closure does not fit in
+    ``MAX_ELEMENTS`` elements, when it is infinite, or (after the fact) when
+    some input relation fails on the produced table.  Infinity is one
+    question, asked twice: whether infinitely many words avoid a set of
+    words (``_infinitely_many_avoid``).  Before completion, which need not
+    finish on an infinite closure, the set is the relation sides and zero
+    words: a word with none of them as a factor admits no rewriting step,
+    so it is alone in its class.  After completion it is the left sides of
+    the completed rules, the zero words among them, and the avoiding words
+    are exactly the elements, so the answer is exact.
     """
     order = {g: i for i, g in enumerate(p.generators)}
     rules = [_orient(l, r, order) for l, r in p.relations]
@@ -441,7 +449,7 @@ def from_presentation(p: Presentation, cap: int = 4096) -> Semigroup:
     def element(word):
         nf = _reduce(word, rules)
         if nf is not None and nf not in index:
-            if len(words) >= cap:
+            if len(words) >= MAX_ELEMENTS:
                 raise PresentationError("not closed within cap")
             index[nf] = len(words)
             words.append(nf)
@@ -560,7 +568,7 @@ def dual(m: FiniteMonoid) -> FiniteMonoid:
     return FiniteMonoid(table=m.table.T, labels=m.labels, identity=m.identity)
 
 
-def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteMonoid:
+def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
     """The product monoid; the pair (a, b) has index a * n.size + b.
 
     The result records ``(m, n)`` as its ``factors``, which
@@ -569,8 +577,8 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid, cap: int = 4096) -> FiniteM
     an ordinary monoid.
     """
     size = m.size * n.size
-    if size > cap:
-        raise ValueError(f"product size {size} exceeds cap {cap}")
+    if size > MAX_ELEMENTS:
+        raise ValueError(f"product size {size} exceeds cap {MAX_ELEMENTS}")
     k = n.size
     mt, nt = m.table, n.table
     table = (mt[:, None, :, None] * k + nt[None, :, None, :]).reshape(size, size)

@@ -1,6 +1,6 @@
 import pytest
 
-from taumonoid import catalog
+from taumonoid import catalog, claims
 from taumonoid.claims import (Claim, ClaimReport, _inputs, parse_corpus,
                               parse_monoid_expr, run_claim, verify_corpus)
 from taumonoid.cli import corpus_text
@@ -216,6 +216,28 @@ class TestRunClaim:
                                    "x=b,y=a,t=c,s=1->0,bcb"))
         assert res.verdict == "pass"
         assert calls == ["S1"]
+
+    @pytest.mark.parametrize("kind, name", [
+        ("satisfies", "satisfies"), ("violates", "satisfies"),
+        ("isomorphic", "find_isomorphism"), ("j-trivial", "is_j_trivial"),
+        ("aperiodic", "is_aperiodic"),
+        ("idempotents-commute", "idempotents_commute"),
+        ("tau-term", "is_tau_term"), ("not-tau-term", "is_tau_term"),
+        ("isoterm", "is_isoterm"), ("derivable", "derive_bounded"),
+        ("two-island-limited", "is_two_island_limited"),
+    ])
+    def test_questions_look_up_the_library_when_called(self, monkeypatch,
+                                                       kind, name):
+        # a function rebound on the module after import is the one a
+        # question calls, as a tracer that rebinds it needs
+        calls = []
+        library = getattr(claims, name)
+        monkeypatch.setattr(claims, name, lambda *args, **kwargs:
+                            calls.append(args) or library(*args, **kwargs))
+        claim = next(c for c in parse_corpus(corpus_text())
+                     if c.kind == kind and not c.slow)
+        assert run_claim(claim).verdict == "pass"
+        assert calls
 
 
 class TestCorpusFile:

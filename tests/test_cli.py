@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import re
 import shlex
@@ -388,6 +389,19 @@ class TestFuzzedInput:
 
 
 class TestVerifyPaper:
+    @pytest.mark.parametrize("argv, digest", [
+        ([],
+         "79dc0f4506b5eefe931fc2d7b42145b38f861e9b4212754e31f14fdd29809094"),
+        (["--disputed"],
+         "82690da2e407ef2a9d4a8999924ee67ae5594e751441220af47131d1310cf91c"),
+    ], ids=["slow", "slow-disputed"])
+    def test_report_is_pinned(self, capsys, argv, digest):
+        # every column but the milliseconds, as ``cut -f1-5`` leaves them
+        main(["verify-paper", "--slow", *argv])
+        kept = "".join("\t".join(line.split("\t")[:5]) + "\n"
+                       for line in capsys.readouterr().out.splitlines())
+        assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
     def test_filter_runs_matching_claims(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--filter", "isl-")
         assert code == 0

@@ -83,9 +83,9 @@ def dense(m, k):
     return _DENSE[key]
 
 
-def whole_automaton(m, letters, **budget):
+def whole_automaton(m, letters):
     """``rel_free_automaton`` grown until every state has its row."""
-    aut = rel_free_automaton(m, letters, **budget)
+    aut = rel_free_automaton(m, letters)
     aut.grow(float("inf"))
     return aut
 
@@ -256,12 +256,13 @@ class TestAutomaton:
             assert np.array_equal(table[vector(aut, su), vector(aut, sv)],
                                   vector(aut, suv))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         k = mtau("lambda", "bta+b+")
+        monkeypatch.setattr(freeobj, "MAX_CELLS", 100)
         with pytest.raises(BudgetExceededError):
-            rel_free_automaton(k, ["x", "y", "z", "w", "v"], max_cells=100)
+            rel_free_automaton(k, ["x", "y", "z", "w", "v"])
 
-    def test_budget_counts_states_and_generator_columns(self):
+    def test_budget_counts_states_and_generator_columns(self, monkeypatch):
         # 2 generator columns of 19^2 cells and two cells, an index and a
         # value, per nonzero entry of the 18 states; both arrays of a state
         # are views of its index key
@@ -269,12 +270,14 @@ class TestAutomaton:
         entries = sum(int((v != k.zero).sum()) for v in dense(k, 2)[0])
         assert entries < 18 * 361 // 2
         cells = 2 * 361 + 2 * entries
-        aut = whole_automaton(k, ["x", "y"], max_cells=cells)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cells)
+        aut = whole_automaton(k, ["x", "y"])
         assert aut.num_states == 18
         assert all(sup.base is val.base and isinstance(sup.base.base, bytes)
                    for sup, val in aut.states)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cells - 1)
         with pytest.raises(BudgetExceededError) as e:
-            whole_automaton(k, ["x", "y"], max_cells=cells - 1)
+            whole_automaton(k, ["x", "y"])
         assert e.value.needed == cells
 
     def test_cut_automaton_is_a_prefix_of_the_whole(self, monkeypatch):
@@ -624,7 +627,8 @@ class TestTauTerm:
         ("semilattice", "tau1", "a+", 5),
         ("Z2", "tau1", "a+", 5),
     ])
-    def test_fallback_agrees_with_bounded(self, gen, tau, word, bound):
+    def test_fallback_agrees_with_bounded(self, gen, tau, word, bound,
+                                          monkeypatch):
         # an unbounded search refused for its size leaves the fallback to
         # the caller: a bounded search, which grows only the states at most
         # ``bound`` letters deep, fits exactly their cells, and answers as
@@ -636,21 +640,25 @@ class TestTauTerm:
         budget = search_budget(m, u, bound)
         whole = dense_cells(m, len(search_letters(m, u)))
         assert budget <= whole
+        monkeypatch.setattr(freeobj, "MAX_CELLS", min(budget, whole - 1))
         with pytest.raises(BudgetExceededError):
-            is_tau_term(m, u, max_cells=min(budget, whole - 1))
-        fallback = is_tau_term(m, u, bound=bound, max_cells=budget)
+            is_tau_term(m, u)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", budget)
+        fallback = is_tau_term(m, u, bound=bound)
         assert fallback.method == "bounded"
         oracle = tau_term_by_enumeration(m, u, bound)
         assert (fallback.status, fallback.witness) == \
             (oracle.status, oracle.witness)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", budget - 1)
         with pytest.raises(BudgetExceededError):
-            is_tau_term(m, u, bound=bound, max_cells=budget - 1)
+            is_tau_term(m, u, bound=bound)
 
     def test_over_budget_is_refused_on_every_surface(self, monkeypatch, capsys):
         # the library raises, a claim is skipped with the budget, and the
         # command line exits 2 with one line
-        def over_budget(m, letters, max_cells):
-            raise BudgetExceededError(max_cells + 1, max_cells, "int32 cells")
+        def over_budget(m, letters):
+            raise BudgetExceededError(freeobj.MAX_CELLS + 1, freeobj.MAX_CELLS,
+                                      "int32 cells")
 
         monkeypatch.setattr(freeobj, "rel_free_automaton", over_budget)
         f = mtau("lambda", "a+ta+")
@@ -665,18 +673,20 @@ class TestTauTerm:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("refused: ")
 
-    def test_a_cut_automaton_over_the_budget_is_refused(self):
+    def test_a_cut_automaton_over_the_budget_is_refused(self, monkeypatch):
         # the budget holds the automaton cut at depth 3, and not the
         # whole, which depth 4 holds
         f = mtau("lambda", "a+ta+")
         u = tw("a+ta+", "lambda")
         assert search_budget(f, u, 3) < search_budget(f, u, 4)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", search_budget(f, u, 3))
         with pytest.raises(BudgetExceededError):
-            is_tau_term(f, u, max_cells=search_budget(f, u, 3))
-        verdict = is_tau_term(f, u, bound=3, max_cells=search_budget(f, u, 3))
+            is_tau_term(f, u)
+        verdict = is_tau_term(f, u, bound=3)
         assert (verdict.status, verdict.bound) == ("holds-up-to-bound", 3)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", search_budget(f, u, 3) - 1)
         with pytest.raises(BudgetExceededError):
-            is_tau_term(f, u, bound=3, max_cells=search_budget(f, u, 3) - 1)
+            is_tau_term(f, u, bound=3)
 
     def test_zero_member_witness(self):
         verdict = is_tau_term(mtau("lambda", ""), tw("ab", "lambda"), bound=2)
@@ -716,8 +726,9 @@ class TestTauTerm:
             return rel_free_automaton(*args, **kwargs)
 
         monkeypatch.setattr(freeobj, "rel_free_automaton", counting)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", 0)
         u = tw("atba+sb+", "lambda")
-        verdict = is_tau_term(named_monoid("S1"), u, bound=4, max_cells=0)
+        verdict = is_tau_term(named_monoid("S1"), u, bound=4)
         assert verdict == TauTermVerdict("holds-up-to-bound", u, bound=4)
         assert verdict.method == "bounded"
         assert calls == []
@@ -736,14 +747,16 @@ class TestTauTerm:
         assert verdict == TauTermVerdict("holds-up-to-bound", u, bound=5)
         assert builds == []
 
-    def test_exact_refuses_before_the_automaton_outgrows_the_budget(self):
+    def test_exact_refuses_before_the_automaton_outgrows_the_budget(
+            self, monkeypatch):
         # J's own generator word: 4 letters, 34^4 substitutions, and far
         # more than the two states that fit beside the generator columns
         j = mtau("lambda", "atba+sb+")
         u = tw("atba+sb+", "lambda")
+        monkeypatch.setattr(freeobj, "MAX_CELLS", 8 * 34 ** 4)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            is_tau_term(j, u, max_cells=8 * 34 ** 4)
+            is_tau_term(j, u)
         assert time.perf_counter() - start < 1
 
     def test_unknown_mode_and_negative_bound_are_refused(self):

@@ -1,10 +1,12 @@
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from taumonoid import identities
 from taumonoid.catalog import (corpus_monoids, monoid_with_identity, mtau,
                                named_monoid)
 from taumonoid.identities import (_FIRST_ROWS, _GAP_CELLS_PER_ROW,
@@ -100,24 +102,26 @@ class TestSatisfies:
     def test_zero_letter_identity(self):
         assert satisfies(Z2, Identity((), ())).holds
 
-    def test_lex_first_witness_across_chunk_boundaries(self):
+    def test_lex_first_witness_across_chunk_boundaries(self, monkeypatch):
         # a tiny chunk forces many outer iterations; the first reported
         # witness must still be the lexicographically first one
         m = mtau("gamma", "a+t")
+        monkeypatch.setattr(identities, "CHUNK", 7)
         for text in ("xyx=xxy", "xty=ytx", "xtysxy=xtysyx"):
-            tiny = satisfies(m, parse_identity(text), chunk=7)
+            tiny = satisfies(m, parse_identity(text))
             ref = naive_satisfies(m, parse_identity(text))
             assert tiny.holds == ref.holds
             assert tiny.witness == ref.witness
 
-    def test_chunked_scan_keeps_naive_lex_first_witness(self):
+    def test_chunked_scan_keeps_naive_lex_first_witness(self, monkeypatch):
         # the scan runs in one process, in chunks, and still reports the
         # naive lex-first witness
         k = mtau("lambda", "bta+b+")
+        monkeypatch.setattr(identities, "CHUNK", 4096)
         ident = parse_identity("xytxsy=yxtxsy")
-        assert satisfies(k, ident, chunk=4096).holds
+        assert satisfies(k, ident).holds
         bad = parse_identity("xtysxy=xtysyx")
-        res = satisfies(k, bad, chunk=4096)
+        res = satisfies(k, bad)
         assert not res.holds
         # the reported witness must be sound
         lv = k.evaluate(bad.lhs, res.witness)
@@ -162,7 +166,8 @@ class TestBlockElimination:
     @given(st.sampled_from(SMALL_POOL + [mtau("lambda", "a+ta+")]),
            _private_factor_identities(), st.sampled_from([1, 3, 7, 50, 1 << 18]))
     def test_agrees_with_naive(self, m, ident, chunk):
-        fast = satisfies(m, ident, chunk=chunk)
+        with mock.patch.object(identities, "CHUNK", chunk):
+            fast = satisfies(m, ident)
         slow = naive_satisfies(m, ident)
         assert fast.holds == slow.holds
         assert fast.witness == slow.witness
@@ -188,7 +193,8 @@ class TestBlockElimination:
         brute = {m.evaluate(block, dict(zip(bases, values)))
                  for values in product(range(m.size), repeat=len(bases))}
         table = np.asarray(m.table, dtype=np.int32)
-        got = _image(table, block, chunk)
+        with mock.patch.object(identities, "CHUNK", chunk):
+            got = _image(table, block)
         assert got.tolist() == sorted(brute)
 
 
@@ -243,7 +249,8 @@ class TestDirectProducts:
     def test_agrees_with_naive(self, m, ident, chunk):
         if isinstance(ident, str):
             ident = parse_identity(ident)
-        fast = satisfies(m, ident, chunk=chunk)
+        with mock.patch.object(identities, "CHUNK", chunk):
+            fast = satisfies(m, ident)
         slow = naive_satisfies(m, ident)
         assert fast.holds == slow.holds
         assert fast.witness == slow.witness
@@ -341,7 +348,9 @@ class TestZeroPruning:
     @given(st.sampled_from(REES_POOL), _zero_identities(),
            st.sampled_from([7, 4096, 1 << 18]))
     def test_agrees_with_naive(self, m, ident, chunk):
-        _agree(satisfies(m, ident, chunk=chunk), naive_satisfies(m, ident))
+        with mock.patch.object(identities, "CHUNK", chunk):
+            fast = satisfies(m, ident)
+        _agree(fast, naive_satisfies(m, ident))
 
     def test_declared_and_undeclared_zero_alike(self):
         m = mtau("lambda", "a+ta+")

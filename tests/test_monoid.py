@@ -56,7 +56,7 @@ class TestPresentations:
     def test_unclosable_presentation_errors(self):
         free = Presentation(("a",), (("aa", "aa"),), ())
         with pytest.raises(PresentationError, match="cap"):
-            from_presentation(free, cap=50)
+            from_presentation(free)
 
     def test_relation_sides_nonempty(self):
         with pytest.raises(ValueError):
@@ -118,6 +118,17 @@ class TestPresentations:
         # aa = aabb = b gives a^2 = a^6; it used to run into the cap
         p = Presentation(("a", "b"), (("aa", "aabb"), ("aabb", "b")))
         assert from_presentation(p).labels == ("a", "b", "ab", "bb", "abb")
+
+    def test_caps_refuse_a_finite_closure(self, monkeypatch):
+        # the same 5-element closure, past each cap set lower
+        p = Presentation(("a", "b"), (("aa", "aabb"), ("aabb", "b")))
+        monkeypatch.setattr(monoid, "MAX_ELEMENTS", 4)
+        with pytest.raises(PresentationError, match="^not closed within cap$"):
+            from_presentation(p)
+        monkeypatch.undo()
+        monkeypatch.setattr(monoid, "MAX_RULES", 1)
+        with pytest.raises(PresentationError, match="rule cap"):
+            from_presentation(p)
 
 
 def from_presentation_by_products(p: Presentation, cap: int = 4096) -> Semigroup:
@@ -286,10 +297,11 @@ class TestDualAndProduct:
             p = direct_product(m, n)
             assert is_j_trivial(p)[0]
 
-    def test_product_cap(self):
+    def test_product_cap(self, monkeypatch):
         k = mtau("lambda", "bta+b+")
+        monkeypatch.setattr(monoid, "MAX_ELEMENTS", 10)
         with pytest.raises(ValueError):
-            direct_product(k, k, cap=10)
+            direct_product(k, k)
 
     def test_product_records_its_factors(self):
         a, e = named_monoid("dualA1"), monoid_with_identity("E")
