@@ -35,7 +35,9 @@ nonempty piece, the piece must end where that one begins, so the loop
 steps from one occurrence of it to the next, in increasing order.
 
 No cut reorders what remains, so the breadth-first order, and with it
-every trace, is that of matching every binding.
+every trace, is that of matching every binding.  Nor does skipping the
+backward direction of a mirror axiom (``_is_mirror``), whose words the
+forward direction has just recorded.
 """
 
 from __future__ import annotations
@@ -241,10 +243,35 @@ def _instance(pattern: str, binding: dict) -> str:
     return "".join([binding[b] for b in pattern])
 
 
+def _is_mirror(lhs: str, rhs: str) -> bool:
+    """Whether a bijection of the letters takes ``lhs`` to ``rhs`` and
+    ``rhs`` to ``lhs``, as swapping x and y does in ``xyxy=yxyx``.
+
+    Then each instance of ``rhs -> lhs`` under a substitution is the
+    instance of ``lhs -> rhs`` under the substitution composed with the
+    bijection, with the same result (a letter of one side only goes to a
+    letter of the other side only, and both are bound to the empty word),
+    so the two directions list the same words.
+    """
+    pi: dict = {}
+    for x, y in zip(lhs + rhs, rhs + lhs):
+        if pi.setdefault(x, y) != y:
+            return False
+    return len(lhs) == len(rhs) and len(set(pi.values())) == len(pi)
+
+
 def _neighbors(word: str, sides, max_len: int):
-    for idx, (lhs, rhs) in enumerate(sides):
+    """The rewrites of ``word`` by each axiom, forward and then backward.
+
+    The backward direction of a mirror axiom (``_is_mirror``) is skipped:
+    its words are those of the forward direction, which the search has
+    just recorded, so it would add none.
+    """
+    for idx, (lhs, rhs, mirror) in enumerate(sides):
         for new, pos, binding in rewrites(word, lhs, rhs, max_len):
             yield new, (idx, True, pos, binding)
+        if mirror:
+            continue
         for new, pos, binding in rewrites(word, rhs, lhs, max_len):
             yield new, (idx, False, pos, binding)
 
@@ -268,7 +295,10 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
         return None
     code = Encoding([goal.lhs, goal.rhs]
                     + [w for ax in axioms for w in (ax.lhs, ax.rhs)])
-    sides = [(code.encode(ax.lhs), code.encode(ax.rhs)) for ax in axioms]
+    sides = []
+    for ax in axioms:
+        lhs, rhs = code.encode(ax.lhs), code.encode(ax.rhs)
+        sides.append((lhs, rhs, _is_mirror(lhs, rhs)))
     start, end = code.encode(goal.lhs), code.encode(goal.rhs)
     # bidirectional BFS; parents record (previous word, move) per side
     fwd = {start: None}

@@ -1,9 +1,11 @@
-from collections import Counter, deque
+import hashlib
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from taumonoid import construct
 from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE, mtau
@@ -263,10 +265,11 @@ class TestLowerGraph:
                 count += 1
         assert count == 2714
 
-    def test_build_forms_only_the_products_of_the_search(self, monkeypatch):
-        # build_monoid reads its right action off the searches' graphs: it
-        # makes exactly their append_letter calls and fills no lower-set cache
-        calls = []
+    def test_build_forms_each_product_once(self, monkeypatch):
+        # one memo serves the whole build: one append_letter per distinct
+        # (form, letter), each one that a per-word search also forms, and no
+        # lower-set cache filled; the sets of several words share some
+        calls, shared = [], 0
 
         def counting(*args):
             calls.append(args)
@@ -278,12 +281,15 @@ class TestLowerGraph:
             _lower_words.cache_clear()
             calls.clear()
             build_monoid(ws)
-            built = Counter(calls)
+            built = list(calls)
             assert _lower_words.cache_info().currsize == 0, name
+            assert len(built) == len(set(built)), name
             calls.clear()
             for w in ws.words:
                 construct._lower_graph(w, tau)
-            assert built == Counter(calls), name
+            assert set(built) == set(calls), name
+            shared += len(calls) - len(built)
+        assert shared > 0
 
 
 class TestBuildMonoid:
@@ -382,6 +388,36 @@ class TestCayleyBuildAgainstCompose:
                                    max_size=3))
         ws = TauWordSet(tau, words)
         assert build_monoid(ws) == build_monoid_by_compose(ws)
+
+    @pytest.mark.parametrize("tau", CONGRUENCES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_word_sets_sharing_a_factor(self, tau, data):
+        # two or three words around one core: the build's one memo serves
+        # all of them, and their lower sets overlap below the core
+        plain = st.text("abt", max_size=2)
+        core = data.draw(st.text("abt", min_size=1, max_size=3))
+        ends = data.draw(st.lists(st.tuples(plain, plain), min_size=2,
+                                  max_size=3))
+        ws = TauWordSet(tau, [parse_word(p + core + s) for p, s in ends])
+        assume(len(ws.words) >= 2)
+        assert build_monoid(ws) == build_monoid_by_compose(ws)
+
+    def test_pinned_grid(self):
+        # labels and table of M_tau(u) for every form u of a plain word of
+        # length <= 4 over abt, under each congruence (452 monoids); the
+        # hash is the one that building from per-word graphs gave
+        h = hashlib.sha256()
+        count = 0
+        for tau in CONGRUENCES:
+            for u in forms_of_plain_words(tau, 4):
+                m = build_monoid(TauWordSet(tau, [u]))
+                h.update("\n".join(m.labels).encode() + b"\0")
+                h.update(np.asarray(m.table, dtype="<i4").tobytes())
+                count += 1
+        assert count == 452
+        assert h.hexdigest() == ("c5534df0b52829e2ee7f56a2af811a67"
+                                 "0c000dc5b8e4f2c694fe71aaf48ca15d")
 
 
 @lru_cache(maxsize=None)

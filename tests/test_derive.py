@@ -7,7 +7,7 @@ from taumonoid import derive
 from taumonoid.claims import _inputs, parse_corpus
 from taumonoid.cli import corpus_text
 from taumonoid.derive import (DerivationStep, DerivationTrace, Encoding,
-                              check_trace, derive_bounded, rewrites)
+                              _is_mirror, check_trace, derive_bounded, rewrites)
 from taumonoid.identities import parse_identity
 from taumonoid.words import parse_word
 
@@ -19,6 +19,8 @@ ORACLE_AXIOMS = [
     "x=xx", "xy=yx", "xtx=xtxx", "xyxy=yxyx", "xtxs=xtxsx", "xtsx=xtxsx",
     "xxyy=yyxx", "xtx=1", "x=xyx", "x=xy", "xy=1", "xyt=tyx",
 ]
+# those that a bijection of the letters maps side to side, both ways
+MIRROR_AXIOMS = ["xy=yx", "xyxy=yxyx", "xxyy=yyxx", "xyt=tyx"]
 
 
 def ids(*texts):
@@ -82,6 +84,25 @@ class TestRewrites:
         assert (word_rewrites(word, src, dst, max_len)
                 == list(rewrites_by_all_bindings(word, src, dst, max_len)))
 
+    def test_mirror_axioms(self):
+        mirrors = [a for a in ORACLE_AXIOMS if _is_mirror(*a.split("="))]
+        assert mirrors == MIRROR_AXIOMS
+        assert not _is_mirror("xy", "yy") and not _is_mirror("xyz", "yzx")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("xyt", max_size=10), st.integers(0, 14))
+    def test_mirror_axioms_rewrite_alike_both_ways(self, text, max_len):
+        # the search skips the backward direction of these axioms: it would
+        # list no word that the forward direction does not
+        word = parse_word(text)
+        for axiom in MIRROR_AXIOMS:
+            ax = parse_identity(axiom)
+            forward = {new for new, _, _ in
+                       word_rewrites(word, ax.lhs, ax.rhs, max_len)}
+            backward = {new for new, _, _ in
+                        word_rewrites(word, ax.rhs, ax.lhs, max_len)}
+            assert forward == backward, axiom
+
 
 class TestDeriveBounded:
     def test_erasing_two_letters(self):
@@ -137,6 +158,16 @@ class TestDeriveBounded:
         slow = [derive_bounded(axioms, goal, **opts).steps
                 for (goal, axioms), opts in runs]
         assert fast == slow
+
+    def test_skipping_mirror_directions_changes_no_trace(self, monkeypatch):
+        runs = [_inputs(c) for c in parse_corpus(corpus_text())
+                if c.kind == "derivable"]
+        skipped = [derive_bounded(axioms, goal, **opts).steps
+                   for (goal, axioms), opts in runs]
+        monkeypatch.setattr(derive, "_is_mirror", lambda lhs, rhs: False)
+        both = [derive_bounded(axioms, goal, **opts).steps
+                for (goal, axioms), opts in runs]
+        assert skipped == both
 
     @settings(max_examples=250, deadline=None)
     @given(st.text("xyt", max_size=6), st.text("xyt", max_size=6),
