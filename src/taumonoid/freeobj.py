@@ -14,16 +14,24 @@ of longer words are mostly zero in a Rees quotient.
 One breadth-first search over pairs (state, tracker) decides tau-terms and
 isoterms, an isoterm being a tau-term for the trivial congruence; the
 tracker runs on the prefix automaton of the class, ``construct``'s table of
-the canonical forms of the prefixes of class members.  It grows the
-automaton a level at a time as it reads it.  Without a bound it grows every
-row and is exact.  With one it grows only the rows above the bound and
-reports the witness the exact search would find, when that lies within it.
+the canonical forms of the prefixes of class members.  The automaton builds
+a state's row the first time the search expands a node there, and the
+search expands only the nodes that can still matter.  Appending letters
+only multiplies on the right: under every substitution the value of an
+extension ``wz`` lies in the right ideal of the value of ``w``.  So the
+extensions of a word whose tracker is the sink, none of them a member,
+can reach a member's state only if, under every substitution, the
+member's value lies in that right ideal; when no member state passes this
+test they are not searched.  Without a bound the search is exact.  With
+one it expands no node that deep and reports the witness the exact search
+would find, when that lies within it.
 
 One budget, ``MAX_CELLS``, bounds the int32 cells an automaton holds: its
 k generator columns, each |M|^k cells long, and two cells, an index and a
-value, for each stored nonzero entry.  Growth refuses with
-``BudgetExceededError`` before it would pass the budget; no search falls
-back to another.  The budget is the automaton's own, read as it grows,
+value, for each stored nonzero entry.  Building a row refuses with
+``BudgetExceededError`` before it would pass the budget, so a search is
+refused only when the rows it expands pass it; no search falls back to
+another.  The budget is the automaton's own, read as it grows,
 not one caller's: an automaton that several searches share answers to one
 budget.
 """
@@ -49,14 +57,15 @@ class RelFreeAutomaton:
 
     ``states[s]`` is the support and the values there of the evaluation
     vector of any word reaching state ``s``; ``transitions[s][i]`` is the
-    state after appending letter ``i``.  ``grow`` adds rows in state order:
-    states are numbered breadth-first, and rows exist for a prefix of them.
+    state after appending letter ``i``.  ``row`` builds one state's
+    transitions on first use, so states are numbered in the order the rows
+    that reach them are built.
     """
 
     monoid: FiniteMonoid
     letters: tuple
     states: list
-    transitions: list
+    transitions: dict     # state -> its row, for the states that have one
     index: dict           # state key -> state
     gen: np.ndarray       # gen[i][x]: letter i under substitution x
     cells: int            # the budget spent so far
@@ -65,36 +74,40 @@ class RelFreeAutomaton:
     def num_states(self) -> int:
         return len(self.states)
 
-    def grow(self, n) -> None:
-        """Build rows in state order until the first ``n`` states, or all
-        states, have them; refuses before ``cells`` would pass the budget."""
-        m, states, rows, index = self.monoid, self.states, self.transitions, self.index
+    def row(self, s: int) -> list:
+        """The transitions of state ``s``, built on first use; refuses
+        before ``cells`` would pass the budget."""
+        row = self.transitions.get(s)
+        if row is not None:
+            return row
+        m, states, index = self.monoid, self.states, self.index
         zero = -1 if m.zero is None else m.zero
-        flat = m.table.ravel()
-        while len(rows) < n and len(rows) < len(states):
-            support, values = states[len(rows)]
-            offsets = values * m.size
-            row = []
-            for g in self.gen:
-                new = flat[offsets + g[support]]
-                keep = new != zero
-                key = support[keep].tobytes() + new[keep].tobytes()
-                t = index.get(key)
-                if t is None:
-                    self.cells += len(key) // 4
-                    _check_cells(self.cells)
-                    t = index[key] = len(states)
-                    states.append(_views(key))
-                row.append(t)
-            rows.append(row)
+        support, values = states[s]
+        flat, offsets = m.table.ravel(), values * m.size
+        row = []
+        for g in self.gen:
+            new = flat[offsets + g[support]]
+            keep = new != zero
+            key = support[keep].tobytes() + new[keep].tobytes()
+            t = index.get(key)
+            if t is None:
+                self.cells += len(key) // 4
+                _check_cells(self.cells)
+                t = index[key] = len(states)
+                states.append(_views(key))
+            row.append(t)
+        self.transitions[s] = row
+        return row
 
     def state_of_word(self, w: Word) -> int:
         s = 0
         for b, p in w:
             if p:
                 raise ValueError("state_of_word expects a plain word")
-            self.grow(s + 1)
-            s = self.transitions[s][self.letters.index(b)]
+            if b not in self.letters:
+                raise ValueError(f"state_of_word: {b} is not a letter of "
+                                 f"the automaton")
+            s = self.row(s)[self.letters.index(b)]
         return s
 
 
@@ -115,7 +128,7 @@ def rel_free_automaton(m: FiniteMonoid, letters) -> RelFreeAutomaton:
     _check_cells(cells)
     gen = np.indices((m.size,) * k, dtype=np.int32).reshape(k, n)
     init = np.concatenate((support, np.full_like(support, m.identity))).tobytes()
-    return RelFreeAutomaton(m, letters, [_views(init)], [], {init: 0}, gen,
+    return RelFreeAutomaton(m, letters, [_views(init)], {}, {init: 0}, gen,
                             cells)
 
 
@@ -204,12 +217,16 @@ def is_tau_term(m: FiniteMonoid, u: TauWord,
     ``u`` fails when some state is reached both by a member and by a word
     outside the class.
 
-    Without a ``bound`` the search covers every reachable node and answers
-    "holds" or "fails".  With one it expands no node ``bound`` letters deep,
-    so it grows rows only for the states fewer letters deep, and reports
+    Without a ``bound`` the search covers every reachable node that can
+    still matter and answers "holds" or "fails".  It does not expand a node
+    whose tracker is the sink when no member state lies, under every
+    substitution, in the right ideal of the node's value: every extension
+    of the node's word has its value in that ideal, so none reaches a
+    member.  With a ``bound`` it expands no node ``bound`` letters deep, so
+    it builds rows only for states fewer letters deep, and reports
     "holds-up-to-bound" at best; below ``len(u)`` it builds nothing.  Either
-    search raises ``BudgetExceededError`` once its automaton would pass
-    ``MAX_CELLS``, and neither falls back to the other.
+    search raises ``BudgetExceededError`` once the rows it builds would
+    pass ``MAX_CELLS``, and neither falls back to the other.
 
     The search reaches each node first by its shortlex-least word, so the
     witness is the shortlex-first word outside the class whose state has a
@@ -248,22 +265,42 @@ def is_tau_term(m: FiniteMonoid, u: TauWord,
 def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
     """The search of ``is_tau_term``: its shortlex-first member and its
     witness pair, each None when absent.  Nodes ``bound`` letters deep are
-    not expanded; each level first grows ``aut`` to the rows it reads."""
+    not expanded, and each expanded node builds its state's row of ``aut``.
+
+    A first pass over the nodes whose tracker is not the sink collects the
+    member states; every member node is among them, with the word that
+    reaches it first, as the sink is absorbing.  The second pass is the
+    whole search, but it does not expand a dead node: one whose tracker is
+    the sink and whose state reaches no member state by ``_divides``.
+    Appending a word z only multiplies on the right, so a node reached by
+    w can reach the state g of a member only if g's value lies in the
+    right ideal of w's value under every substitution.  A dead state is no
+    member's (take z = 1), and every node reached through a dead node is
+    dead too, so the live nodes, the first word of each, and the witness
+    are those of the unpruned search.
+    """
     table, target = _tracker_table(u, letters)
-    parents = {(0, 0): None}
+    sink = len(table) - 1
+    # state -> whether a sink node there is expanded; a member state is
+    prefixes = _bfs(aut, table, bound, lambda node: node[1] != sink)
+    live = {s: True for s, t in prefixes if t == target}
+    goals = [aut.states[s] for s in live]
+    n = aut.monoid.size
+    reach = np.zeros((n, n), dtype=bool)     # reach[a, b]: b lies in aM
+    reach[np.arange(n)[:, None], aut.monoid.table] = True
+
+    def expand(node) -> bool:
+        state, t = node
+        if t != sink:
+            return True
+        if state not in live:
+            live[state] = any(_divides(reach, aut.states[state], g)
+                              for g in goals)
+        return live[state]
+
+    parents = _bfs(aut, table, bound, expand)
     member: dict = {}     # state -> first node whose tracker is u
     offender: dict = {}   # state -> first node whose tracker is not u
-    level, depth = [(0, 0)], 0
-    while level and depth != bound:
-        nodes, level = level, []
-        aut.grow(max(nodes)[0] + 1)
-        for node in nodes:
-            state, t = node
-            for i, nxt in enumerate(zip(aut.transitions[state], table[t])):
-                if nxt not in parents:
-                    parents[nxt] = (node, i)
-                    level.append(nxt)
-        depth += 1
     for node in parents:      # in breadth-first order
         (member if node[1] == target else offender).setdefault(node[0], node)
 
@@ -277,3 +314,37 @@ def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
     witness = next(((word(member[state]), word(node))
                     for state, node in offender.items() if state in member), None)
     return next(map(word, member.values()), None), witness
+
+
+def _bfs(aut: RelFreeAutomaton, table, bound, expand) -> dict:
+    """The nodes (state, tracker) reached from (0, 0) through the nodes that
+    ``expand`` accepts, in breadth-first order, each keyed to its parent
+    node and letter, or to None for the root; nodes ``bound`` letters deep
+    are not expanded."""
+    parents = {(0, 0): None}
+    level, depth = [(0, 0)], 0
+    while level and depth != bound:
+        nodes, level = level, []
+        for node in nodes:
+            if expand(node):
+                for i, nxt in enumerate(zip(aut.row(node[0]), table[node[1]])):
+                    if nxt not in parents:
+                        parents[nxt] = (node, i)
+                        level.append(nxt)
+        depth += 1
+    return parents
+
+
+def _divides(reach: np.ndarray, state: tuple, goal: tuple) -> bool:
+    """Whether every substitution sends the vector ``goal`` into the right
+    ideal of the vector ``state``: ``goal`` is the zero off the support of
+    ``state`` (the zero's right ideal is the zero alone), and ``reach[a, b]``,
+    whether b lies in aM, holds at each entry of ``goal``'s support."""
+    support, values = state
+    gsupport, gvalues = goal
+    if len(gsupport) > len(support):
+        return False
+    at = np.searchsorted(support, gsupport)
+    at[at == len(support)] = 0
+    return bool((support[at] == gsupport).all()
+                and reach[values[at], gvalues].all())

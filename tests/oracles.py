@@ -1,22 +1,23 @@
-"""Brute-force oracles for the rewriting, class, factor-order, identity,
-associativity and derivation questions.
+"""Brute-force oracles for the rewriting, class, factor-order, tau-term,
+identity, associativity and derivation questions.
 
 Each lists or searches what the library computes without listing: the
 rewriting steps of a word one rule at a time, the members of a class, the
-windows of those members, the factorizations ``u = p * v * s``, every
-window of an identity's side, every substitution of an identity, every
-triple of a table (for associativity and for the gap table), and every
-binding of an axiom side to a block of a word.  They are slow and serve
-only to cross-check ``rewrite``, ``construct``, ``freeobj``,
-``identities``, ``monoid`` and ``derive`` on small inputs.  The
-simple/multiple partition of a word and its projection onto some letters,
-which only the tests read, are here too.
+windows of those members, the factorizations ``u = p * v * s``, every node
+of the tau-term search, every window of an identity's side, every
+substitution of an identity, every triple of a table (for associativity
+and for the gap table), and every binding of an axiom side to a block of
+a word.  They are slow and serve only to cross-check ``rewrite``,
+``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
+small inputs.  The simple/multiple partition of a word and its projection
+onto some letters, which only the tests read, are here too.
 """
 
 from itertools import product
 
 import numpy as np
 
+from taumonoid.construct import _tracker_table
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
 from taumonoid.rewrite import CONGRUENCES, TauWord, canonical
@@ -96,6 +97,70 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
             if canonical(pv + s, u.tau) == u.word:
                 return True
     return False
+
+
+def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters, bound):
+    """The first member and the witness pair of ``freeobj._search`` as it
+    stood before it pruned: one breadth-first search over every node
+    (state, tracker), on an evaluation automaton that grows its rows in
+    state order, a level at a time, as far as the level reads.
+
+    The automaton is built here, over the same sparse vectors (the support
+    and the values there) but without the budget; the tracker is
+    ``construct._tracker_table``.  Nodes ``bound`` letters deep are not
+    expanded.
+    """
+    k, n = len(letters), m.size ** len(letters)
+    zero = -1 if m.zero is None else m.zero
+    gen = np.indices((m.size,) * k, dtype=np.int32).reshape(k, n)
+    support = np.arange(n if m.identity != zero else 0, dtype=np.int32)
+    states = [(support, np.full_like(support, m.identity))]
+    index = {support.tobytes() + states[0][1].tobytes(): 0}
+    rows: list = []
+    flat = m.table.ravel()
+
+    def grow(upto):
+        while len(rows) < upto and len(rows) < len(states):
+            support, values = states[len(rows)]
+            row = []
+            for g in gen:
+                new = flat[values * m.size + g[support]]
+                keep = new != zero
+                key = support[keep].tobytes() + new[keep].tobytes()
+                if key not in index:
+                    index[key] = len(states)
+                    states.append((support[keep], new[keep]))
+                row.append(index[key])
+            rows.append(row)
+
+    table, target = _tracker_table(u, letters)
+    parents = {(0, 0): None}
+    member: dict = {}
+    offender: dict = {}
+    level, depth = [(0, 0)], 0
+    while level and depth != bound:
+        nodes, level = level, []
+        grow(max(nodes)[0] + 1)
+        for node in nodes:
+            state, t = node
+            for i, nxt in enumerate(zip(rows[state], table[t])):
+                if nxt not in parents:
+                    parents[nxt] = (node, i)
+                    level.append(nxt)
+        depth += 1
+    for node in parents:
+        (member if node[1] == target else offender).setdefault(node[0], node)
+
+    def word(node) -> Word:
+        out = []
+        while parents[node] is not None:
+            node, i = parents[node]
+            out.append((letters[i], False))
+        return tuple(reversed(out))
+
+    witness = next(((word(member[state]), word(node))
+                    for state, node in offender.items() if state in member), None)
+    return next(map(word, member.values()), None), witness
 
 
 def naive_satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:

@@ -22,7 +22,7 @@ from taumonoid.rewrite import CONGRUENCES, TauWord, append_letter, canonical
 from taumonoid.words import content, parse_word, print_word
 
 from oracles import (capped_members, class_members, projection,
-                     simple_and_multiple)
+                     simple_and_multiple, tau_term_search_unpruned)
 
 SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
 Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
@@ -84,10 +84,33 @@ def dense(m, k):
 
 
 def whole_automaton(m, letters):
-    """``rel_free_automaton`` grown until every state has its row."""
+    """``rel_free_automaton`` with a row for every state, built in state
+    order, so that the states are numbered breadth-first."""
     aut = rel_free_automaton(m, letters)
-    aut.grow(float("inf"))
+    s = 0
+    while s < aut.num_states:
+        aut.row(s)
+        s += 1
     return aut
+
+
+def rows_of(aut):
+    """The rows of a whole automaton, as a list in state order."""
+    return [aut.transitions[s] for s in range(aut.num_states)]
+
+
+def spent(m, u, bound=None):
+    """The automaton that the search of ``is_tau_term`` on ``u`` builds,
+    searching to depth ``bound`` or exactly, under the default budget."""
+    letters = search_letters(m, u)
+    aut = rel_free_automaton(m, letters)
+    freeobj._search(u, letters, aut, bound)
+    return aut
+
+
+def same_states(aut, whole):
+    """Each state of ``aut`` as the state of ``whole`` with its vector."""
+    return {s: whole.index[key] for key, s in aut.index.items()}
 
 
 def run(transitions, combo):
@@ -245,6 +268,11 @@ class TestAutomaton:
             same_state = aut.state_of_word(w(u)) == aut.state_of_word(w(v))
             assert same_state == satisfies(k, Identity(w(u), w(v))).holds
 
+    def test_a_letter_outside_the_alphabet_is_refused(self):
+        aut = rel_free_automaton(mtau("lambda", "bta+b+"), ["x", "y"])
+        with pytest.raises(ValueError, match="z is not a letter of the automaton"):
+            aut.state_of_word(w("xz"))
+
     def test_homomorphism_on_vectors(self):
         k = mtau("lambda", "ata+")
         aut = rel_free_automaton(k, ["x", "y"])
@@ -280,50 +308,51 @@ class TestAutomaton:
             whole_automaton(k, ["x", "y"])
         assert e.value.needed == cells
 
-    def test_cut_automaton_is_a_prefix_of_the_whole(self, monkeypatch):
-        # a search bounded at depth d grows the states at most d letters
-        # deep, numbered as in the whole automaton, and rows for exactly
-        # those fewer than d deep
+    def test_cut_automaton_is_a_prefix_of_the_whole(self):
+        # a search bounded at depth d holds states at most d letters deep
+        # and rows only for states fewer than d deep, each the whole
+        # automaton's up to numbering.  It builds 3, 4 and 4 rows at depths
+        # 3, 4 and 5, of the 13, 37 and 88 that the unpruned search built,
+        # and spends at most the cells of the dense cut
         k = mtau("lambda", "bta+b+")
+        u = tw("bta", "lambda")
         whole = whole_automaton(k, "abt")
         built = []
-
-        def keep(*args, **kwargs):
-            built.append(rel_free_automaton(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(freeobj, "rel_free_automaton", keep)
         for d in (3, 4, 5):
-            assert is_tau_term(k, tw("bta", "lambda"), bound=d).bound == d
-            cut = built.pop()
+            cut = spent(k, u, d)
+            same = same_states(cut, whole)
             deep = {run(whole.transitions, c)
                     for n in range(d + 1) for c in product(range(3), repeat=n)}
             rows = {run(whole.transitions, c)
                     for n in range(d) for c in product(range(3), repeat=n)}
-            assert cut.num_states == len(deep) == max(deep) + 1
-            assert cut.transitions == whole.transitions[:len(rows)]
-            assert len(rows) == max(rows) + 1 < cut.num_states < whole.num_states
+            assert set(same.values()) <= deep
+            assert {same[s] for s in cut.transitions} <= rows
+            for s, row in cut.transitions.items():
+                assert [same[t] for t in row] == whole.transitions[same[s]]
+            assert cut.cells == cells_of(cut) <= search_budget(k, u, d)
+            built.append((len(cut.transitions), len(rows)))
+        assert built == [(3, 13), (4, 37), (4, 88)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(GROWN), st.integers(0, 3),
            st.lists(st.integers(0, 250), max_size=6))
     def test_any_growth_is_a_prefix_of_the_whole(self, name, k, steps):
-        # a fresh automaton has its initial state and no row; after every
-        # grow(n) the rows are those of the first n states of the whole
-        # build, or all of them; each state and the cells spent match that
-        # build, and growing on to the end gives it exactly
+        # a fresh automaton has its initial state and no row; after rows
+        # are built in any order, each state and row is the whole build's
+        # up to numbering, the cells spent are those of the states held,
+        # and building every row gives the whole build's states and cells
         whole = grown_whole(name, k)
         aut = rel_free_automaton(monoid_named(name), "abcd"[:k])
-        assert (aut.num_states, aut.transitions) == (1, [])
-        done = 0
-        for n in steps + [float("inf")]:
-            aut.grow(n)
-            done = max(done, min(n, whole.num_states))
-            assert aut.transitions == whole.transitions[:done]
-            assert done <= aut.num_states <= whole.num_states
-            for (sup, val), (wsup, wval) in zip(aut.states, whole.states):
-                assert np.array_equal(sup, wsup) and np.array_equal(val, wval)
+        assert (aut.num_states, aut.transitions) == (1, {})
+        for n in steps:
+            aut.row(n % aut.num_states)
+            same = same_states(aut, whole)
+            assert sorted(same) == list(range(aut.num_states))
+            for s, row in aut.transitions.items():
+                assert [same[t] for t in row] == whole.transitions[same[s]]
             assert aut.cells == cells_of(aut)
+        for s in range(whole.num_states):
+            aut.row(s)
         assert aut.num_states == whole.num_states
         assert aut.cells == whole.cells
 
@@ -630,26 +659,29 @@ class TestTauTerm:
     def test_fallback_agrees_with_bounded(self, gen, tau, word, bound,
                                           monkeypatch):
         # an unbounded search refused for its size leaves the fallback to
-        # the caller: a bounded search, which grows only the states at most
-        # ``bound`` letters deep, fits exactly their cells, and answers as
-        # the enumeration oracle does.  The exact search is refused below
-        # the whole automaton, and so at the bounded search's budget when
-        # the cut is the smaller (a+btb+; in the others the two are equal)
+        # the caller: a bounded search, which builds rows only for the live
+        # states fewer than ``bound`` letters deep, fits exactly the cells
+        # it spends, at most those of the dense cut, and answers as the
+        # enumeration oracle does.  The exact search answers at the cells
+        # it spends, at most the whole automaton's, and is refused below
+        # them, and so at the bounded search's cells when those are fewer
         m = monoid_named(gen)
         u = tw(word, tau)
-        budget = search_budget(m, u, bound)
-        whole = dense_cells(m, len(search_letters(m, u)))
-        assert budget <= whole
-        monkeypatch.setattr(freeobj, "MAX_CELLS", min(budget, whole - 1))
+        cut, exact = spent(m, u, bound).cells, spent(m, u).cells
+        assert cut <= search_budget(m, u, bound)
+        assert exact <= dense_cells(m, len(search_letters(m, u)))
+        monkeypatch.setattr(freeobj, "MAX_CELLS", exact)
+        assert is_tau_term(m, u).method == "exact"
+        monkeypatch.setattr(freeobj, "MAX_CELLS", min(cut, exact - 1))
         with pytest.raises(BudgetExceededError):
             is_tau_term(m, u)
-        monkeypatch.setattr(freeobj, "MAX_CELLS", budget)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cut)
         fallback = is_tau_term(m, u, bound=bound)
         assert fallback.method == "bounded"
         oracle = tau_term_by_enumeration(m, u, bound)
         assert (fallback.status, fallback.witness) == \
             (oracle.status, oracle.witness)
-        monkeypatch.setattr(freeobj, "MAX_CELLS", budget - 1)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cut - 1)
         with pytest.raises(BudgetExceededError):
             is_tau_term(m, u, bound=bound)
 
@@ -674,17 +706,18 @@ class TestTauTerm:
         assert len(err.splitlines()) == 1 and err.startswith("refused: ")
 
     def test_a_cut_automaton_over_the_budget_is_refused(self, monkeypatch):
-        # the budget holds the automaton cut at depth 3, and not the
-        # whole, which depth 4 holds
+        # the budget holds what the search cut at depth 3 spends, at most
+        # the dense cut's cells, and not what the exact search spends
         f = mtau("lambda", "a+ta+")
         u = tw("a+ta+", "lambda")
-        assert search_budget(f, u, 3) < search_budget(f, u, 4)
-        monkeypatch.setattr(freeobj, "MAX_CELLS", search_budget(f, u, 3))
+        cut = spent(f, u, 3).cells
+        assert cut <= search_budget(f, u, 3) and cut < spent(f, u).cells
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cut)
         with pytest.raises(BudgetExceededError):
             is_tau_term(f, u)
         verdict = is_tau_term(f, u, bound=3)
         assert (verdict.status, verdict.bound) == ("holds-up-to-bound", 3)
-        monkeypatch.setattr(freeobj, "MAX_CELLS", search_budget(f, u, 3) - 1)
+        monkeypatch.setattr(freeobj, "MAX_CELLS", cut - 1)
         with pytest.raises(BudgetExceededError):
             is_tau_term(f, u, bound=3)
 
@@ -824,6 +857,60 @@ class TestAgainstEnumeration:
                 assert oracle.status == "holds-up-to-bound", (m.labels, u)
 
 
+def unpruned_agrees(m, u, bound, built):
+    """``_search`` and the unpruned search give the same first member and
+    witness; ``built`` holds one automaton per monoid and alphabet, which
+    every search shares, as the rows it already has do not matter."""
+    letters = search_letters(m, u)
+    key = (id(m), letters)
+    if key not in built:
+        built[key] = rel_free_automaton(m, letters)
+    assert freeobj._search(u, letters, built[key], bound) == \
+        tau_term_search_unpruned(m, u, letters, bound), (m.labels, u, bound)
+
+
+# the paper's tau-term words on K, F and N, and J's generator word under
+# gamma on N
+PAPER_WORDS = [("lambda:bta+b+", "lambda", "bta+b+"),
+               ("lambda:bta+b+", "lambda", "a+b+"),
+               ("lambda:bta+b+", "lambda", "ata+"),
+               ("lambda:a+ta+", "lambda", "a+ta+"),
+               ("lambda:a+ta+", "lambda", "a+btb+"),
+               ("lambda:a+btb+", "lambda", "a+btb+"),
+               ("lambda:a+btb+", "gamma", "atba+sb+")]
+
+
+class TestAgainstUnprunedSearch:
+    """The search skips the sink nodes whose states reach no member state,
+    and finds the first member and the witness of the search that expands
+    every node."""
+
+    def test_grid_exact_and_bounded(self, grid):
+        built = {}
+        for m, u in grid:
+            letters = len(content(u.word)) + (m.zero is None)
+            for bound in (None, 5 if letters <= 2 else 4):
+                unpruned_agrees(m, u, bound, built)
+
+    @pytest.mark.parametrize("gen,tau,word", PAPER_WORDS)
+    def test_paper_words_on_k_f_and_n(self, gen, tau, word):
+        unpruned_agrees(monoid_named(gen), tw(word, tau), None, {})
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("tau,gen", [("lambda", "atba+sb+"),
+                                         ("rho", "a+tb+asb")])
+    def test_j_and_jbar_generators(self, tau, gen):
+        # the unpruned search takes about a second on each
+        unpruned_agrees(mtau(tau, gen), tw(gen, tau), None, {})
+
+    def test_k_generator_builds_a_few_rows(self):
+        # the unpruned search built all 221 rows of K's automaton over abt
+        k = mtau("lambda", "bta+b+")
+        aut = spent(k, tw("bta+b+", "lambda"))
+        whole = whole_automaton(k, "abt")
+        assert len(aut.transitions) <= 10 < 221 == whole.num_states
+
+
 class TestTheTablesZero:
     """``is_tau_term`` reads the zero of the table, however the monoid was
     built, and adjoins a fresh letter only when the table has none."""
@@ -890,7 +977,7 @@ def check_against_dense(m, letters):
     with the same transitions."""
     aut = whole_automaton(m, letters)
     vectors, transitions = dense_automaton(m, len(letters))
-    assert aut.transitions == transitions, m.labels
+    assert rows_of(aut) == transitions, m.labels
     assert aut.num_states == len(vectors)
     for s, v in enumerate(vectors):
         assert np.array_equal(vector(aut, s), v), (m.labels, s)
@@ -928,7 +1015,6 @@ class TestNewlyExact:
         assert verdict.witness == (w("atbasb"), w("atabasb"))
         assert satisfies(n, Identity(*verdict.witness)).holds
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("tau,gen", [("lambda", "atba+sb+"),
                                          ("rho", "a+tb+asb")])
     def test_j_and_jbar_generators_are_terms(self, tau, gen):
