@@ -218,18 +218,12 @@ def _same_labels(actual, expected, *inputs) -> bool:
         lab.strip() for lab in expected.split(","))
 
 
-def _tau_term(tau, m, w, budget, **opts) -> str:
-    verdict = is_tau_term(m, TauWord.make(w, tau), **opts)
+def _tau_term(tau, m, w, budget) -> str:
+    verdict = is_tau_term(m, TauWord.make(w, tau))
     if verdict.fails:
         member, off = verdict.witness
         return f"fails@{print_word(member)}~{print_word(off)}"
     return verdict.status
-
-
-def _up_to_bound(actual, expected, *inputs) -> bool:
-    if expected == "holds-up-to-bound":
-        return actual in ("holds", "holds-up-to-bound")
-    return actual == expected
 
 
 def _derivation(goal, axioms, budget, **opts) -> str:
@@ -263,8 +257,8 @@ _KINDS = {
     "aperiodic": _Kind((_M,), {}, lambda m, _: _yesno(is_aperiodic(m))),
     "idempotents-commute": _Kind((_M,), {}, lambda m, _: _yesno(
         idempotents_commute(m)[0])),
-    "tau-term": _Kind((str, _M, _W), {"bound": int}, _tau_term, _up_to_bound),
-    "not-tau-term": _Kind((str, _M, _W), {"bound": int}, _tau_term,
+    "tau-term": _Kind((str, _M, _W), {}, _tau_term),
+    "not-tau-term": _Kind((str, _M, _W), {}, _tau_term,
                           lambda actual, *_: actual.startswith("fails")),
     "isoterm": _Kind((_M, _W), {}, lambda m, w, _: _yesno(
         is_isoterm(m, w).is_isoterm)),

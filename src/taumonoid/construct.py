@@ -17,8 +17,8 @@ Every product by one letter, in the prefix automaton and in the search, is
 one ``rewrite.append_letter``, which does not rewrite the element, and is
 kept in a ``_Products`` memo: the forms are numbered on first sight, and
 ``next[i][b]`` is the id of form ``i`` times the letter ``b``.  The search
-runs over pairs of integers (state, form id).  ``_lower_graph`` and
-``_lower_words`` are views of one search with a memo of its own.
+runs over pairs of integers (state, form id).  ``_lower_words`` is a view
+of one search with a memo of its own.
 
 ``build_monoid`` materializes the Rees quotient: the elements are the lower
 set of a finite word set plus a fresh absorbing zero, and a product falls to
@@ -178,18 +178,6 @@ def _lower_ids(u: tuple, memo: _Products) -> set:
                 stack.append(node)
                 low.add(g)
     return low
-
-
-def _lower_graph(u: tuple, tau: str) -> dict:
-    """The right Cayley graph of the lower set of ``u``: ``graph[f][b]`` is
-    the form of ``f`` times the letter ``b`` for every form ``f`` below
-    ``u`` and every base ``b`` whose product with ``f`` stays below ``u``;
-    the keys are the lower set (``_lower_ids``)."""
-    memo = _Products(tau)
-    low = _lower_ids(u, memo)
-    form = memo.form
-    return {form[f]: {b: form[g] for b, g in memo.next[f].items() if g in low}
-            for f in low}
 
 
 @lru_cache(maxsize=1024)

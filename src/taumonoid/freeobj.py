@@ -22,9 +22,7 @@ extension ``wz`` lies in the right ideal of the value of ``w``.  So the
 extensions of a word whose tracker is the sink, none of them a member,
 can reach a member's state only if, under every substitution, the
 member's value lies in that right ideal; when no member state passes this
-test they are not searched.  Without a bound the search is exact.  With
-one it expands no node that deep and reports the witness the exact search
-would find, when that lies within it.
+test they are not searched.  Every verdict is exact.
 
 One budget, ``MAX_CELLS``, bounds the int32 cells an automaton holds: its
 k generator columns, each |M|^k cells long, and two cells, an index and a
@@ -170,16 +168,15 @@ def is_isoterm(m: FiniteMonoid, w: Word) -> IsotermReport:
         raise ValueError(f"an isoterm is a plain word, got {print_word(w)}")
     letters = tuple(sorted(content(w))) or ("z",)
     aut = rel_free_automaton(m, letters)
-    _, witness = _search(TauWord(w, "trivial"), letters, aut, None)
+    _, witness = _search(TauWord(w, "trivial"), letters, aut)
     return IsotermReport(w, witness is None, witness and witness[1])
 
 
 @dataclass(frozen=True)
 class TauTermVerdict:
-    status: str                      # "holds" | "fails" | "holds-up-to-bound"
+    status: str                      # "holds" | "fails"
     tau_word: TauWord
     witness: tuple | None = None     # (member word, equal-valued off-class word)
-    bound: int | None = None
 
     @property
     def holds(self) -> bool:
@@ -189,9 +186,10 @@ class TauTermVerdict:
     def fails(self) -> bool:
         return self.status == "fails"
 
+    # every verdict is exact; the benchmark's tracer still reads this
     @property
     def method(self) -> str:
-        return "exact" if self.bound is None else "bounded"
+        return "exact"
 
 
 def _fresh_base(bases) -> str:
@@ -204,8 +202,7 @@ def _fresh_base(bases) -> str:
     return f"z{i}"
 
 
-def is_tau_term(m: FiniteMonoid, u: TauWord,
-                bound: int | None = None) -> TauTermVerdict:
+def is_tau_term(m: FiniteMonoid, u: TauWord) -> TauTermVerdict:
     """Decide whether ``u`` is a tau-term for the variety of ``m``.
 
     ``u`` fails to be a tau-term exactly when the monoid satisfies an
@@ -217,55 +214,45 @@ def is_tau_term(m: FiniteMonoid, u: TauWord,
     ``u`` fails when some state is reached both by a member and by a word
     outside the class.
 
-    Without a ``bound`` the search covers every reachable node that can
-    still matter and answers "holds" or "fails".  It does not expand a node
-    whose tracker is the sink when no member state lies, under every
-    substitution, in the right ideal of the node's value: every extension
-    of the node's word has its value in that ideal, so none reaches a
-    member.  With a ``bound`` it expands no node ``bound`` letters deep, so
-    it builds rows only for states fewer letters deep, and reports
-    "holds-up-to-bound" at best; below ``len(u)`` it builds nothing.  Either
-    search raises ``BudgetExceededError`` once the rows it builds would
-    pass ``MAX_CELLS``, and neither falls back to the other.
+    The search covers every reachable node that can still matter and
+    answers "holds" or "fails".  It does not expand a node whose tracker is
+    the sink when no member state lies, under every substitution, in the
+    right ideal of the node's value: every extension of the node's word has
+    its value in that ideal, so none reaches a member.  It raises
+    ``BudgetExceededError`` once the rows it builds would pass
+    ``MAX_CELLS``.
 
     The search reaches each node first by its shortlex-least word, so the
     witness is the shortlex-first word outside the class whose state has a
     member, paired with the shortlex-first member of that state: the same
-    pair as enumerating every word in shortlex order, with or without a
-    bound, and for any tracker that tells members apart.
+    pair as enumerating every word in shortlex order, for any tracker that
+    tells members apart.
 
     When the monoid has a zero, a witness cannot involve letters outside
     the content of ``u`` unless some member evaluates to zero under every
     substitution; that case is detected directly, and a fresh letter is
     adjoined only when the table has no zero (``m.zero`` is None).
     """
-    if bound is not None and bound < 0:
-        raise ValueError(f"bound must be at least 0, got {bound}")
     letters = tuple(sorted(content(u.word)))
     if m.zero is None:
         letters += (_fresh_base(set(letters)),)
-    first = witness = None
-    # the rules only mark or merge, so no member is shorter than u, and
-    # a bound below len(u) reaches none: nothing is built or searched
-    if bound is None or bound >= len(u.word):
-        aut = rel_free_automaton(m, letters)
-        first, witness = _search(u, letters, aut, bound)
+    aut = rel_free_automaton(m, letters)
+    first, witness = _search(u, letters, aut)
     # a word is zero everywhere only when 1 = 0, as the all-identity
     # substitution sends it to 1; then every word reaches the initial state
     if m.zero == m.identity and first is not None:
         z = _fresh_base(content(first))
-        return TauTermVerdict("fails", u, (first, ((z, False),) + first), bound)
+        return TauTermVerdict("fails", u, (first, ((z, False),) + first))
     if witness is not None:
         assert canonical(witness[1], u.tau) != u.word
-        return TauTermVerdict("fails", u, witness, bound)
-    return TauTermVerdict("holds" if bound is None else "holds-up-to-bound", u,
-                          bound=bound)
+        return TauTermVerdict("fails", u, witness)
+    return TauTermVerdict("holds", u)
 
 
-def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
+def _search(u: TauWord, letters, aut: RelFreeAutomaton) -> tuple:
     """The search of ``is_tau_term``: its shortlex-first member and its
-    witness pair, each None when absent.  Nodes ``bound`` letters deep are
-    not expanded, and each expanded node builds its state's row of ``aut``.
+    witness pair, each None when absent.  Each expanded node builds its
+    state's row of ``aut``.
 
     A first pass over the nodes whose tracker is not the sink collects the
     member states; every member node is among them, with the word that
@@ -281,8 +268,8 @@ def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
     """
     table, target = _tracker_table(u, letters)
     sink = len(table) - 1
-    # state -> whether a sink node there is expanded; a member state is
-    prefixes = _bfs(aut, table, bound, lambda node: node[1] != sink)
+    prefixes = _bfs(aut, table, lambda node: node[1] != sink)
+    # state -> whether a sink node there is expanded; member states are live
     live = {s: True for s, t in prefixes if t == target}
     goals = [aut.states[s] for s in live]
     n = aut.monoid.size
@@ -298,7 +285,7 @@ def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
                               for g in goals)
         return live[state]
 
-    parents = _bfs(aut, table, bound, expand)
+    parents = _bfs(aut, table, expand)
     member: dict = {}     # state -> first node whose tracker is u
     offender: dict = {}   # state -> first node whose tracker is not u
     for node in parents:      # in breadth-first order
@@ -316,14 +303,13 @@ def _search(u: TauWord, letters, aut: RelFreeAutomaton, bound) -> tuple:
     return next(map(word, member.values()), None), witness
 
 
-def _bfs(aut: RelFreeAutomaton, table, bound, expand) -> dict:
+def _bfs(aut: RelFreeAutomaton, table, expand) -> dict:
     """The nodes (state, tracker) reached from (0, 0) through the nodes that
     ``expand`` accepts, in breadth-first order, each keyed to its parent
-    node and letter, or to None for the root; nodes ``bound`` letters deep
-    are not expanded."""
+    node and letter, or to None for the root."""
     parents = {(0, 0): None}
-    level, depth = [(0, 0)], 0
-    while level and depth != bound:
+    level = [(0, 0)]
+    while level:
         nodes, level = level, []
         for node in nodes:
             if expand(node):
@@ -331,7 +317,6 @@ def _bfs(aut: RelFreeAutomaton, table, bound, expand) -> dict:
                     if nxt not in parents:
                         parents[nxt] = (node, i)
                         level.append(nxt)
-        depth += 1
     return parents
 
 

@@ -151,11 +151,6 @@ class SatisfactionResult:
     rhs_value: int | None = None
     checked: int = 0
 
-    def witness_labels(self, m: FiniteMonoid) -> dict | None:
-        if self.witness is None:
-            return None
-        return {b: m.labels[e] for b, e in self.witness.items()}
-
 
 def _word_letter_indices(word: Word, letters: list) -> list:
     pos = {b: i for i, b in enumerate(letters)}

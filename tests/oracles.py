@@ -9,15 +9,16 @@ substitution of an identity, every triple of a table (for associativity
 and for the gap table), and every binding of an axiom side to a block of
 a word.  They are slow and serve only to cross-check ``rewrite``,
 ``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
-small inputs.  The simple/multiple partition of a word and its projection
-onto some letters, which only the tests read, are here too.
+small inputs.  The simple/multiple partition of a word, its projection
+onto some letters and the right Cayley graph of a lower set, which only
+the tests read, are here too.
 """
 
 from itertools import product
 
 import numpy as np
 
-from taumonoid.construct import _tracker_table
+from taumonoid.construct import _Products, _lower_ids, _tracker_table
 from taumonoid.identities import Identity, SatisfactionResult
 from taumonoid.monoid import FiniteMonoid
 from taumonoid.rewrite import CONGRUENCES, TauWord, canonical
@@ -74,6 +75,19 @@ def class_members(u: TauWord, max_len: int) -> set:
     return out
 
 
+def lower_graph(u: Word, tau: str) -> dict:
+    """The right Cayley graph of the lower set of ``u``: ``graph[f][b]`` is
+    the form of ``f`` times the letter ``b`` for every form ``f`` below
+    ``u`` and every base ``b`` whose product with ``f`` stays below ``u``;
+    the keys are the lower set (``construct._lower_ids``), read from the
+    product memo of that one search."""
+    memo = _Products(tau)
+    low = _lower_ids(u, memo)
+    form = memo.form
+    return {form[f]: {b: form[g] for b, g in memo.next[f].items() if g in low}
+            for f in low}
+
+
 def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
     """Brute-force oracle: try every canonical pair (p, s) directly.
 
@@ -99,7 +113,7 @@ def leq_tau_by_factor_search(v: TauWord, u: TauWord) -> bool:
     return False
 
 
-def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters, bound):
+def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters):
     """The first member and the witness pair of ``freeobj._search`` as it
     stood before it pruned: one breadth-first search over every node
     (state, tracker), on an evaluation automaton that grows its rows in
@@ -107,8 +121,7 @@ def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters, bound):
 
     The automaton is built here, over the same sparse vectors (the support
     and the values there) but without the budget; the tracker is
-    ``construct._tracker_table``.  Nodes ``bound`` letters deep are not
-    expanded.
+    ``construct._tracker_table``.
     """
     k, n = len(letters), m.size ** len(letters)
     zero = -1 if m.zero is None else m.zero
@@ -137,8 +150,8 @@ def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters, bound):
     parents = {(0, 0): None}
     member: dict = {}
     offender: dict = {}
-    level, depth = [(0, 0)], 0
-    while level and depth != bound:
+    level = [(0, 0)]
+    while level:
         nodes, level = level, []
         grow(max(nodes)[0] + 1)
         for node in nodes:
@@ -147,7 +160,6 @@ def tau_term_search_unpruned(m: FiniteMonoid, u: TauWord, letters, bound):
                 if nxt not in parents:
                     parents[nxt] = (node, i)
                     level.append(nxt)
-        depth += 1
     for node in parents:
         (member if node[1] == target else offender).setdefault(node[0], node)
 

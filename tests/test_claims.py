@@ -185,16 +185,13 @@ class TestRunClaim:
         res = run_claim(make_claim(
             "derivable", "xtx=xtxx ; xtysyx=xtysxyx ; max_len=3", "yes"))
         assert res.actual == "not-found-within-bounds"
-        res = run_claim(make_claim(
-            "tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; bound=6",
-            "holds-up-to-bound"))
-        assert res.actual == "holds-up-to-bound"
 
     @pytest.mark.parametrize("kind, inputs", [
         ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; max_step=200000"),
         ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; 200000"),
         ("derivable", "xtx=xtxx ; xtysyx=xtysxyx ; bound=3"),
         ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; max_len=3"),
+        ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; bound=6"),
         ("tau-term", "lambda ; M[lambda](a+ta+) ; a+ta+ ; mode=exat"),
         # a+btb+ is not a tau-term here (ntt-F), so an empty search must not
         # pass for one
@@ -354,7 +351,8 @@ class TestCorpusAgainstOracles:
         (tau, m, word), _ = _inputs(claim)
         oracle = tau_term_by_enumeration(m, TauWord.make(word, tau), 8)
         actual = run_claim(claim).actual
-        assert oracle.fails == actual.startswith("fails"), (oracle, actual)
+        assert (oracle is not None) == actual.startswith("fails"), \
+            (oracle, actual)
 
     @pytest.mark.parametrize("claim", [
         c for c in parse_corpus(corpus_text()) if c.kind == "isoterm"],

@@ -179,9 +179,6 @@ class TestMonoidCommands:
                            "M[lambda](a+ta+)", "a+btb+")
         assert code == 1 and "fails" in out
         code, out, _ = run(capsys, "tau-term", "lambda",
-                           "M[lambda](a+ta+)", "a+ta+", "--bound", "6")
-        assert (code, out) == (0, "holds-up-to-bound (bound 6)\n")
-        code, out, _ = run(capsys, "tau-term", "lambda",
                            "M[lambda](a+ta+)", "a+ta+")
         assert (code, out) == (0, "holds\n")
 
@@ -306,15 +303,22 @@ class TestMalformedInput:
         path.write_text("MONOID 3 identity=0\n1 x 0\n0 1 2\n1 2 2\n2 2 2\n")
         self.assert_one_line_error(capsys, "jtrivial", str(path))
 
+    def test_tau_term_takes_no_bound(self, capsys):
+        # every tau-term verdict is exact
+        with pytest.raises(SystemExit) as e:
+            main(["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+",
+                  "--bound", "6"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--bound" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("argv,option", [
-        (["tau-term", "lambda", "M[lambda](a+ta+)", "a+ta+", "--bound",
-          "-1"], "--bound"),
         (["derive", "axioms.txt", "x=x", "--max-len", "0"], "--max-len"),
         (["derive", "axioms.txt", "x=x", "--max-steps", "-5"], "--max-steps"),
         (["check", "A1", "x=x", "--budget", "0"], "--budget"),
         (["verify-paper", "--budget", "-2"], "--budget"),
-    ], ids=["tau-term-bound", "derive-max-len",
-            "derive-max-steps", "check-budget", "verify-paper-budget"])
+    ], ids=["derive-max-len", "derive-max-steps", "check-budget",
+            "verify-paper-budget"])
     def test_work_sizes_must_be_positive(self, capsys, argv, option):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -498,8 +502,7 @@ class TestReadme:
         # der-hfb's axioms, from which the derive line's goal takes 3 steps
         (tmp_path / "axioms.txt").write_text("xtx=xtxx\nxyytx=xyyxtx\n")
         commands = readme_commands()
-        assert any(argv[0] == "tau-term" and "--bound" in argv
-                   for argv, _ in commands)
+        assert any(argv[0] == "tau-term" for argv, _ in commands)
         for argv, expect in commands:
             code, out, err = run(capsys, *argv)
             assert code != 2, (argv, err)

@@ -16,7 +16,8 @@ from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet,
                                append_letter, canonical)
 from taumonoid.words import EMPTY, content, parse_word, print_word
 
-from oracles import leq_tau_by_factor_search, lower_words_by_members
+from oracles import (leq_tau_by_factor_search, lower_graph,
+                     lower_words_by_members)
 
 # the lambda lower set of bta+b+, frozen after the factor-search oracle run
 K_LOWER = sorted(
@@ -255,7 +256,7 @@ class TestLowerGraph:
         count = 0
         for tau in CONGRUENCES:
             for u in forms_of_plain_words(tau, 6):
-                graph = construct._lower_graph(u, tau)
+                graph = lower_graph(u, tau)
                 low = set(graph)
                 assert low == _lower_words(u, tau), (tau, print_word(u))
                 for f, out in graph.items():
@@ -286,7 +287,7 @@ class TestLowerGraph:
             assert len(built) == len(set(built)), name
             calls.clear()
             for w in ws.words:
-                construct._lower_graph(w, tau)
+                lower_graph(w, tau)
             assert set(built) == set(calls), name
             shared += len(calls) - len(built)
         assert shared > 0

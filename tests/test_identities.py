@@ -511,6 +511,7 @@ class TestWitnessReporting:
         s1 = monoid_with_identity("S")
         res = satisfies(s1, parse_identity("xtysxy=xtysyx"))
         assert not res.holds
-        assert res.witness_labels(s1) == {"x": "b", "y": "a", "t": "c", "s": "1"}
+        assert {b: s1.labels[e] for b, e in res.witness.items()} == \
+            {"x": "b", "y": "a", "t": "c", "s": "1"}
         assert s1.labels[res.lhs_value] == "0"
         assert s1.labels[res.rhs_value] == "bcb"
