@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 
 from . import catalog
 from .derive import derive_bounded
-from .freeobj import is_isoterm, is_tau_term
-from .identities import BudgetExceededError, parse_identity, satisfies
+from .freeobj import BudgetExceededError, is_isoterm, is_tau_term
+from .identities import parse_identity, satisfies
 from .monoid import (FiniteMonoid, direct_product, dual, find_isomorphism,
                      idempotents_commute, is_aperiodic, is_j_trivial,
                      submonoid)
@@ -181,8 +181,8 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _satisfaction(m, ident, budget) -> str:
-    res = satisfies(m, ident, budget=budget)
+def _satisfaction(m, ident) -> str:
+    res = satisfies(m, ident)
     if res.holds:
         return "holds"
     wit = ",".join(f"{b}={m.labels[e]}"
@@ -218,7 +218,7 @@ def _same_labels(actual, expected, *inputs) -> bool:
         lab.strip() for lab in expected.split(","))
 
 
-def _tau_term(tau, m, w, budget) -> str:
+def _tau_term(tau, m, w) -> str:
     verdict = is_tau_term(m, TauWord.make(w, tau))
     if verdict.fails:
         member, off = verdict.witness
@@ -226,7 +226,7 @@ def _tau_term(tau, m, w, budget) -> str:
     return verdict.status
 
 
-def _derivation(goal, axioms, budget, **opts) -> str:
+def _derivation(goal, axioms, **opts) -> str:
     trace = derive_bounded(axioms, goal, **opts)
     if trace is None:
         return "not-found-within-bounds"
@@ -238,34 +238,34 @@ class _Kind(NamedTuple):
     globals when it runs, so a function rebound here is the one called."""
     readers: tuple        # one reader per leading input
     options: dict         # option name -> type
-    question: Callable    # (*inputs, budget, **options) -> actual
+    question: Callable    # (*inputs, **options) -> actual
     matches: Callable = lambda actual, expected, *inputs: actual == expected
 
 
 # the readers of a monoid, an identity and a word
 _M, _ID, _W = parse_monoid_expr, parse_identity, parse_word
 _KINDS = {
-    "monoid-size": _Kind((_M,), {}, lambda m, _: str(m.size)),
-    "element-set": _Kind((_M,), {}, lambda m, _: ",".join(sorted(m.labels)),
+    "monoid-size": _Kind((_M,), {}, lambda m: str(m.size)),
+    "element-set": _Kind((_M,), {}, lambda m: ",".join(sorted(m.labels)),
                          _same_labels),
     "satisfies": _Kind((_M, _ID), {}, _satisfaction,
                        lambda actual, *_: actual == "holds"),
     "violates": _Kind((_M, _ID), {}, _satisfaction, _stated_violation),
-    "isomorphic": _Kind((_M, _M), {}, lambda m, n, _: _yesno(
+    "isomorphic": _Kind((_M, _M), {}, lambda m, n: _yesno(
         find_isomorphism(m, n) is not None)),
-    "j-trivial": _Kind((_M,), {}, lambda m, _: _yesno(is_j_trivial(m)[0])),
-    "aperiodic": _Kind((_M,), {}, lambda m, _: _yesno(is_aperiodic(m))),
-    "idempotents-commute": _Kind((_M,), {}, lambda m, _: _yesno(
+    "j-trivial": _Kind((_M,), {}, lambda m: _yesno(is_j_trivial(m)[0])),
+    "aperiodic": _Kind((_M,), {}, lambda m: _yesno(is_aperiodic(m))),
+    "idempotents-commute": _Kind((_M,), {}, lambda m: _yesno(
         idempotents_commute(m)[0])),
     "tau-term": _Kind((str, _M, _W), {}, _tau_term),
     "not-tau-term": _Kind((str, _M, _W), {}, _tau_term,
                           lambda actual, *_: actual.startswith("fails")),
-    "isoterm": _Kind((_M, _W), {}, lambda m, w, _: _yesno(
+    "isoterm": _Kind((_M, _W), {}, lambda m, w: _yesno(
         is_isoterm(m, w).is_isoterm)),
     "derivable": _Kind((_ID, _axioms), {"max_len": int, "max_steps": int},
                        _derivation,
                        lambda actual, *_: actual.startswith("derived-in-")),
-    "two-island-limited": _Kind((_W,), {}, lambda w, _: _yesno(
+    "two-island-limited": _Kind((_W,), {}, lambda w: _yesno(
         is_two_island_limited(w))),
 }
 KINDS = tuple(_KINDS)
@@ -286,12 +286,12 @@ def _inputs(claim: Claim) -> tuple:
     return [read(p) for read, p in zip(readers, parts)], opts
 
 
-def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
+def run_claim(claim: Claim) -> ClaimResult:
     t0 = time.perf_counter()
     try:
         args, opts = _inputs(claim)
         kind = _KINDS[claim.kind]
-        actual = kind.question(*args, budget, **opts)
+        actual = kind.question(*args, **opts)
         passed = kind.matches(actual, claim.expected, *args)
         verdict = "pass" if passed else "fail"
     except BudgetExceededError as e:
@@ -305,13 +305,12 @@ def run_claim(claim: Claim, budget: int | None = None) -> ClaimResult:
 
 
 def verify_corpus(text: str, id_filter: str | None = None,
-                  include_slow: bool = False,
-                  budget: int | None = None) -> ClaimReport:
+                  include_slow: bool = False) -> ClaimReport:
     """Run every claim of a corpus text in corpus order; failures are
     recorded, not raised."""
     selected = [c for c in parse_corpus(text)
                 if id_filter is None or c.id.startswith(id_filter)]
-    results = [run_claim(c, budget=budget) if include_slow or not c.slow else
+    results = [run_claim(c) if include_slow or not c.slow else
                ClaimResult(c, "skipped", "slow (enable with --slow)", 0)
                for c in selected]
     return ClaimReport(results, hashlib.sha256(text.encode()).hexdigest())

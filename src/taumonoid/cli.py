@@ -17,12 +17,12 @@ from importlib import resources
 from .claims import parse_monoid_expr, verify_corpus
 from .construct import build_monoid, lower_set
 from .derive import derive_bounded
-from .freeobj import is_isoterm, is_tau_term
-from .identities import (BudgetExceededError, parse_identity,
-                         parse_identity_file, satisfies)
-from .monoid import (adjoin_identity, direct_product, dual, find_isomorphism,
-                     format_monoid, from_presentation, idempotents_commute,
-                     is_aperiodic, is_j_trivial, load_monoid, save_monoid)
+from .freeobj import BudgetExceededError, is_isoterm, is_tau_term
+from .identities import parse_identity, parse_identity_file, satisfies
+from .monoid import (Presentation, adjoin_identity, direct_product, dual,
+                     find_isomorphism, format_monoid, from_presentation,
+                     idempotents_commute, is_aperiodic, is_j_trivial,
+                     load_monoid, save_monoid)
 from .rewrite import TauWord, TauWordSet, canonical, compose
 from .words import parse_word, print_word
 from . import catalog
@@ -84,7 +84,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="check an identity against a monoid")
     p.add_argument("monoid")
     p.add_argument("identity")
-    p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("isoterm", help="is the word an isoterm for the monoid")
     p.add_argument("monoid")
@@ -121,7 +120,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-paper", help="run the claim corpus")
     p.add_argument("--filter", default=None, help="run claims with this id prefix")
     p.add_argument("--slow", action="store_true", help="include slow claims")
-    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--report", default=None, help="write the report to a file")
     corpus = p.add_mutually_exclusive_group()
     corpus.add_argument("--disputed", action="store_true",
@@ -176,7 +174,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "check":
         m = _monoid_arg(args.monoid)
-        res = satisfies(m, parse_identity(args.identity), budget=args.budget)
+        res = satisfies(m, parse_identity(args.identity))
         if res.holds:
             print("holds")
             return 0
@@ -283,8 +281,7 @@ def _verify_paper(args) -> int:
         text = corpus_text()
         if args.disputed:
             text += "\n" + corpus_text(disputed=True)
-    report = verify_corpus(text, id_filter=args.filter,
-                           include_slow=args.slow, budget=args.budget)
+    report = verify_corpus(text, id_filter=args.filter, include_slow=args.slow)
     if not report.results:
         raise ValueError("the corpus holds no claims" if args.filter is None
                          else f"no claim id starts with {args.filter!r}")
@@ -296,9 +293,12 @@ def _verify_paper(args) -> int:
     return 0 if report.all_passed else 1
 
 
+_ONE_GENS_LINE = ("presentation file must start with a 'gens:' line and "
+                  "have only one")
+
+
 def _parse_presentation_file(text: str):
     """Format: line 1 ``gens: a b c``; then ``u = v`` lines; ``0 = w, w``."""
-    from .monoid import Presentation
     gens = None
     relations = []
     zeros = []
@@ -306,6 +306,8 @@ def _parse_presentation_file(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if (gens is None) != line.startswith("gens:"):
+            raise ValueError(_ONE_GENS_LINE)
         if line.startswith("gens:"):
             gens = tuple(line[5:].split())
         elif line.startswith("0") and "=" in line and line.split("=")[0].strip() == "0":
@@ -320,7 +322,7 @@ def _parse_presentation_file(text: str):
         else:
             raise ValueError(f"cannot parse presentation line {raw!r}")
     if gens is None:
-        raise ValueError("presentation file must start with a 'gens:' line")
+        raise ValueError(_ONE_GENS_LINE)
     return Presentation(gens, tuple(relations), tuple(zeros))
 
 

@@ -281,7 +281,7 @@ def derive_bounded(axioms, goal: Identity, max_len: int = 14,
     """Search for a derivation of ``goal`` from ``axioms``.
 
     Returns a ``DerivationTrace`` or ``None`` when no chain was found within
-    the word-length cap and the expansion budget.  The trivial goal yields an
+    the word-length cap and the expansion cap.  The trivial goal yields an
     empty trace.  Every other trace is replayed by ``check_trace`` before
     it is returned, and one that fails raises ``AssertionError``; callers
     need not replay it again.

@@ -41,12 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import _tracker_table
-from .identities import BudgetExceededError
 from .monoid import FiniteMonoid
 from .rewrite import TauWord, canonical
 from .words import Word, content, is_plain, print_word
 
 MAX_CELLS = 2 ** 28      # 1 GiB of int32
+
+
+class BudgetExceededError(RuntimeError):
+    def __init__(self, needed: int):
+        super().__init__(f"search needs {needed} int32 cells, "
+                         f"budget is {MAX_CELLS}")
+        self.needed = needed
 
 
 @dataclass(eq=False)
@@ -138,7 +144,7 @@ def _views(key: bytes) -> tuple:
 
 def _check_cells(cells: int) -> None:
     if cells > MAX_CELLS:
-        raise BudgetExceededError(cells, MAX_CELLS, "int32 cells")
+        raise BudgetExceededError(cells)
 
 
 @dataclass(frozen=True)

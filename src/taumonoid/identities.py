@@ -33,10 +33,9 @@ it, and nothing is carried from level to level: a row that survives is
 tested from scratch at the next.  A flag can then be lost when a new letter
 splits a gap (in ``a u b`` with ``gap[a, b]``, the two pairs left once a
 letter of u is assigned need not be gaps), which costs rows but never
-soundness.  The zero is ``m.zero``, found from the table at construction (a
-declared zero is only checked there), so pruning does not depend on how the
-monoid was built.  A monoid with no zero takes the same scan with nothing
-dropped.
+soundness.  The zero is ``m.zero``, which the constructor always finds from
+the table, so pruning does not depend on how the monoid was built.  A
+monoid with no zero takes the same scan with nothing dropped.
 
 At the last level the first row whose sides differ is the lex-first
 violation, since the dropped subtrees hold none.  On the 12-element S1, a
@@ -82,13 +81,6 @@ import numpy as np
 
 from .monoid import FiniteMonoid
 from .words import Word, content, is_plain, parse_word, print_word
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, needed: int, budget: int, what: str = "substitutions"):
-        super().__init__(f"search needs {needed} {what}, budget is {budget}")
-        self.needed = needed
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -382,8 +374,7 @@ def _reduced(table, ident: Identity, letters: list):
             [full] * len(rest) + [image])
 
 
-def satisfies(m: FiniteMonoid, ident: Identity,
-              budget: int | None = None) -> SatisfactionResult:
+def satisfies(m: FiniteMonoid, ident: Identity) -> SatisfactionResult:
     """Exhaustively check one identity against a monoid.
 
     Reports the lex-first violating substitution, evaluating at most
@@ -400,16 +391,11 @@ def satisfies(m: FiniteMonoid, ident: Identity,
     every level, whatever the size of the space, on every identity and
     monoid scanned (the factors', then the given and the reduced identity
     on the monoid itself), but not those computing Im(B).  So when every
-    factor holds, it is the sum of the factors' counts.  ``budget`` still
-    refuses on |M|^k of the monoid given, however few rows the scan would
-    evaluate.
+    factor holds, it is the sum of the factors' counts.
     """
     letters = ident.letters()
     k = len(letters)
     n = m.size
-    total = n ** k
-    if budget is not None and total > budget:
-        raise BudgetExceededError(total, budget)
     if k == 0:
         return SatisfactionResult(ident, True, checked=1)
 

@@ -6,10 +6,10 @@ and no other module knows how it is stored.  The ``FiniteMonoid`` wrapper
 carries the identity index, an optional two-sided zero, and printable
 labels; construction verifies the entry range, the identity law and
 associativity, exactly at every size by Light's test over a generating set.
-The zero is a fact of the table, found at construction: a declared zero is
-only checked absorbing, and with none declared the product of all elements
-is checked, the one candidate.  So ``zero`` is the table's zero or None,
-whoever built the table.  The structural predicates are array expressions.
+The zero is a fact of the table, never declared: construction checks the
+product of all elements, the one candidate.  So ``zero`` is the table's
+zero or None, whoever built the table.  The structural predicates are array
+expressions.
 
 Every generated monoid gets its table one way, ``cayley_table``: from the
 right action of the generators on the elements, each column is gathered
@@ -48,7 +48,7 @@ and at worst it does about twice the work of refining to stability first.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -147,15 +147,12 @@ def _fixes(t: np.ndarray, x: int, image) -> bool:
 class Semigroup:
     """A bare multiplication table with labels (no identity required).
 
-    ``zero`` may be declared, and is then checked; it is set from the table
-    either way.  Every field after ``labels`` is keyword-only, so a
-    positional argument cannot land in the wrong field of a subclass.
+    ``zero`` is found from the table, the absorbing element or None.
     """
 
     table: np.ndarray
     labels: tuple
-    _: KW_ONLY
-    zero: int | None = None
+    zero: int | None = field(init=False)
     # the generators of ``_generators``, found by the associativity check
     # and read by ``find_isomorphism``; no part of equality or the text format
     generators: tuple = field(default=(), init=False, repr=False)
@@ -176,14 +173,9 @@ class Semigroup:
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "generators", tuple(_check_associative(table)))
-        # an absorbing element is unique, so a declared one that passes is
-        # the zero; else a zero absorbs the product of all elements, the
-        # one candidate
-        if self.zero is None:
-            z = reduce(table.item, range(n), 0)
-            object.__setattr__(self, "zero", z if _fixes(table, z, z) else None)
-        elif not _fixes(table, self.zero, self.zero):
-            raise ValueError("declared zero is not absorbing")
+        # a zero absorbs the product of all elements, the one candidate
+        z = reduce(table.item, range(n), 0)
+        object.__setattr__(self, "zero", z if _fixes(table, z, z) else None)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.labels == other.labels
@@ -592,14 +584,14 @@ def direct_product(m: FiniteMonoid, n: FiniteMonoid) -> FiniteMonoid:
 # settle steps per element that the isomorphism search makes before it buys
 # a round of colour refinement (``find_isomorphism``): about what a round
 # costs.  Timed against one settle step of a search cut short by its
-# budget, a round cost 6-19 steps per element on the Rees quotients of 9
+# allowance, a round cost 6-19 steps per element on the Rees quotients of 9
 # to 64 elements that the construct benchmark builds (10-14 at 20-40;
 # three runs on a 2-CPU x86-64 machine), and 19-45 on a 303-element null
 # monoid, as its sorts grow with the square of the size, so larger tables
 # buy their rounds early.  A search that does not backtrack makes one step
 # per element and generator: 5 per element on those quotients
 _SETTLES_PER_ROUND = 12
-# what ``_search`` returns when it has spent its budget
+# what ``_search`` returns when it has spent its allowance
 _SPENT = "spent"
 
 
@@ -694,24 +686,24 @@ def find_isomorphism(m: FiniteMonoid, n: FiniteMonoid):
         extra[[mz, size + nz]] = 2
     rounds = _joint_colors(m, n, extra)
     cm, cn = next(rounds)
-    budget = _SETTLES_PER_ROUND * size
+    allowance = _SETTLES_PER_ROUND * size
     while True:
         if not np.array_equal(np.sort(cm), np.sort(cn)):
             return None
-        mapping = _search(m, n, cm, cn, budget)
+        mapping = _search(m, n, cm, cn, allowance)
         if mapping is not _SPENT:
             return mapping
         finer = next(rounds, None)
         if finer is None:
-            budget = math.inf
+            allowance = math.inf
         else:
             cm, cn = finer
 
 
-def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, budget):
+def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, allowance):
     """The search of ``find_isomorphism`` under the colours ``cm``, ``cn``:
     the map of the lex-first generator images that extend to an
-    isomorphism, or None; ``_SPENT`` once it has made more than ``budget``
+    isomorphism, or None; ``_SPENT`` once it has made more than ``allowance``
     settle steps."""
     size = m.size
     gens = m.generators
@@ -735,7 +727,7 @@ def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, budget):
     def settle(a, b):
         nonlocal spent
         spent += 1
-        if spent > budget:
+        if spent > allowance:
             return False
         if mapping[a] >= 0:
             return mapping[a] == b
@@ -782,7 +774,7 @@ def _search(m: FiniteMonoid, n: FiniteMonoid, cm, cn, budget):
     marks: list = []
     i = 0
     while i < len(gens):
-        if spent > budget:
+        if spent > allowance:
             return _SPENT
         if tried[i] == len(candidates[i]):
             if not marks:
@@ -822,7 +814,8 @@ def format_monoid(m: FiniteMonoid) -> str:
 
 
 def parse_monoid(text: str) -> FiniteMonoid:
-    """Read ``format_monoid`` text; malformed input raises ValueError."""
+    """Read ``format_monoid`` text; malformed input, or a header zero that
+    is not the table's, raises ValueError."""
     lines = [l.split() for l in text.splitlines() if l.strip()]
     head = lines[0] if lines else []
     fields = dict(kv.partition("=")[::2] for kv in head[2:])
@@ -843,8 +836,11 @@ def parse_monoid(text: str) -> FiniteMonoid:
     rows = tuple(tuple(map(element, row)) for row in lines[2:])
     labels = tuple("\\".join(p.replace("_", " ").replace("\\ ", "_")  # undo _ESCAPE
                              for p in l.split("\\\\")) for l in lines[1])
-    return FiniteMonoid(table=rows, labels=labels,
-                        identity=element(fields["identity"]), zero=zero)
+    m = FiniteMonoid(table=rows, labels=labels,
+                     identity=element(fields["identity"]))
+    if zero not in (None, m.zero):
+        raise ValueError("declared zero is not absorbing")
+    return m
 
 
 def save_monoid(m: FiniteMonoid, path) -> None:

@@ -1,28 +1,50 @@
-"""Brute-force oracles for the rewriting, class, factor-order, tau-term,
-identity, associativity and derivation questions.
+"""Brute-force oracles for the rewriting, class, factor-order, lower-set,
+table, presentation, isomorphism, tau-term, isoterm, identity,
+associativity and derivation questions.
 
 Each lists or searches what the library computes without listing: the
 rewriting steps of a word one rule at a time, the members of a class, the
-windows of those members, the factorizations ``u = p * v * s``, every node
-of the tau-term search, every window of an identity's side, every
-substitution of an identity, every triple of a table (for associativity
-and for the gap table), and every binding of an axiom side to a block of
-a word.  They are slow and serve only to cross-check ``rewrite``,
-``construct``, ``freeobj``, ``identities``, ``monoid`` and ``derive`` on
-small inputs.  The simple/multiple partition of a word, its projection
-onto some letters and the right Cayley graph of a lower set, which only
-the tests read, are here too.
+windows of those members, the factorizations ``u = p * v * s``, the words
+that reach a word by letter products, every product of two elements of a
+Rees quotient or a presentation's closure, every image of every element
+under an isomorphism, every word up to a length and every evaluation
+vector in full, every node of the tau-term search, every window of an
+identity's side, every substitution of an identity, every triple of a
+table (for associativity and for the gap table), and every binding of an
+axiom side to a block of a word.  They are slow and serve only to
+cross-check ``rewrite``, ``construct``, ``freeobj``, ``identities``,
+``monoid`` and ``derive`` on small inputs.  The simple/multiple partition
+of a word, its projection onto some letters, the right Cayley graph of a
+lower set and the small monoids that several test modules share, which
+only the tests read, are here too, so that no test module imports
+another.
 """
 
+from collections import deque
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from taumonoid.construct import _Products, _lower_ids, _tracker_table
+from taumonoid.catalog import mtau
+from taumonoid.construct import (_Products, _lower_ids, _tracker_table,
+                                 lower_set)
+from taumonoid.freeobj import IsotermReport
 from taumonoid.identities import Identity, SatisfactionResult
-from taumonoid.monoid import FiniteMonoid
-from taumonoid.rewrite import CONGRUENCES, TauWord, canonical
-from taumonoid.words import EMPTY, Word, content, is_plain
+from taumonoid.monoid import (FiniteMonoid, Presentation, Semigroup,
+                              _complete, _orient, _reduce)
+from taumonoid.rewrite import CONGRUENCES, TauWord, TauWordSet, canonical
+from taumonoid.words import EMPTY, Word, content, is_plain, print_word
+
+
+# small monoids that several test modules draw from
+Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
+SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
+SMALL_POOL = [
+    Z2, SEMILATTICE,
+    mtau("trivial", "x"), mtau("trivial", "xy"),
+    mtau("tau1", "a+b+"), mtau("gamma", "a+t"),
+]
 
 
 # rule identifiers, in listing order
@@ -463,3 +485,386 @@ def projection(w: Word, keep) -> Word:
     """The word obtained by deleting every letter whose base is not in ``keep``."""
     keep = frozenset(keep)
     return tuple(l for l in w if l[0] in keep)
+
+
+@lru_cache(maxsize=None)
+def _reverse_graph(bases: tuple, max_len: int, tau: str):
+    """All canonical words over ``bases`` of length <= max_len, as edges.
+
+    Returns ``(into_right, into_left)``: ``into_right[y]`` lists the ``x``
+    with ``x * letter == y`` and ``into_left[y]`` those with
+    ``letter * x == y``, for words of length <= max_len.  Every canonical
+    word is a product of plain letters, so a breadth-first closure from the
+    empty word visits all of them.
+    """
+    letters = [((b, False),) for b in bases]
+    nodes = {EMPTY}
+    into_right: dict = {}
+    into_left: dict = {}
+    queue = deque([EMPTY])
+    while queue:
+        x = queue.popleft()
+        for l in letters:
+            for y, into in ((canonical(x + l, tau), into_right),
+                            (canonical(l + x, tau), into_left)):
+                if len(y) <= max_len:
+                    into.setdefault(y, []).append(x)
+                    if y not in nodes:
+                        nodes.add(y)
+                        queue.append(y)
+    return into_right, into_left
+
+
+def _backward_closure(starts, into: dict) -> set:
+    out: set = set()
+    stack = list(starts)
+    while stack:
+        x = stack.pop()
+        if x not in out:
+            out.add(x)
+            stack.extend(into.get(x, ()))
+    return out
+
+
+def lower_set_by_reachability(u: TauWord) -> set:
+    """Independent oracle: the lower set as two reachability questions.
+
+    Multiplying a canonical word by a letter never shortens it, so the
+    search for ``u = p * v * s`` stays among the canonical words over the
+    content of ``u`` no longer than ``u``.  On that finite graph with its
+    letter edges, the words that reach ``u`` by right multiplication are
+    the ``v * s``; the words that reach one of those by left multiplication
+    are the ``v``.
+    """
+    into_right, into_left = _reverse_graph(
+        tuple(sorted(content(u.word))), len(u.word), u.tau)
+    reach_u = _backward_closure([u.word], into_right)
+    return {TauWord(w, u.tau) for w in _backward_closure(reach_u, into_left)}
+
+
+def build_monoid_by_compose(ws: TauWordSet, low: set | None = None
+                            ) -> FiniteMonoid:
+    """Oracle: the Rees quotient with every one of the n^2 products composed.
+
+    Same elements, label order, identity and zero as ``build_monoid``; each
+    entry is the canonical product when it stays in the lower set, else zero.
+    The lower set ``low`` (tau-words) defaults to ``lower_set(ws)``.
+    """
+    low = sorted((w.word for w in (lower_set(ws) if low is None else low)),
+                 key=lambda w: (len(w), print_word(w)))
+    if not low:
+        return FiniteMonoid(table=((0,),), labels=("0",), identity=0)
+    index = {w: i for i, w in enumerate(low)}
+    zero = len(low)
+    rows = [tuple(index.get(canonical(x + y, ws.tau), zero) for y in low)
+            + (zero,) for x in low]
+    rows.append((zero,) * (zero + 1))
+    labels = tuple(print_word(w) for w in low) + ("0",)
+    m = FiniteMonoid(table=tuple(rows), labels=labels, identity=index[EMPTY])
+    assert m.zero == zero
+    return m
+
+
+def from_presentation_by_products(p: Presentation, cap: int = 4096) -> Semigroup:
+    """Oracle: the closure with every one of the n^2 products reduced.
+
+    Same completion, element order, labels and zero as ``from_presentation``;
+    each entry is the normal form of the two elements' words concatenated.
+    """
+    order = {g: i for i, g in enumerate(p.generators)}
+    rules = [r for r in (_orient(l, r, order) for l, r in p.relations) if r]
+    rules = _complete(rules + [(z, None) for z in p.zero_words], order)
+    words: list = []
+    index: dict = {}
+    queue: list = []
+    collapsed = bool(p.zero_words)
+
+    def visit(word):
+        nonlocal collapsed
+        nf = _reduce(word, rules)
+        if nf is None:
+            collapsed = True
+        elif nf not in index:
+            assert len(words) < cap
+            index[nf] = len(words)
+            words.append(nf)
+            queue.append(nf)
+
+    for g in p.generators:
+        visit(g)
+    while queue:
+        w = queue.pop()
+        for g in p.generators:
+            visit(w + g)
+    zero = len(words) if collapsed else None
+
+    def val(word):
+        nf = _reduce(word, rules)
+        return zero if nf is None else index[nf]
+
+    tail = (zero,) if collapsed else ()
+    rows = [tuple(val(x + y) for y in words) + tail for x in words]
+    if collapsed:
+        rows.append((zero,) * (len(words) + 1))
+    labels = tuple(words) + (("0",) if collapsed else ())
+    s = Semigroup(table=tuple(rows), labels=labels)
+    assert s.zero == zero
+    return s
+
+
+def refined_colors(table: list, extra: list) -> list:
+    n = len(table)
+    colors = []
+    for x in range(n):
+        acc, seen = x, {x: 0}
+        k = 0
+        while True:
+            acc = table[acc][x]
+            k += 1
+            if acc in seen:
+                idx, period = seen[acc], k - seen[acc]
+                break
+            seen[acc] = k
+        colors.append((table[x][x] == x, idx, period, extra[x]))
+    # iterative refinement by multiplication behaviour against color classes;
+    # each round that does not stop splits a class, so at most n rounds run
+    while True:
+        palette = sorted(set(colors))
+        rank = {c: i for i, c in enumerate(palette)}
+        cur = [rank[c] for c in colors]
+        nxt = []
+        for x in range(n):
+            row = sorted((cur[y], cur[table[x][y]], cur[table[y][x]])
+                         for y in range(n))
+            nxt.append((cur[x], tuple(row)))
+        if len(set(nxt)) == len(set(cur)):
+            return cur
+        colors = nxt
+
+
+def absorbing_element(table: list):
+    n = len(table)
+    return next((z for z in range(n)
+                 if all(table[z][x] == z == table[x][z] for x in range(n))), None)
+
+
+def find_isomorphism_by_refinement(m: FiniteMonoid, n: FiniteMonoid):
+    """Oracle: a multiplication-preserving bijection m -> n, or None.
+
+    The identity maps to the identity and the absorbing element (derived
+    here from the table) to the absorbing element.
+    Each table is coloured on its own, in pure Python, and the search
+    backtracks over the image of every element in turn, smallest colour
+    class first, forcing the image of every product of mapped elements.
+    """
+    if m.size != n.size:
+        return None
+    mt, nt = m.table.tolist(), n.table.tolist()
+    mz, nz = absorbing_element(mt), absorbing_element(nt)
+    if (mz is None) != (nz is None):
+        return None
+    extra_m = [0] * m.size
+    extra_n = [0] * n.size
+    extra_m[m.identity] = 1
+    extra_n[n.identity] = 1
+    if mz is not None:
+        extra_m[mz] = 2
+        extra_n[nz] = 2
+    cm = refined_colors(mt, extra_m)
+    cn = refined_colors(nt, extra_n)
+    if sorted(cm) != sorted(cn):
+        return None
+    size = m.size
+    candidates = [[y for y in range(size) if cn[y] == cm[x]] for x in range(size)]
+    order = sorted(range(size), key=lambda x: len(candidates[x]))
+    mapping = [-1] * size
+    used = [False] * size
+
+    def assign(x, y, trail):
+        """Map x to y and force every product image this determines.
+
+        Keeps the invariant that for mapped a, z the product a*z is mapped
+        compatibly, so a completed assignment is a homomorphism by
+        construction.  Appends everything it sets to ``trail`` so the caller
+        can undo on failure.
+        """
+        stack = [(x, y)]
+        while stack:
+            a, b = stack.pop()
+            if mapping[a] >= 0:
+                if mapping[a] != b:
+                    return False
+                continue
+            if used[b] or cm[a] != cn[b]:
+                return False
+            mapping[a] = b
+            used[b] = True
+            trail.append((a, b))
+            for z in range(size):
+                w = mapping[z]
+                if w < 0:
+                    continue
+                stack.append((mt[a][z], nt[b][w]))
+                stack.append((mt[z][a], nt[w][b]))
+        return True
+
+    def undo(trail):
+        for a, b in trail:
+            mapping[a] = -1
+            used[b] = False
+
+    def backtrack(i):
+        if i == size:
+            return True
+        x = order[i]
+        if mapping[x] >= 0:
+            return backtrack(i + 1)
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            trail: list = []
+            if assign(x, y, trail) and backtrack(i + 1):
+                return True
+            undo(trail)
+        return False
+
+    seed: list = []
+    if not assign(m.identity, n.identity, seed):
+        return None
+    if mz is not None and mapping[mz] < 0:
+        if not assign(mz, nz, seed):
+            return None
+    if not backtrack(0):
+        return None
+    # soundness check against both tables
+    f = np.array(mapping)
+    if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):
+        return None
+    return mapping
+
+
+@lru_cache(maxsize=None)
+def _canonical(word, tau):
+    return canonical(word, tau)
+
+
+def search_letters(m, u):
+    """The letters ``is_tau_term`` searches over: the content of ``u``, plus
+    a fresh letter when ``m`` has no zero."""
+    bases = sorted({b for b, _ in u.word})
+    if m.zero is not None:
+        return tuple(bases)
+    return tuple(bases) + (next(c for c in "zwvuq" if c not in bases),)
+
+
+def dense_automaton(m, k):
+    """The evaluation automaton over ``k`` letters with every vector stored
+    in full, |M|^k cells each: the oracle for ``rel_free_automaton``.
+
+    Substitutions are numbered in lex order, the last letter fastest, and
+    states in breadth-first order; each vector is a view of its index key.
+    Returns the vectors and the transitions.
+    """
+    n = m.size ** k
+    gen = np.array(list(product(range(m.size), repeat=k)), dtype=np.int32).T
+    init = np.full(n, m.identity, dtype=np.int32).tobytes()
+    index = {init: 0}
+    vectors = [np.frombuffer(init, dtype=np.int32)]
+    transitions = []
+    for v in vectors:    # grows while it is read: a breadth-first queue
+        row = []
+        for g in gen:
+            key = m.table[v, g].tobytes()
+            if key not in index:
+                index[key] = len(vectors)
+                vectors.append(np.frombuffer(key, dtype=np.int32))
+            row.append(index[key])
+        transitions.append(row)
+    return vectors, transitions
+
+
+_DENSE = {}
+
+
+def dense(m, k):
+    """``dense_automaton``, built once per table, identity and ``k``."""
+    key = (m.table.tobytes(), m.identity, k)
+    if key not in _DENSE:
+        _DENSE[key] = dense_automaton(m, k)
+    return _DENSE[key]
+
+
+def run(transitions, combo):
+    """The state reached from 0 by the letter indices ``combo``."""
+    s = 0
+    for i in combo:
+        s = transitions[s][i]
+    return s
+
+
+def tau_term_by_enumeration(m, u, bound):
+    """The witness pair that enumerating every word of at most ``bound``
+    letters finds against ``u`` being a tau-term, or None when none does.
+
+    The oracle for ``is_tau_term``: words over ``search_letters`` are
+    listed in shortlex order and keyed by their state in
+    ``dense_automaton``.  The first member of each key is kept; the witness
+    is the first word outside the class whose key has a member, and a
+    member keyed like the everywhere-zero vector is reported first.
+    """
+    letters = search_letters(m, u)
+    vectors, transitions = dense(m, len(letters))
+    zero_key = next((s for s, v in enumerate(vectors)
+                     if m.zero is not None and (v == m.zero).all()), None)
+
+    words = [(combo, tuple((letters[i], False) for i in combo))
+             for n in range(bound + 1)
+             for combo in product(range(len(letters)), repeat=n)]
+
+    def member(word):
+        # a word with the fresh letter keeps it in its canonical form
+        return _canonical(word, u.tau) == u.word
+
+    member_word: dict = {}
+    for combo, word in words:
+        if member(word):
+            member_word.setdefault(run(transitions, combo), word)
+    if zero_key is not None and zero_key in member_word:
+        first = member_word[zero_key]
+        z = next(c for c in "zwvuq" if c not in {b for b, _ in first})
+        return first, ((z, False),) + first
+    for combo, word in words:
+        k = run(transitions, combo)
+        if k in member_word and not member(word):
+            return member_word[k], word
+    return None
+
+
+def isoterm_by_accepted_words(m, word):
+    """Isoterm report from the two shortlex-first words reaching the state
+    of ``word``: the oracle for ``is_isoterm``.
+
+    ``dense_automaton`` is built over the content of ``word``, or over
+    ``z`` for the empty word, as ``is_isoterm`` builds its automaton.  A
+    breadth-first search keeps the two shortlex-first words at each state,
+    and that loses none at the state of ``word``: if a word were not among
+    the first two at a state it passes through, the two earlier words
+    there, each extended the same way, would come before it.  ``word`` is
+    an isoterm exactly when neither differs from it, and the first that
+    does is the counterexample.
+    """
+    letters = tuple(sorted(content(word))) or ("z",)
+    _, transitions = dense(m, len(letters))
+    stored = {0: [()]}
+    queue = deque([(0, ())])
+    while queue:
+        s, path = queue.popleft()
+        for i, t in enumerate(transitions[s]):
+            lst = stored.setdefault(t, [])
+            if len(lst) < 2:
+                lst.append(path + (i,))
+                queue.append((t, path + (i,)))
+    end = run(transitions, [letters.index(b) for b, _ in word])
+    accepted = [tuple((letters[i], False) for i in p) for p in stored.get(end, [])]
+    counter = next((v for v in accepted if v != word), None)
+    return IsotermReport(word, counter is None, counter)

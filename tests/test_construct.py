@@ -1,5 +1,4 @@
 import hashlib
-from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -10,13 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from taumonoid import construct
 from taumonoid.catalog import EXTRA_GENERATORS, FIG_LATTICE, mtau
 from taumonoid.construct import _lower_words, build_monoid, leq_tau, lower_set
-from taumonoid.monoid import (FiniteMonoid, dual, find_isomorphism,
-                              is_aperiodic, is_j_trivial)
+from taumonoid.monoid import dual, find_isomorphism, is_aperiodic, is_j_trivial
 from taumonoid.rewrite import (CONGRUENCES, TauWord, TauWordSet,
                                append_letter, canonical)
-from taumonoid.words import EMPTY, content, parse_word, print_word
+from taumonoid.words import EMPTY, parse_word, print_word
 
-from oracles import (leq_tau_by_factor_search, lower_graph,
+from oracles import (build_monoid_by_compose, leq_tau_by_factor_search,
+                     lower_graph, lower_set_by_reachability,
                      lower_words_by_members)
 
 # the lambda lower set of bta+b+, frozen after the factor-search oracle run
@@ -75,61 +74,6 @@ class TestLeq:
                 for z in low:
                     if leq_tau(x, y) and leq_tau(y, z):
                         assert leq_tau(x, z)
-
-
-@lru_cache(maxsize=None)
-def _reverse_graph(bases: tuple, max_len: int, tau: str):
-    """All canonical words over ``bases`` of length <= max_len, as edges.
-
-    Returns ``(into_right, into_left)``: ``into_right[y]`` lists the ``x``
-    with ``x * letter == y`` and ``into_left[y]`` those with
-    ``letter * x == y``, for words of length <= max_len.  Every canonical
-    word is a product of plain letters, so a breadth-first closure from the
-    empty word visits all of them.
-    """
-    letters = [((b, False),) for b in bases]
-    nodes = {EMPTY}
-    into_right: dict = {}
-    into_left: dict = {}
-    queue = deque([EMPTY])
-    while queue:
-        x = queue.popleft()
-        for l in letters:
-            for y, into in ((canonical(x + l, tau), into_right),
-                            (canonical(l + x, tau), into_left)):
-                if len(y) <= max_len:
-                    into.setdefault(y, []).append(x)
-                    if y not in nodes:
-                        nodes.add(y)
-                        queue.append(y)
-    return into_right, into_left
-
-
-def _backward_closure(starts, into: dict) -> set:
-    out: set = set()
-    stack = list(starts)
-    while stack:
-        x = stack.pop()
-        if x not in out:
-            out.add(x)
-            stack.extend(into.get(x, ()))
-    return out
-
-
-def lower_set_by_reachability(u: TauWord) -> set:
-    """Independent oracle: the lower set as two reachability questions.
-
-    Multiplying a canonical word by a letter never shortens it, so the
-    search for ``u = p * v * s`` stays among the canonical words over the
-    content of ``u`` no longer than ``u``.  On that finite graph with its
-    letter edges, the words that reach ``u`` by right multiplication are
-    the ``v * s``; the words that reach one of those by left multiplication
-    are the ``v``.
-    """
-    into_right, into_left = _reverse_graph(
-        tuple(sorted(content(u.word))), len(u.word), u.tau)
-    reach_u = _backward_closure([u.word], into_right)
-    return {TauWord(w, u.tau) for w in _backward_closure(reach_u, into_left)}
 
 
 def canonical_words(tau: str, max_len: int, bases: str = "abc"):
@@ -341,28 +285,6 @@ class TestBuildMonoid:
             left = mtau("rho", str(rev))
             right = dual(mtau("lambda", text))
             assert find_isomorphism(left, right) is not None, text
-
-
-def build_monoid_by_compose(ws: TauWordSet, low: set | None = None
-                            ) -> FiniteMonoid:
-    """Oracle: the Rees quotient with every one of the n^2 products composed.
-
-    Same elements, label order, identity and zero as ``build_monoid``; each
-    entry is the canonical product when it stays in the lower set, else zero.
-    The lower set ``low`` (tau-words) defaults to ``lower_set(ws)``.
-    """
-    low = sorted((w.word for w in (lower_set(ws) if low is None else low)),
-                 key=lambda w: (len(w), print_word(w)))
-    if not low:
-        return FiniteMonoid(table=((0,),), labels=("0",), identity=0, zero=0)
-    index = {w: i for i, w in enumerate(low)}
-    zero = len(low)
-    rows = [tuple(index.get(canonical(x + y, ws.tau), zero) for y in low)
-            + (zero,) for x in low]
-    rows.append((zero,) * (zero + 1))
-    labels = tuple(print_word(w) for w in low) + ("0",)
-    return FiniteMonoid(table=tuple(rows), labels=labels,
-                        identity=index[EMPTY], zero=zero)
 
 
 class TestCayleyBuildAgainstCompose:

@@ -12,74 +12,22 @@ from taumonoid.catalog import (EXTRA_GENERATORS, FIG_LATTICE, corpus_monoids,
                               monoid_with_identity, mtau)
 from taumonoid.claims import Claim, run_claim
 from taumonoid.construct import _tracker_table
-from taumonoid.freeobj import (IsotermReport, RelFreeAutomaton, is_isoterm,
-                               is_tau_term, rel_free_automaton)
-from taumonoid.identities import BudgetExceededError, Identity, satisfies
+from taumonoid.freeobj import (BudgetExceededError, RelFreeAutomaton,
+                               is_isoterm, is_tau_term, rel_free_automaton)
+from taumonoid.identities import Identity, satisfies
 from taumonoid.monoid import (FiniteMonoid, Semigroup, adjoin_identity,
                               format_monoid, parse_monoid, submonoid)
 from taumonoid.rewrite import CONGRUENCES, TauWord, append_letter, canonical
 from taumonoid.words import content, parse_word, print_word
 
-from oracles import (capped_members, class_members, projection,
-                     simple_and_multiple, tau_term_search_unpruned)
-
-SEMILATTICE = FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"), identity=0)
-Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
+from oracles import (SEMILATTICE, Z2, capped_members, class_members, dense,
+                     dense_automaton, isoterm_by_accepted_words, projection,
+                     search_letters, simple_and_multiple,
+                     tau_term_by_enumeration, tau_term_search_unpruned)
 
 
 def w(text):
     return parse_word(text)
-
-
-@lru_cache(maxsize=None)
-def _canonical(word, tau):
-    return canonical(word, tau)
-
-
-def search_letters(m, u):
-    """The letters ``is_tau_term`` searches over: the content of ``u``, plus
-    a fresh letter when ``m`` has no zero."""
-    bases = sorted({b for b, _ in u.word})
-    if m.zero is not None:
-        return tuple(bases)
-    return tuple(bases) + (next(c for c in "zwvuq" if c not in bases),)
-
-
-def dense_automaton(m, k):
-    """The evaluation automaton over ``k`` letters with every vector stored
-    in full, |M|^k cells each: the oracle for ``rel_free_automaton``.
-
-    Substitutions are numbered in lex order, the last letter fastest, and
-    states in breadth-first order; each vector is a view of its index key.
-    Returns the vectors and the transitions.
-    """
-    n = m.size ** k
-    gen = np.array(list(product(range(m.size), repeat=k)), dtype=np.int32).T
-    init = np.full(n, m.identity, dtype=np.int32).tobytes()
-    index = {init: 0}
-    vectors = [np.frombuffer(init, dtype=np.int32)]
-    transitions = []
-    for v in vectors:    # grows while it is read: a breadth-first queue
-        row = []
-        for g in gen:
-            key = m.table[v, g].tobytes()
-            if key not in index:
-                index[key] = len(vectors)
-                vectors.append(np.frombuffer(key, dtype=np.int32))
-            row.append(index[key])
-        transitions.append(row)
-    return vectors, transitions
-
-
-_DENSE = {}
-
-
-def dense(m, k):
-    """``dense_automaton``, built once per table, identity and ``k``."""
-    key = (m.table.tobytes(), m.identity, k)
-    if key not in _DENSE:
-        _DENSE[key] = dense_automaton(m, k)
-    return _DENSE[key]
 
 
 def whole_automaton(m, letters):
@@ -110,82 +58,6 @@ def spent(m, u):
 def same_states(aut, whole):
     """Each state of ``aut`` as the state of ``whole`` with its vector."""
     return {s: whole.index[key] for key, s in aut.index.items()}
-
-
-def run(transitions, combo):
-    """The state reached from 0 by the letter indices ``combo``."""
-    s = 0
-    for i in combo:
-        s = transitions[s][i]
-    return s
-
-
-def tau_term_by_enumeration(m, u, bound):
-    """The witness pair that enumerating every word of at most ``bound``
-    letters finds against ``u`` being a tau-term, or None when none does.
-
-    The oracle for ``is_tau_term``: words over ``search_letters`` are
-    listed in shortlex order and keyed by their state in
-    ``dense_automaton``.  The first member of each key is kept; the witness
-    is the first word outside the class whose key has a member, and a
-    member keyed like the everywhere-zero vector is reported first.
-    """
-    letters = search_letters(m, u)
-    vectors, transitions = dense(m, len(letters))
-    zero_key = next((s for s, v in enumerate(vectors)
-                     if m.zero is not None and (v == m.zero).all()), None)
-
-    words = [(combo, tuple((letters[i], False) for i in combo))
-             for n in range(bound + 1)
-             for combo in product(range(len(letters)), repeat=n)]
-
-    def member(word):
-        # a word with the fresh letter keeps it in its canonical form
-        return _canonical(word, u.tau) == u.word
-
-    member_word: dict = {}
-    for combo, word in words:
-        if member(word):
-            member_word.setdefault(run(transitions, combo), word)
-    if zero_key is not None and zero_key in member_word:
-        first = member_word[zero_key]
-        z = next(c for c in "zwvuq" if c not in {b for b, _ in first})
-        return first, ((z, False),) + first
-    for combo, word in words:
-        k = run(transitions, combo)
-        if k in member_word and not member(word):
-            return member_word[k], word
-    return None
-
-
-def isoterm_by_accepted_words(m, word):
-    """Isoterm report from the two shortlex-first words reaching the state
-    of ``word``: the oracle for ``is_isoterm``.
-
-    ``dense_automaton`` is built over the content of ``word``, or over
-    ``z`` for the empty word, as ``is_isoterm`` builds its automaton.  A
-    breadth-first search keeps the two shortlex-first words at each state,
-    and that loses none at the state of ``word``: if a word were not among
-    the first two at a state it passes through, the two earlier words
-    there, each extended the same way, would come before it.  ``word`` is
-    an isoterm exactly when neither differs from it, and the first that
-    does is the counterexample.
-    """
-    letters = tuple(sorted(content(word))) or ("z",)
-    _, transitions = dense(m, len(letters))
-    stored = {0: [()]}
-    queue = deque([(0, ())])
-    while queue:
-        s, path = queue.popleft()
-        for i, t in enumerate(transitions[s]):
-            lst = stored.setdefault(t, [])
-            if len(lst) < 2:
-                lst.append(path + (i,))
-                queue.append((t, path + (i,)))
-    end = run(transitions, [letters.index(b) for b, _ in word])
-    accepted = [tuple((letters[i], False) for i in p) for p in stored.get(end, [])]
-    counter = next((v for v in accepted if v != word), None)
-    return IsotermReport(word, counter is None, counter)
 
 
 def vector(aut, s):
@@ -574,8 +446,7 @@ class TestTauTerm:
         # the library raises, a claim is skipped with the budget, and the
         # command line exits 2 with one line
         def over_budget(m, letters):
-            raise BudgetExceededError(freeobj.MAX_CELLS + 1, freeobj.MAX_CELLS,
-                                      "int32 cells")
+            raise BudgetExceededError(freeobj.MAX_CELLS + 1)
 
         monkeypatch.setattr(freeobj, "rel_free_automaton", over_budget)
         f = mtau("lambda", "a+ta+")
@@ -598,8 +469,8 @@ class TestTauTerm:
     def test_zero_free_monoid_uses_fresh_letter(self, monkeypatch):
         # the semilattice has no identity introducing a fresh letter, so a+
         # stays a tau1-term; the two-element group satisfies aa = 1.  Only
-        # the zero-free Z2 searches a fresh letter: the table of {1, e},
-        # though built with no zero declared, has the zero e
+        # the zero-free Z2 searches a fresh letter: the table of {1, e}
+        # has the zero e
         assert (SEMILATTICE.zero, Z2.zero) == (1, None)
         builds = []
 

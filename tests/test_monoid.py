@@ -21,15 +21,14 @@ from taumonoid.monoid import (FiniteMonoid, Presentation, PresentationError,
                               idempotents_commute, is_aperiodic, is_j_trivial,
                               parse_monoid, submonoid)
 from taumonoid import monoid
-from taumonoid.monoid import (_check_associative, _classes, _complete,
-                              _generators, _infinitely_many_avoid, _orient,
-                              _reduce)
+from taumonoid.monoid import (_check_associative, _classes, _generators,
+                              _infinitely_many_avoid)
 from taumonoid.rewrite import TauWordSet
 from taumonoid.words import parse_word
-from oracles import associativity_by_cube
-from test_identities import SEMILATTICE, SMALL_POOL
+from oracles import (SEMILATTICE, SMALL_POOL, Z2, absorbing_element,
+                     associativity_by_cube, find_isomorphism_by_refinement,
+                     from_presentation_by_products)
 
-Z2 = FiniteMonoid(table=((0, 1), (1, 0)), labels=("1", "g"), identity=0)
 TRIVIAL = FiniteMonoid(table=((0,),), labels=("1",), identity=0)
 
 
@@ -129,51 +128,6 @@ class TestPresentations:
         monkeypatch.setattr(monoid, "MAX_RULES", 1)
         with pytest.raises(PresentationError, match="rule cap"):
             from_presentation(p)
-
-
-def from_presentation_by_products(p: Presentation, cap: int = 4096) -> Semigroup:
-    """Oracle: the closure with every one of the n^2 products reduced.
-
-    Same completion, element order, labels and zero as ``from_presentation``;
-    each entry is the normal form of the two elements' words concatenated.
-    """
-    order = {g: i for i, g in enumerate(p.generators)}
-    rules = [r for r in (_orient(l, r, order) for l, r in p.relations) if r]
-    rules = _complete(rules + [(z, None) for z in p.zero_words], order)
-    words: list = []
-    index: dict = {}
-    queue: list = []
-    collapsed = bool(p.zero_words)
-
-    def visit(word):
-        nonlocal collapsed
-        nf = _reduce(word, rules)
-        if nf is None:
-            collapsed = True
-        elif nf not in index:
-            assert len(words) < cap
-            index[nf] = len(words)
-            words.append(nf)
-            queue.append(nf)
-
-    for g in p.generators:
-        visit(g)
-    while queue:
-        w = queue.pop()
-        for g in p.generators:
-            visit(w + g)
-    zero = len(words) if collapsed else None
-
-    def val(word):
-        nf = _reduce(word, rules)
-        return zero if nf is None else index[nf]
-
-    tail = (zero,) if collapsed else ()
-    rows = [tuple(val(x + y) for y in words) + tail for x in words]
-    if collapsed:
-        rows.append((zero,) * (len(words) + 1))
-    labels = tuple(words) + (("0",) if collapsed else ())
-    return Semigroup(table=tuple(rows), labels=labels, zero=zero)
 
 
 THREE_LETTER_WORDS = tuple("".join(w) for w in product("abc", repeat=3))
@@ -316,7 +270,7 @@ class TestDualAndProduct:
         # identity and zero
         p = direct_product(named_monoid("dualA1"), monoid_with_identity("E"))
         plain = FiniteMonoid(table=p.table, labels=p.labels,
-                             identity=p.identity, zero=p.zero)
+                             identity=p.identity)
         assert p == plain and plain == p
         assert repr(p) == repr(plain)
         assert "factors" not in repr(p)
@@ -342,136 +296,6 @@ class TestDualAndProduct:
 
 
 # -- the colour-refinement search, kept as the oracle of find_isomorphism --
-
-def refined_colors(table: list, extra: list) -> list:
-    n = len(table)
-    colors = []
-    for x in range(n):
-        acc, seen = x, {x: 0}
-        k = 0
-        while True:
-            acc = table[acc][x]
-            k += 1
-            if acc in seen:
-                idx, period = seen[acc], k - seen[acc]
-                break
-            seen[acc] = k
-        colors.append((table[x][x] == x, idx, period, extra[x]))
-    # iterative refinement by multiplication behaviour against color classes;
-    # each round that does not stop splits a class, so at most n rounds run
-    while True:
-        palette = sorted(set(colors))
-        rank = {c: i for i, c in enumerate(palette)}
-        cur = [rank[c] for c in colors]
-        nxt = []
-        for x in range(n):
-            row = sorted((cur[y], cur[table[x][y]], cur[table[y][x]])
-                         for y in range(n))
-            nxt.append((cur[x], tuple(row)))
-        if len(set(nxt)) == len(set(cur)):
-            return cur
-        colors = nxt
-
-
-def absorbing_element(table: list):
-    n = len(table)
-    return next((z for z in range(n)
-                 if all(table[z][x] == z == table[x][z] for x in range(n))), None)
-
-
-def find_isomorphism_by_refinement(m: FiniteMonoid, n: FiniteMonoid):
-    """Oracle: a multiplication-preserving bijection m -> n, or None.
-
-    The identity maps to the identity and the absorbing element (derived
-    from the table, not the declared field) to the absorbing element.
-    Each table is coloured on its own, in pure Python, and the search
-    backtracks over the image of every element in turn, smallest colour
-    class first, forcing the image of every product of mapped elements.
-    """
-    if m.size != n.size:
-        return None
-    mt, nt = m.table.tolist(), n.table.tolist()
-    mz, nz = absorbing_element(mt), absorbing_element(nt)
-    if (mz is None) != (nz is None):
-        return None
-    extra_m = [0] * m.size
-    extra_n = [0] * n.size
-    extra_m[m.identity] = 1
-    extra_n[n.identity] = 1
-    if mz is not None:
-        extra_m[mz] = 2
-        extra_n[nz] = 2
-    cm = refined_colors(mt, extra_m)
-    cn = refined_colors(nt, extra_n)
-    if sorted(cm) != sorted(cn):
-        return None
-    size = m.size
-    candidates = [[y for y in range(size) if cn[y] == cm[x]] for x in range(size)]
-    order = sorted(range(size), key=lambda x: len(candidates[x]))
-    mapping = [-1] * size
-    used = [False] * size
-
-    def assign(x, y, trail):
-        """Map x to y and force every product image this determines.
-
-        Keeps the invariant that for mapped a, z the product a*z is mapped
-        compatibly, so a completed assignment is a homomorphism by
-        construction.  Appends everything it sets to ``trail`` so the caller
-        can undo on failure.
-        """
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            if mapping[a] >= 0:
-                if mapping[a] != b:
-                    return False
-                continue
-            if used[b] or cm[a] != cn[b]:
-                return False
-            mapping[a] = b
-            used[b] = True
-            trail.append((a, b))
-            for z in range(size):
-                w = mapping[z]
-                if w < 0:
-                    continue
-                stack.append((mt[a][z], nt[b][w]))
-                stack.append((mt[z][a], nt[w][b]))
-        return True
-
-    def undo(trail):
-        for a, b in trail:
-            mapping[a] = -1
-            used[b] = False
-
-    def backtrack(i):
-        if i == size:
-            return True
-        x = order[i]
-        if mapping[x] >= 0:
-            return backtrack(i + 1)
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            trail: list = []
-            if assign(x, y, trail) and backtrack(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    seed: list = []
-    if not assign(m.identity, n.identity, seed):
-        return None
-    if mz is not None and mapping[mz] < 0:
-        if not assign(mz, nz, seed):
-            return None
-    if not backtrack(0):
-        return None
-    # soundness check against both tables
-    f = np.array(mapping)
-    if not np.array_equal(f[m.table], n.table[np.ix_(f, f)]):
-        return None
-    return mapping
 
 
 class TestIsomorphism:
@@ -729,8 +553,7 @@ def relabel(m: FiniteMonoid, perm) -> FiniteMonoid:
     for x, label in enumerate(m.labels):
         labels[perm[x]] = label
     return FiniteMonoid(table=table, labels=tuple(labels),
-                        identity=perm[m.identity],
-                        zero=None if m.zero is None else perm[m.zero])
+                        identity=perm[m.identity])
 
 
 def graph_monoid(k: int, edges) -> FiniteMonoid:
@@ -745,7 +568,7 @@ def graph_monoid(k: int, edges) -> FiniteMonoid:
     for j, (u, v) in enumerate(edges, k + 1):
         rows[u][v] = rows[v][u] = j
     return FiniteMonoid(table=rows, labels=tuple(map(str, range(size))),
-                        identity=0, zero=zero)
+                        identity=0)
 
 
 HEXAGON = graph_monoid(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
@@ -763,7 +586,7 @@ def near_null(k: int, both: bool) -> FiniteMonoid:
     if both:
         rows[k][k - 1] = c
     return FiniteMonoid(table=rows, labels=("1",) + tuple(
-        f"a{i}" for i in range(1, k + 1)) + ("c", "0"), identity=one, zero=zero)
+        f"a{i}" for i in range(1, k + 1)) + ("c", "0"), identity=one)
 
 
 class TestTableChecks:
@@ -794,9 +617,12 @@ class TestTableChecks:
             FiniteMonoid(table=((0, 0), (0, 0)), labels=("1", "x"), identity=0)
 
     def test_bad_zero_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
+        # the zero is found from the table: no constructor takes one
+        with pytest.raises(TypeError, match="zero"):
             FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
                          identity=0, zero=0)
+        with pytest.raises(TypeError, match="zero"):
+            Semigroup(table=((0, 1), (1, 1)), labels=("1", "e"), zero=1)
 
     def test_out_of_range_entry_rejected(self):
         # adjoin_identity used to turn this into the two-element group
@@ -809,9 +635,6 @@ class TestTableChecks:
             with pytest.raises(ValueError, match="identity"):
                 FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
                              identity=identity)
-        with pytest.raises(ValueError, match="zero"):
-            FiniteMonoid(table=((0, 1), (1, 1)), labels=("1", "e"),
-                         identity=0, zero=2)
 
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
